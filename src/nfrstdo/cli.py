@@ -1,8 +1,9 @@
 """``nfrsctl``: validate, export, query, and inspect the built-in schemas.
 
 Exit codes: 0 success, 1 validation errors (warnings too under ``--strict``),
-2 parse failure, 3 usage error. Set ``NFRSCTL_NO_COLOR`` to disable ANSI
-styling of severities.
+2 parse failure (input that is not UTF-8 included), 3 usage error (an
+unreadable input or an unwritable ``-o`` file included). Set
+``NFRSCTL_NO_COLOR`` to disable ANSI styling of severities.
 """
 
 from __future__ import annotations
@@ -49,10 +50,18 @@ def _color_enabled() -> bool:
 
 def _read_text(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # locate the first bad byte, counting lines as the parser does
+        before = data[: exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        line, column = before.count("\n") + 1, len(before) - before.rfind("\n")
+        print(f"{path}:{line}:{column}: error: invalid UTF-8 byte 0x{data[exc.start]:02x}", file=sys.stderr)
+        raise _Fail(ExitCode.PARSE_FAILURE) from None
 
 
 def _load_document(path: str) -> Document:
@@ -79,8 +88,11 @@ def _write_output(payload: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(payload)
         return
-    with open(out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(payload)
+    try:
+        with open(out, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(payload)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 # --- commands -----------------------------------------------------------------

@@ -7,6 +7,12 @@ Turtle subjects follow ``urn:nfrstdo:<kind>:<percent-encoded-name>``; nodes
 scoped to a model or view model embed the owner as ``<owner>/<name>`` with
 each part encoded separately. Predicates take the relationship names in
 snake_case; type local names take the term names with spaces as underscores.
+
+Edges are walked through ``model.EDGE_KINDS``: each row supplies its JSON key,
+its DOT label (the relationship name) and its Turtle predicate. DOT edges
+follow the relationship's direction (a subcharacteristic points at its
+parent); JSON pairs and Turtle triples keep the stored orientation, which is
+why the hierarchy's predicate is ``has_subcharacteristic``.
 """
 
 from __future__ import annotations
@@ -14,7 +20,20 @@ from __future__ import annotations
 import json
 from urllib.parse import quote as percent_encode
 
-from .model import Document, FocusKind, NfrKind, NfrNode, NfrsModelNode, NfrsViewModelNode
+from .model import (
+    MODEL_EDGE_KINDS,
+    VIEW_EDGE_KINDS,
+    Document,
+    FocusKind,
+    NfrKind,
+    NfrNode,
+    NfrsModelNode,
+    NfrsViewModelNode,
+    iter_edges,
+)
+
+# node kind of the ids and URNs of edge targets that live in a Document collection
+_COLLECTION_KINDS = {"categories": "category", "entities": "entity", "frs": "fr"}
 
 # --- canonical JSON -------------------------------------------------------------
 
@@ -37,18 +56,9 @@ def _pairs(edges: tuple[tuple[str, str], ...]) -> list[list[str]]:
 
 
 def _model_json(model: NfrsModelNode) -> dict:
-    obj: dict = {
-        "combines_attributes": _pairs(model.combines_attr_edges),
-        "combines_statement_items": _pairs(model.combines_item_edges),
-        "maps": _pairs(model.mapped_to_edges),
-        "name": model.name,
-        "nfrs": [_nfr_json(model.nfrs[n]) for n in sorted(model.nfrs)],
-        "refers_to_categories": _pairs(model.refers_to_category_edges),
-        "refers_to_entities": _pairs(model.refers_to_entity_edges),
-        "relates": _pairs(model.relates_with_edges),
-        "satisfies": _pairs(model.satisfies_edges),
-        "subcharacteristics": _pairs(model.subchar_edges),
-    }
+    obj: dict = {k.json_key: _pairs(getattr(model, k.field)) for k in MODEL_EDGE_KINDS}
+    obj["name"] = model.name
+    obj["nfrs"] = [_nfr_json(model.nfrs[n]) for n in sorted(model.nfrs)]
     if model.specification is not None:
         obj["specification"] = model.specification
     return obj
@@ -67,12 +77,9 @@ def _view_model_json(vm: NfrsViewModelNode) -> dict:
         if view.statement is not None:
             view_obj["statement"] = view.statement
         views.append(view_obj)
-    obj: dict = {
-        "depends_on": _pairs(vm.depends_on_edges),
-        "influences": _pairs(vm.influences_edges),
-        "name": vm.name,
-        "views": views,
-    }
+    obj: dict = {k.json_key: _pairs(getattr(vm, k.field)) for k in VIEW_EDGE_KINDS}
+    obj["name"] = vm.name
+    obj["views"] = views
     if vm.specification is not None:
         obj["specification"] = vm.specification
     return obj
@@ -153,6 +160,18 @@ def _dot_edge(src: str, dst: str, relationship: str) -> str:
     )
 
 
+def _dot_edges(node: NfrsModelNode | NfrsViewModelNode, local_id) -> list[str]:
+    """DOT edges of ``node``; ``local_id`` names the owner's NFRs or views."""
+    edges = []
+    for kind, source, target in iter_edges(node):
+        if kind.collection is None:
+            target_id = local_id(target)
+        else:
+            target_id = f"{_COLLECTION_KINDS[kind.collection]}:{target}"
+        edges.append(_dot_edge(local_id(source), target_id, kind.relationship))
+    return edges
+
+
 def to_dot(doc: Document) -> str:
     """One directed graph with node shapes by kind and one edge style per relationship."""
     nodes: list[str] = []
@@ -177,20 +196,7 @@ def to_dot(doc: Document) -> str:
             nodes.append(_dot_node(nfr_id(name), name, _NODE_SHAPES[nfr.kind]))
             if nfr.is_focus:
                 edges.append(_dot_edge(nfr_id(name), f"model:{model_name}", "is represented by"))
-        for parent, child in model.subchar_edges:
-            edges.append(_dot_edge(nfr_id(child), nfr_id(parent), "subcharacteristic of"))
-        for s, t in (*model.combines_attr_edges, *model.combines_item_edges):
-            edges.append(_dot_edge(nfr_id(s), nfr_id(t), "combines"))
-        for s, t in model.mapped_to_edges:
-            edges.append(_dot_edge(nfr_id(s), nfr_id(t), "is mapped to"))
-        for s, t in model.relates_with_edges:
-            edges.append(_dot_edge(nfr_id(s), nfr_id(t), "relates with"))
-        for s, t in model.satisfies_edges:
-            edges.append(_dot_edge(nfr_id(s), f"fr:{t}", "satisfies"))
-        for s, t in model.refers_to_entity_edges:
-            edges.append(_dot_edge(nfr_id(s), f"entity:{t}", "refers to particulars"))
-        for s, t in model.refers_to_category_edges:
-            edges.append(_dot_edge(nfr_id(s), f"category:{t}", "refers to universals"))
+        edges += _dot_edges(model, nfr_id)
     for vm_name, vm in doc.view_models.items():
         nodes.append(_dot_node(f"view_model:{vm_name}", vm_name, _NODE_SHAPES["view_model"]))
 
@@ -201,10 +207,7 @@ def to_dot(doc: Document) -> str:
             nodes.append(_dot_node(view_id(name), name, _NODE_SHAPES["view"]))
             edges.append(_dot_edge(view_id(name), f"category:{view.category}", "deals with universals"))
             edges.append(_dot_edge(view_id(name), f"nfr:{view.focus[0]}/{view.focus[1]}", "focus"))
-        for s, t in vm.influences_edges:
-            edges.append(_dot_edge(view_id(s), view_id(t), "influences"))
-        for s, t in vm.depends_on_edges:
-            edges.append(_dot_edge(view_id(s), view_id(t), "depends on"))
+        edges += _dot_edges(vm, view_id)
 
     lines = ["digraph nfrs {"]
     lines.extend(sorted(nodes))
@@ -257,6 +260,15 @@ def to_turtle(doc: Document) -> str:
         if value is not None:
             add(subject, f"nfrstdo:{predicate}", _literal(value))
 
+    def add_edges(node: NfrsModelNode | NfrsViewModelNode, local_urn) -> None:
+        for kind, source, target in iter_edges(node):
+            if kind.collection is None:
+                target_urn = local_urn(target)
+            else:
+                target_urn = _urn(_COLLECTION_KINDS[kind.collection], target)
+            subject, obj = kind.stored(local_urn(source), target_urn)
+            add(subject, f"nfrstdo:{kind.turtle}", obj)
+
     for name, node in doc.categories.items():
         subject = _urn("category", name)
         add(subject, "a", "nfrstdo:Evaluable_Entity_Category")
@@ -294,20 +306,7 @@ def to_turtle(doc: Document) -> str:
                 focus_type = "Quality_Focus" if nfr.focus_kind is FocusKind.QUALITY else "Cost_Focus"
                 add(subject, "a", f"nfrstdo:{focus_type}")
                 add(subject, "nfrstdo:is_represented_by", model_subject)
-        for parent, child in model.subchar_edges:
-            add(nfr_urn(parent), "nfrstdo:has_subcharacteristic", nfr_urn(child))
-        for s, t in (*model.combines_attr_edges, *model.combines_item_edges):
-            add(nfr_urn(s), "nfrstdo:combines", nfr_urn(t))
-        for s, t in model.mapped_to_edges:
-            add(nfr_urn(s), "nfrstdo:is_mapped_to", nfr_urn(t))
-        for s, t in model.relates_with_edges:
-            add(nfr_urn(s), "nfrstdo:relates_with", nfr_urn(t))
-        for s, t in model.satisfies_edges:
-            add(nfr_urn(s), "nfrstdo:satisfies", _urn("fr", t))
-        for s, t in model.refers_to_entity_edges:
-            add(nfr_urn(s), "nfrstdo:refers_to_particulars", _urn("entity", t))
-        for s, t in model.refers_to_category_edges:
-            add(nfr_urn(s), "nfrstdo:refers_to_universals", _urn("category", t))
+        add_edges(model, nfr_urn)
 
     for vm_name, vm in doc.view_models.items():
         vm_subject = _urn("view_model", vm_name)
@@ -329,10 +328,7 @@ def to_turtle(doc: Document) -> str:
             if focus_nfr is not None and focus_char in focus_nfr.nfrs:
                 kind = focus_nfr.nfrs[focus_char].kind.value
             add(subject, "nfrstdo:has_focus", _urn(kind, focus_model, focus_char))
-        for s, t in vm.influences_edges:
-            add(view_urn(s), "nfrstdo:influences", view_urn(t))
-        for s, t in vm.depends_on_edges:
-            add(view_urn(s), "nfrstdo:depends_on", view_urn(t))
+        add_edges(vm, view_urn)
 
     if not triples:
         return _PREFIX + "\n"

@@ -203,11 +203,7 @@ class ArchSpec:
 THING_FO = ComponentRef("ThingFO", OntoLevel.FOUNDATIONAL, "1.3")
 SITUATION_CO = ComponentRef("SituationCO", OntoLevel.CORE, "1.2")
 PROCESS_CO = ComponentRef("ProcessCO", OntoLevel.CORE, "1.3")
-PEVENT_CO = ComponentRef("PEventCO", OntoLevel.CORE, "1.0")
 FRS_TDO = ComponentRef("FRsTDO", OntoLevel.TOP_DOMAIN, "1.1")
-TEST_TDO = ComponentRef("TestTDO", OntoLevel.TOP_DOMAIN, "1.3")
-METRICS_LDO = ComponentRef("MetricsLDO", OntoLevel.LOW_DOMAIN, "2.0")
-INDICATORS_LDO = ComponentRef("IndicatorsLDO", OntoLevel.LOW_DOMAIN, "2.0")
 
 # Stereotype chains declared by the higher-level components themselves.
 # Only the entries NFRsTDO terms reach are registered; the internals of the
@@ -685,6 +681,7 @@ def parse_arch(text: str) -> ArchSpec:
     seen: set[str] = set()
     enrichment: list[tuple[str, str]] = []
     peers: list[tuple[str, str]] = []
+    edge_lines: list[tuple[int, tuple[str, str], str]] = []  # line, components named, error if undeclared
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -706,21 +703,22 @@ def parse_arch(text: str) -> ArchSpec:
             if len(tokens) != 4 or tokens[2] != "<-":
                 raise ArchParseError(line_no, "expected 'enriches <CONSUMER> <- <SUPPLIER>'")
             enrichment.append((tokens[1], tokens[3]))
+            message = f"enrichment edge names undeclared component: {tokens[1]} <- {tokens[3]}"
+            edge_lines.append((line_no, (tokens[1], tokens[3]), message))
         elif tokens[0] == "peer":
             if len(tokens) != 3:
                 raise ArchParseError(line_no, "expected 'peer <A> <B>'")
             peers.append((tokens[1], tokens[2]))
+            message = f"peer edge names undeclared component: {tokens[1]} {tokens[2]}"
+            edge_lines.append((line_no, (tokens[1], tokens[2]), message))
         else:
             raise ArchParseError(line_no, f"unknown directive {tokens[0]!r}")
 
-    try:
-        return ArchSpec(
-            components=tuple(components),
-            enrichment_edges=tuple(enrichment),
-            peer_edges=tuple(peers),
-        )
-    except ValueError as exc:
-        raise ArchParseError(len(text.splitlines()) or 1, str(exc)) from None
+    # components may be declared after the edges naming them, so check once all are read
+    for line_no, names, message in edge_lines:
+        if not seen.issuperset(names):
+            raise ArchParseError(line_no, message)
+    return ArchSpec(components=tuple(components), enrichment_edges=tuple(enrichment), peer_edges=tuple(peers))
 
 
 # --- canonical JSON dump ------------------------------------------------------

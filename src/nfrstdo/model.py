@@ -9,6 +9,13 @@ their model, views to their view model.
 Document equality is structural: collections compare order-insensitively and
 source locations are ignored, which is what lets a reparsed serialization
 compare equal to the original.
+
+``EDGE_KINDS`` is the relationship catalog as the program uses it: one row
+per stored edge list with its ``.nfrs`` keyword and syntax, the kernel
+relationship it instantiates, the endpoint kinds it allows, the rule code and
+messages for a wrong endpoint, and its JSON, DOT and Turtle names. The
+parser, serializer, validator, exporters and ``add_model_edge`` all read this
+table; ``iter_edges`` walks a node's edges through it.
 """
 
 from __future__ import annotations
@@ -102,10 +109,6 @@ class NfrNode:
             raise ValueError(f"focus kind must be set exactly when {self.name!r} is a focus")
 
 
-def _sorted_edges(edges: tuple[Edge, ...]) -> list[Edge]:
-    return sorted(edges)
-
-
 @dataclass(frozen=True, eq=False)
 class NfrsModelNode:
     """An NFRs model: its NFR nodes plus every edge kind they participate in.
@@ -126,25 +129,11 @@ class NfrsModelNode:
     refers_to_entity_edges: tuple[Edge, ...] = ()
     refers_to_category_edges: tuple[Edge, ...] = ()
 
-    _EDGE_FIELDS = (
-        "subchar_edges",
-        "combines_attr_edges",
-        "combines_item_edges",
-        "mapped_to_edges",
-        "relates_with_edges",
-        "satisfies_edges",
-        "refers_to_entity_edges",
-        "refers_to_category_edges",
-    )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NfrsModelNode):
             return NotImplemented
-        if (self.name, self.specification, self.nfrs) != (other.name, other.specification, other.nfrs):
-            return False
-        return all(
-            _sorted_edges(getattr(self, f)) == _sorted_edges(getattr(other, f)) for f in self._EDGE_FIELDS
-        )
+        same_nodes = (self.name, self.specification, self.nfrs) == (other.name, other.specification, other.nfrs)
+        return same_nodes and _same_edges(self, other, MODEL_EDGE_KINDS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,11 +158,131 @@ class NfrsViewModelNode:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NfrsViewModelNode):
             return NotImplemented
-        return (
-            (self.name, self.specification, self.views) == (other.name, other.specification, other.views)
-            and _sorted_edges(self.influences_edges) == _sorted_edges(other.influences_edges)
-            and _sorted_edges(self.depends_on_edges) == _sorted_edges(other.depends_on_edges)
-        )
+        same_nodes = (self.name, self.specification, self.views) == (other.name, other.specification, other.views)
+        return same_nodes and _same_edges(self, other, VIEW_EDGE_KINDS)
+
+
+def _same_edges(a: object, b: object, kinds: tuple[EdgeKind, ...]) -> bool:
+    # edge lists compare as multisets
+    return all(sorted(getattr(a, k.field)) == sorted(getattr(b, k.field)) for k in kinds)
+
+
+# --- the relationship table ----------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class EdgeKind:
+    """One stored edge list, with what every layer needs to know about it.
+
+    ``source`` and ``target`` follow the relationship's reading direction: a
+    subcharacteristic edge goes from child to parent. Lists written with
+    ``of`` are stored the other way round, as (parent, child). Messages are
+    ``str.format`` templates over ``name``, ``kind`` (the kind's value) and
+    ``kind_words`` (the value with spaces); see ``edge_message``.
+    """
+
+    keyword: str  # the .nfrs keyword, also the kind in ("edge", owner, keyword, a, b) location keys
+    field: str  # the edge list attribute of the owning node
+    relationship: str  # the kernel relationship name, also the DOT edge label
+    arrow: str  # text syntax: "->", "<->" (symmetric), or "of" (child of parent, stored reversed)
+    sources: tuple  # allowed source kinds: NfrKind or FocusKind members
+    targets: tuple  # allowed target kinds; empty when targets live in ``collection``
+    code: str | None  # rule code for a wrong-kind endpoint, or a target missing from ``collection``
+    source_message: str
+    target_message: str
+    json_key: str  # canonical JSON key of the sorted pair list, stored orientation
+    turtle: str  # Turtle predicate local name, stored orientation
+    collection: str | None = None  # the Document collection targets are looked up in
+
+    def stored(self, source, target):
+        """The pair in storage orientation; works on names and on rendered ids alike."""
+        return (target, source) if self.arrow == "of" else (source, target)
+
+
+# kind sets are tuples: membership tests by identity, while Enum hashing runs in Python
+_ANY_NFR = tuple(NfrKind)
+_CHARACTERISTIC = (NfrKind.CHARACTERISTIC,)
+_ATTRIBUTE = (NfrKind.ATTRIBUTE,)
+_STATEMENT_ITEM = (NfrKind.STATEMENT_ITEM,)
+_QUALITY = (FocusKind.QUALITY,)
+_HIERARCHY = (
+    "{kind_words} {name!r} cannot take a position in the sub-characteristic hierarchy; only characteristics can"
+)
+_INFLUENCES = "influences edges connect quality views only; cost view(s) involved: {name}"
+_DEPENDS_ON = "depends_on edges connect quality views only; cost view(s) involved: {name}"
+
+# One row per stored edge list, in canonical serialization order; rows that
+# share a keyword (combines) serialize as one group.
+EDGE_KINDS = (
+    EdgeKind("subcharacteristic", "subchar_edges", "subcharacteristic of", "of", _CHARACTERISTIC,
+             _CHARACTERISTIC, "R-017", _HIERARCHY, _HIERARCHY, "subcharacteristics", "has_subcharacteristic"),
+    EdgeKind("combines", "combines_attr_edges", "combines", "->", _CHARACTERISTIC, _ATTRIBUTE, "R-002",
+             "only a characteristic can combine attributes; {name!r} is a {kind}",
+             "combines must target an attribute or statement item; {name!r} is a {kind_words}",
+             "combines_attributes", "combines"),
+    EdgeKind("combines", "combines_item_edges", "combines", "->", _CHARACTERISTIC, _STATEMENT_ITEM, "R-003",
+             "only a characteristic can combine statement items; {name!r} is a {kind}",
+             "this combines edge must target a statement item; {name!r} is a {kind}",
+             "combines_statement_items", "combines"),
+    EdgeKind("maps", "mapped_to_edges", "is mapped to", "->", _STATEMENT_ITEM, _ATTRIBUTE, "R-008",
+             "maps edges start at a statement item; {name!r} is a {kind}",
+             "maps edges target an attribute; {name!r} is a {kind_words}", "maps", "is_mapped_to"),
+    EdgeKind("refers_to_entity", "refers_to_entity_edges", "refers to particulars", "->", _ANY_NFR,
+             (), "R-REF", "", "unknown entity {name!r}", "refers_to_entities", "refers_to_particulars",
+             collection="entities"),
+    EdgeKind("refers_to_category", "refers_to_category_edges", "refers to universals", "->", _ANY_NFR,
+             (), "R-010", "", "refers_to_category must target a category; {name!r} is not one",
+             "refers_to_categories", "refers_to_universals", collection="categories"),
+    EdgeKind("relates", "relates_with_edges", "relates with", "<->", _ANY_NFR, _ANY_NFR, None, "", "",
+             "relates", "relates_with"),
+    EdgeKind("satisfies", "satisfies_edges", "satisfies", "->", _ANY_NFR, (), "R-012", "",
+             "satisfies must target a functional requirement; {name!r} is not one", "satisfies", "satisfies",
+             collection="frs"),
+    EdgeKind("influences", "influences_edges", "influences", "->", _QUALITY, _QUALITY, "R-006",
+             _INFLUENCES, _INFLUENCES, "influences", "influences"),
+    EdgeKind("depends_on", "depends_on_edges", "depends on", "->", _QUALITY, _QUALITY, "R-005",
+             _DEPENDS_ON, _DEPENDS_ON, "depends_on", "depends_on"),
+)
+
+MODEL_EDGE_KINDS = tuple(k for k in EDGE_KINDS if k.field in NfrsModelNode.__dataclass_fields__)
+VIEW_EDGE_KINDS = tuple(k for k in EDGE_KINDS if k.field in NfrsViewModelNode.__dataclass_fields__)
+_OWNED_KINDS = {NfrsModelNode: MODEL_EDGE_KINDS, NfrsViewModelNode: VIEW_EDGE_KINDS}
+_ROWS_BY_KEYWORD = {
+    (owner, k.keyword): tuple(r for r in kinds if r.keyword == k.keyword)
+    for owner, kinds in _OWNED_KINDS.items()
+    for k in kinds
+}
+
+
+def edge_kind(owner: type, keyword: str, target_kind: Enum | None = None) -> EdgeKind:
+    """The row that stores ``owner``'s ``keyword`` edges to a target of ``target_kind``.
+
+    Only ``combines`` has two rows; a target that matches neither (unknown,
+    or a characteristic) goes to the first, the attribute list. Raises
+    KeyError for a keyword ``owner`` does not have.
+    """
+    rows = _ROWS_BY_KEYWORD[owner, keyword]
+    for kind in rows:
+        if target_kind in kind.targets:
+            return kind
+    return rows[0]
+
+
+def iter_edges(node: NfrsModelNode | NfrsViewModelNode):
+    """Yield every edge of ``node`` as (kind, source, target), table order, relationship direction."""
+    for kind in _OWNED_KINDS[type(node)]:
+        if kind.arrow == "of":
+            for target, source in getattr(node, kind.field):
+                yield kind, source, target
+        else:
+            for source, target in getattr(node, kind.field):
+                yield kind, source, target
+
+
+def edge_message(template: str, name: str, kind: Enum | None = None) -> str:
+    """Fill an EdgeKind message template for endpoint ``name`` of ``kind``."""
+    value = "" if kind is None else kind.value
+    return template.format(name=name, kind=value, kind_words=value.replace("_", " "))
 
 
 Node = CategoryNode | EntityNode | FunctionalRequirementNode | NfrsModelNode | NfrsViewModelNode
@@ -249,93 +358,52 @@ def resolve(doc: Document, kind: str, name: str) -> Node:
 # the source text says, these reject endpoints whose kinds contradict the
 # relationship definition before any validation runs.
 
-_MODEL_EDGE_KINDS = (
-    "subcharacteristic",
-    "combines",
-    "maps",
-    "relates",
-    "satisfies",
-    "refers_to_entity",
-    "refers_to_category",
-)
 
+def _append_edge(doc: Document, owner, members: dict, keyword: str, source: str, target: str):
+    """``owner`` with one more edge, rejecting unknown keywords, missing endpoints and wrong kinds.
 
-def _require_nfr(model: NfrsModelNode, name: str) -> NfrNode:
-    try:
-        return model.nfrs[name]
-    except KeyError:
-        raise NotFound(f"no NFR named {name!r} in model {model.name!r}") from None
+    ``members`` holds the owner's NFRs or views by name.
+    """
+    owner_word = "model" if isinstance(owner, NfrsModelNode) else "view model"
+    rows = _ROWS_BY_KEYWORD.get((type(owner), keyword))
+    if rows is None:
+        raise ValueError(f"unknown {owner_word} edge kind {keyword!r}")
+    kind = rows[0]
+    for name in (source,) if kind.collection else (source, target):
+        if name not in members:
+            member_word = "NFR" if owner_word == "model" else "view"
+            raise NotFound(f"no {member_word} named {name!r} in {owner_word} {owner.name!r}")
+    source_kind = members[source].kind
+    if kind.collection:
+        if target not in getattr(doc, kind.collection):
+            raise NotFound(edge_message(kind.target_message, target))
+    else:
+        target_kind = members[target].kind
+        if len(rows) > 1:
+            kind = edge_kind(type(owner), keyword, target_kind)
+        if target_kind not in kind.targets:
+            raise EdgeKindError(edge_message(kind.target_message, target, target_kind))
+    if source_kind not in kind.sources:
+        raise EdgeKindError(edge_message(kind.source_message, source, source_kind))
+    # every field of an owner node is an init field, so rebuilding from vars() equals
+    # dataclasses.replace, without its per-field loop in Python
+    return type(owner)(**{**vars(owner), kind.field: getattr(owner, kind.field) + (kind.stored(source, target),)})
 
 
 def add_model_edge(doc: Document, model_name: str, kind: str, source: str, target: str) -> Document:
     """Attach one model-level edge, rejecting kind-contradicting endpoints.
 
-    ``combines`` routes to the attribute or statement-item edge list based on
-    the target's kind.
+    ``source`` and ``target`` follow the relationship's direction, so a
+    subcharacteristic edge goes from child to parent. ``combines`` routes to
+    the attribute or statement-item edge list based on the target's kind.
     """
     model = resolve(doc, "model", model_name)
-    assert isinstance(model, NfrsModelNode)
-    if kind not in _MODEL_EDGE_KINDS:
-        raise ValueError(f"unknown model edge kind {kind!r}")
-
-    if kind == "subcharacteristic":
-        # stored as (parent, child); callers pass source=child, target=parent
-        child, parent = _require_nfr(model, source), _require_nfr(model, target)
-        for endpoint in (child, parent):
-            if endpoint.kind is not NfrKind.CHARACTERISTIC:
-                raise EdgeKindError(f"subcharacteristic endpoints must be characteristics, not {endpoint.name!r}")
-        updated = replace(model, subchar_edges=model.subchar_edges + ((target, source),))
-    elif kind == "combines":
-        src, dst = _require_nfr(model, source), _require_nfr(model, target)
-        if src.kind is not NfrKind.CHARACTERISTIC:
-            raise EdgeKindError(f"only a characteristic can combine, not {src.name!r}")
-        if dst.kind is NfrKind.ATTRIBUTE:
-            updated = replace(model, combines_attr_edges=model.combines_attr_edges + ((source, target),))
-        elif dst.kind is NfrKind.STATEMENT_ITEM:
-            updated = replace(model, combines_item_edges=model.combines_item_edges + ((source, target),))
-        else:
-            raise EdgeKindError(f"combines must target an attribute or statement item, not {dst.name!r}")
-    elif kind == "maps":
-        src, dst = _require_nfr(model, source), _require_nfr(model, target)
-        if src.kind is not NfrKind.STATEMENT_ITEM or dst.kind is not NfrKind.ATTRIBUTE:
-            raise EdgeKindError("maps edges go from a statement item to an attribute")
-        updated = replace(model, mapped_to_edges=model.mapped_to_edges + ((source, target),))
-    elif kind == "relates":
-        _require_nfr(model, source)
-        _require_nfr(model, target)
-        updated = replace(model, relates_with_edges=model.relates_with_edges + ((source, target),))
-    elif kind == "satisfies":
-        _require_nfr(model, source)
-        if target not in doc.frs:
-            raise NotFound(f"no functional requirement named {target!r}")
-        updated = replace(model, satisfies_edges=model.satisfies_edges + ((source, target),))
-    elif kind == "refers_to_entity":
-        _require_nfr(model, source)
-        if target not in doc.entities:
-            raise NotFound(f"no entity named {target!r}")
-        updated = replace(model, refers_to_entity_edges=model.refers_to_entity_edges + ((source, target),))
-    else:  # refers_to_category
-        _require_nfr(model, source)
-        if target not in doc.categories:
-            raise NotFound(f"no category named {target!r}")
-        updated = replace(model, refers_to_category_edges=model.refers_to_category_edges + ((source, target),))
-
+    updated = _append_edge(doc, model, model.nfrs, kind, source, target)
     return replace(doc, models={**doc.models, model_name: updated})
 
 
 def add_view_edge(doc: Document, view_model_name: str, kind: str, source: str, target: str) -> Document:
     """Attach an influences/depends_on edge between quality views."""
     vm = resolve(doc, "view_model", view_model_name)
-    assert isinstance(vm, NfrsViewModelNode)
-    if kind not in ("influences", "depends_on"):
-        raise ValueError(f"unknown view edge kind {kind!r}")
-    for name in (source, target):
-        try:
-            view = vm.views[name]
-        except KeyError:
-            raise NotFound(f"no view named {name!r} in view model {view_model_name!r}") from None
-        if view.kind is not FocusKind.QUALITY:
-            raise EdgeKindError(f"{kind} edges connect quality views only, and {name!r} is a cost view")
-    field_name = "influences_edges" if kind == "influences" else "depends_on_edges"
-    updated = replace(vm, **{field_name: getattr(vm, field_name) + ((source, target),)})
+    updated = _append_edge(doc, vm, vm.views, kind, source, target)
     return replace(doc, view_models={**doc.view_models, view_model_name: updated})

@@ -39,6 +39,8 @@ from dataclasses import dataclass
 
 from .diagnostics import SourceLocation
 from .model import (
+    MODEL_EDGE_KINDS,
+    VIEW_EDGE_KINDS,
     CategoryNode,
     Document,
     EntityNode,
@@ -49,13 +51,17 @@ from .model import (
     NfrsModelNode,
     NfrsViewModelNode,
     NfrViewNode,
+    edge_kind,
+    iter_edges,
 )
 
 _TOP_KEYWORDS = ("category", "entity", "fr", "model", "view_model")
 _NFR_KEYWORDS = {"characteristic": NfrKind.CHARACTERISTIC, "attribute": NfrKind.ATTRIBUTE,
                  "statement_item": NfrKind.STATEMENT_ITEM}
-_MODEL_EDGE_KEYWORDS = ("subcharacteristic", "combines", "maps", "refers_to_entity",
-                        "refers_to_category", "relates", "satisfies")
+_MODEL_EDGE_ARROWS = {k.keyword: k.arrow for k in MODEL_EDGE_KINDS}
+_VIEW_EDGE_KEYWORDS = {k.keyword for k in VIEW_EDGE_KINDS}
+# what the second name of a model edge is expected to be, by syntax
+_MODEL_EDGE_TARGETS = {"of": "a characteristic name", "<->": "an NFR name", "->": "a target name"}
 
 _MAX_ERRORS = 50
 
@@ -396,9 +402,9 @@ class _Parser:
         self.expect_punct("{")
         specification = self.opt_field("specification")
         nfrs: dict[str, NfrNode] = {}
-        edges: dict[str, list[tuple[str, str]]] = {k: [] for k in _MODEL_EDGE_KEYWORDS}
+        edges: list[tuple[str, str, str, SourceLocation]] = []  # keyword, source, target, location
 
-        sync = set(_NFR_KEYWORDS) | set(_MODEL_EDGE_KEYWORDS)
+        sync = set(_NFR_KEYWORDS) | set(_MODEL_EDGE_ARROWS)
         seen_edge = False
         while not (self.peek().kind == "punct" and self.peek().value == "}"):
             t = self.peek()
@@ -413,14 +419,17 @@ class _Parser:
                 except _SyntaxError as exc:
                     self.record_error(exc.error)
                     self.skip_block_rest()
-            elif t.kind == "word" and t.value in _MODEL_EDGE_KEYWORDS:
+            elif t.kind == "word" and t.value in _MODEL_EDGE_ARROWS:
                 seen_edge = True
                 self.advance()
+                arrow = _MODEL_EDGE_ARROWS[t.value]
                 try:
-                    self.parse_model_edge(t.value, t.location, name, edges)
+                    source, target = self.parse_edge(arrow, "an NFR name", _MODEL_EDGE_TARGETS[arrow])
                 except _SyntaxError as exc:
                     self.record_error(exc.error)
                     self.sync_inside_block(sync)
+                else:
+                    edges.append((t.value, source, target, t.location))
             elif t.kind == "eof":
                 self.fail("'}'")
             else:
@@ -430,44 +439,26 @@ class _Parser:
                 self.sync_inside_block(sync)
         self.expect_punct("}")
 
-        combines_attr, combines_item = [], []
-        for source, target in edges["combines"]:
+        stored: dict[str, list[tuple[str, str]]] = {k.field: [] for k in MODEL_EDGE_KINDS}
+        for keyword, source, target, edge_loc in edges:
             nfr = nfrs.get(target)
-            if nfr is not None and nfr.kind is NfrKind.STATEMENT_ITEM:
-                combines_item.append((source, target))
-            else:
-                combines_attr.append((source, target))
+            kind = edge_kind(NfrsModelNode, keyword, None if nfr is None else nfr.kind)
+            edge = kind.stored(source, target)
+            stored[kind.field].append(edge)
+            self.locations[("edge", name, keyword, *edge)] = edge_loc
         node = NfrsModelNode(
-            name=name,
-            specification=specification,
-            nfrs=nfrs,
-            subchar_edges=tuple(edges["subcharacteristic"]),
-            combines_attr_edges=tuple(combines_attr),
-            combines_item_edges=tuple(combines_item),
-            mapped_to_edges=tuple(edges["maps"]),
-            relates_with_edges=tuple(edges["relates"]),
-            satisfies_edges=tuple(edges["satisfies"]),
-            refers_to_entity_edges=tuple(edges["refers_to_entity"]),
-            refers_to_category_edges=tuple(edges["refers_to_category"]),
+            name=name, specification=specification, nfrs=nfrs, **{f: tuple(e) for f, e in stored.items()}
         )
         self.declare(self.models, ("model", name), node, loc, "model")
 
-    def parse_model_edge(
-        self, keyword: str, loc: SourceLocation, model_name: str, edges: dict[str, list[tuple[str, str]]]
-    ) -> None:
-        first = self.expect_name("an NFR name")
-        if keyword == "subcharacteristic":
+    def parse_edge(self, arrow: str, source_what: str, target_what: str) -> tuple[str, str]:
+        """The two names of an edge statement after its keyword, in the order written."""
+        source = self.expect_name(source_what)
+        if arrow == "of":
             self.expect_word("of")
-            parent = self.expect_name("a characteristic name")
-            edge = (parent, first)  # stored as (parent, child)
-        elif keyword == "relates":
-            self.expect_punct("<->")
-            edge = (first, self.expect_name("an NFR name"))
         else:
-            self.expect_punct("->")
-            edge = (first, self.expect_name("a target name"))
-        edges[keyword].append(edge)
-        self.locations[("edge", model_name, keyword, edge[0], edge[1])] = loc
+            self.expect_punct(arrow)
+        return source, self.expect_name(target_what)
 
     def parse_view(self, loc: SourceLocation, vm_name: str, views: dict[str, NfrViewNode]) -> None:
         name = self.expect_name("a view name")
@@ -498,11 +489,10 @@ class _Parser:
         self.expect_punct("{")
         specification = self.opt_field("specification")
         views: dict[str, NfrViewNode] = {}
-        influences: list[tuple[str, str]] = []
-        depends_on: list[tuple[str, str]] = []
+        edges: dict[str, list[tuple[str, str]]] = {k.field: [] for k in VIEW_EDGE_KINDS}
 
         stage = "view"  # views, then influences, then depends_on
-        sync = {"view", "influences", "depends_on"}
+        sync = {"view"} | _VIEW_EDGE_KEYWORDS
         while not (self.peek().kind == "punct" and self.peek().value == "}"):
             t = self.peek()
             if t.kind == "eof":
@@ -532,24 +522,19 @@ class _Parser:
             else:
                 stage = "depends_on"
             self.advance()
+            kind = edge_kind(NfrsViewModelNode, t.value)
             try:
-                source = self.expect_name("a view name")
-                self.expect_punct("->")
-                target = self.expect_name("a view name")
+                source, target = self.parse_edge(kind.arrow, "a view name", "a view name")
             except _SyntaxError as exc:
                 self.record_error(exc.error)
                 self.sync_inside_block(sync)
                 continue
-            (influences if t.value == "influences" else depends_on).append((source, target))
+            edges[kind.field].append((source, target))
             self.locations[("edge", name, t.value, source, target)] = t.location
         self.expect_punct("}")
 
         node = NfrsViewModelNode(
-            name=name,
-            specification=specification,
-            views=views,
-            influences_edges=tuple(influences),
-            depends_on_edges=tuple(depends_on),
+            name=name, specification=specification, views=views, **{f: tuple(e) for f, e in edges.items()}
         )
         self.declare(self.view_models, ("view_model", name), node, loc, "view model")
 
@@ -600,25 +585,21 @@ def _nfr_block(nfr: NfrNode) -> list[str]:
     return lines
 
 
+def _edge_lines(node: NfrsModelNode | NfrsViewModelNode) -> list[str]:
+    """Edge statements grouped by keyword in table order, sorted within each group."""
+    groups: dict[str, list[str]] = {}
+    for kind, source, target in iter_edges(node):
+        line = f"  {kind.keyword} {quote(source)} {kind.arrow} {quote(target)}"
+        groups.setdefault(kind.keyword, []).append(line)
+    return [line for group in groups.values() for line in sorted(group)]
+
+
 def _model_block(model: NfrsModelNode) -> str:
     lines = [f"model {quote(model.name)} {{"]
     lines += _field_line("  ", "specification", model.specification)
     for name in sorted(model.nfrs):
         lines += _nfr_block(model.nfrs[name])
-    groups = (
-        sorted(f"  subcharacteristic {quote(child)} of {quote(parent)}" for parent, child in model.subchar_edges),
-        sorted(
-            f"  combines {quote(s)} -> {quote(t)}"
-            for s, t in (*model.combines_attr_edges, *model.combines_item_edges)
-        ),
-        sorted(f"  maps {quote(s)} -> {quote(t)}" for s, t in model.mapped_to_edges),
-        sorted(f"  refers_to_entity {quote(s)} -> {quote(t)}" for s, t in model.refers_to_entity_edges),
-        sorted(f"  refers_to_category {quote(s)} -> {quote(t)}" for s, t in model.refers_to_category_edges),
-        sorted(f"  relates {quote(s)} <-> {quote(t)}" for s, t in model.relates_with_edges),
-        sorted(f"  satisfies {quote(s)} -> {quote(t)}" for s, t in model.satisfies_edges),
-    )
-    for group in groups:
-        lines += group
+    lines += _edge_lines(model)
     lines.append("}")
     return "\n".join(lines)
 
@@ -634,8 +615,7 @@ def _view_model_block(vm: NfrsViewModelNode) -> str:
         lines.append(f"    focus: {quote(view.focus[0])} . {quote(view.focus[1])}")
         lines += _field_line("    ", "statement", view.statement)
         lines.append("  }")
-    lines += sorted(f"  influences {quote(s)} -> {quote(t)}" for s, t in vm.influences_edges)
-    lines += sorted(f"  depends_on {quote(s)} -> {quote(t)}" for s, t in vm.depends_on_edges)
+    lines += _edge_lines(vm)
     lines.append("}")
     return "\n".join(lines)
 

@@ -16,13 +16,7 @@ from dataclasses import replace
 from enum import Enum
 
 from .diagnostics import Diagnostic, Severity, SourceLocation, sort_diagnostics
-from .model import (
-    Document,
-    FocusKind,
-    NfrKind,
-    NfrsModelNode,
-    NfrsViewModelNode,
-)
+from .model import Document, FocusKind, NfrKind, NfrsModelNode, NfrsViewModelNode, edge_message, iter_edges
 
 
 class ValidationMode(Enum):
@@ -104,32 +98,33 @@ def _check_model(doc: Document, model: NfrsModelNode, mode: ValidationMode, sink
         nfr = model.nfrs.get(name)
         return None if nfr is None else nfr.kind
 
-    def edge_key(keyword: str, a: str, b: str) -> tuple:
-        return ("edge", m, keyword, a, b)
+    # endpoint kinds of every edge, as the relationship table allows them
+    for kind, source, target in iter_edges(model):
+        separator = f" {kind.arrow} " if kind.arrow == "of" else kind.arrow
+        subject = f"model:{m}/{kind.keyword}:{source}{separator}{target}"
+        key = ("edge", m, kind.keyword, *kind.stored(source, target))
+        source_kind = kind_of(source)
+        if source_kind is None:
+            sink.error("R-REF", f"unknown NFR {source!r} in model {m!r}", subject, key)
+        elif source_kind not in kind.sources:
+            sink.error(kind.code, edge_message(kind.source_message, source, source_kind), subject, key)
+        if kind.collection is not None:
+            if target not in getattr(doc, kind.collection):
+                sink.error(kind.code, edge_message(kind.target_message, target), subject, key)
+        elif kind.arrow == "<->" and target == source:
+            # a self-pair of the symmetric relationship has a single endpoint
+            if source_kind is not None:
+                sink.warning("R-011", f"NFR {source!r} relates with itself", subject, key)
+        else:
+            target_kind = kind_of(target)
+            if target_kind is None:
+                sink.error("R-REF", f"unknown NFR {target!r} in model {m!r}", subject, key)
+            elif target_kind not in kind.targets:
+                sink.error(kind.code, edge_message(kind.target_message, target, target_kind), subject, key)
 
-    # sub-characteristic hierarchy
-    valid_subchar: list[tuple[str, str]] = []
-    for parent, child in model.subchar_edges:
-        subject = f"model:{m}/subcharacteristic:{child} of {parent}"
-        key = edge_key("subcharacteristic", parent, child)
-        ok = True
-        for endpoint in (child, parent):
-            kind = kind_of(endpoint)
-            if kind is None:
-                sink.error("R-REF", f"unknown NFR {endpoint!r} in model {m!r}", subject, key)
-                ok = False
-            elif kind is not NfrKind.CHARACTERISTIC:
-                sink.error(
-                    "R-017",
-                    f"{kind.value.replace('_', ' ')} {endpoint!r} cannot take a position in the"
-                    " sub-characteristic hierarchy; only characteristics can",
-                    subject,
-                    key,
-                )
-                ok = False
-        if ok:
-            valid_subchar.append((parent, child))
-
+    # sub-characteristic hierarchy over the edges whose endpoints are both characteristics
+    characteristics = {n for n, nfr in model.nfrs.items() if nfr.kind is NfrKind.CHARACTERISTIC}
+    valid_subchar = [(p, c) for p, c in model.subchar_edges if p in characteristics and c in characteristics]
     parents: dict[str, list[str]] = {}
     for parent, child in valid_subchar:
         parents.setdefault(child, []).append(parent)
@@ -165,96 +160,6 @@ def _check_model(doc: Document, model: NfrsModelNode, mode: ValidationMode, sink
                 f"model:{m}/nfr:{focus}",
                 ("nfr", m, focus),
             )
-
-    # combines, split by target route
-    for source, target in model.combines_attr_edges:
-        subject = f"model:{m}/combines:{source}->{target}"
-        key = edge_key("combines", source, target)
-        src_kind, dst_kind = kind_of(source), kind_of(target)
-        if src_kind is None:
-            sink.error("R-REF", f"unknown NFR {source!r} in model {m!r}", subject, key)
-        elif src_kind is not NfrKind.CHARACTERISTIC:
-            sink.error("R-002", f"only a characteristic can combine attributes; {source!r} is a {src_kind.value}",
-                       subject, key)
-        if dst_kind is None:
-            sink.error("R-REF", f"unknown NFR {target!r} in model {m!r}", subject, key)
-        elif dst_kind is not NfrKind.ATTRIBUTE:
-            sink.error(
-                "R-002",
-                f"combines must target an attribute or statement item; {target!r} is a"
-                f" {dst_kind.value.replace('_', ' ')}",
-                subject,
-                key,
-            )
-    for source, target in model.combines_item_edges:
-        subject = f"model:{m}/combines:{source}->{target}"
-        key = edge_key("combines", source, target)
-        src_kind, dst_kind = kind_of(source), kind_of(target)
-        if src_kind is None:
-            sink.error("R-REF", f"unknown NFR {source!r} in model {m!r}", subject, key)
-        elif src_kind is not NfrKind.CHARACTERISTIC:
-            sink.error(
-                "R-003",
-                f"only a characteristic can combine statement items; {source!r} is a {src_kind.value}",
-                subject,
-                key,
-            )
-        if dst_kind is None:
-            sink.error("R-REF", f"unknown NFR {target!r} in model {m!r}", subject, key)
-        elif dst_kind is not NfrKind.STATEMENT_ITEM:
-            sink.error("R-003", f"this combines edge must target a statement item; {target!r} is a"
-                       f" {dst_kind.value}", subject, key)
-
-    # statement item to attribute mapping
-    for source, target in model.mapped_to_edges:
-        subject = f"model:{m}/maps:{source}->{target}"
-        key = edge_key("maps", source, target)
-        src_kind, dst_kind = kind_of(source), kind_of(target)
-        if src_kind is None:
-            sink.error("R-REF", f"unknown NFR {source!r} in model {m!r}", subject, key)
-        elif src_kind is not NfrKind.STATEMENT_ITEM:
-            sink.error("R-008", f"maps edges start at a statement item; {source!r} is a"
-                       f" {src_kind.value}", subject, key)
-        if dst_kind is None:
-            sink.error("R-REF", f"unknown NFR {target!r} in model {m!r}", subject, key)
-        elif dst_kind is not NfrKind.ATTRIBUTE:
-            sink.error("R-008", f"maps edges target an attribute; {target!r} is a"
-                       f" {dst_kind.value.replace('_', ' ')}", subject, key)
-
-    for a, b in model.relates_with_edges:
-        subject = f"model:{m}/relates:{a}<->{b}"
-        key = edge_key("relates", a, b)
-        for endpoint in dict.fromkeys((a, b)):
-            if kind_of(endpoint) is None:
-                sink.error("R-REF", f"unknown NFR {endpoint!r} in model {m!r}", subject, key)
-        if a == b and kind_of(a) is not None:
-            sink.warning("R-011", f"NFR {a!r} relates with itself", subject, key)
-
-    for source, target in model.satisfies_edges:
-        subject = f"model:{m}/satisfies:{source}->{target}"
-        key = edge_key("satisfies", source, target)
-        if kind_of(source) is None:
-            sink.error("R-REF", f"unknown NFR {source!r} in model {m!r}", subject, key)
-        if target not in doc.frs:
-            sink.error("R-012", f"satisfies must target a functional requirement; {target!r} is not one",
-                       subject, key)
-
-    for source, target in model.refers_to_entity_edges:
-        subject = f"model:{m}/refers_to_entity:{source}->{target}"
-        key = edge_key("refers_to_entity", source, target)
-        if kind_of(source) is None:
-            sink.error("R-REF", f"unknown NFR {source!r} in model {m!r}", subject, key)
-        if target not in doc.entities:
-            sink.error("R-REF", f"unknown entity {target!r}", subject, key)
-
-    for source, target in model.refers_to_category_edges:
-        subject = f"model:{m}/refers_to_category:{source}->{target}"
-        key = edge_key("refers_to_category", source, target)
-        if kind_of(source) is None:
-            sink.error("R-REF", f"unknown NFR {source!r} in model {m!r}", subject, key)
-        if target not in doc.categories:
-            sink.error("R-010", f"refers_to_category must target a category; {target!r} is not one",
-                       subject, key)
 
     # every NFR names at least one concrete entity
     with_entity = {source for source, _ in model.refers_to_entity_edges}
@@ -317,52 +222,21 @@ def _check_view_model(doc: Document, vm: NfrsViewModelNode, mode: ValidationMode
                 key,
             )
 
-    def view_kind(name: str) -> FocusKind | None:
-        view = vm.views.get(name)
-        return None if view is None else view.kind
-
-    resolved_influences: list[tuple[str, str]] = []
-    for source, target in vm.influences_edges:
-        subject = f"view_model:{v}/influences:{source}->{target}"
-        key = ("edge", v, "influences", source, target)
-        kinds = {}
-        for endpoint in dict.fromkeys((source, target)):
-            kinds[endpoint] = view_kind(endpoint)
-            if kinds[endpoint] is None:
-                sink.error("R-REF", f"unknown view {endpoint!r} in view model {v!r}", subject, key)
-        if any(k is None for k in kinds.values()):
+    contradicting = {("depends_on", *edge) for edge in depends_contradictions(vm)}
+    for kind, source, target in iter_edges(vm):
+        subject = f"view_model:{v}/{kind.keyword}:{source}->{target}"
+        key = ("edge", v, kind.keyword, source, target)
+        missing = [name for name in dict.fromkeys((source, target)) if name not in vm.views]
+        for name in missing:
+            sink.error("R-REF", f"unknown view {name!r} in view model {v!r}", subject, key)
+        if missing:
             continue
-        non_quality = sorted(name for name, k in kinds.items() if k is not FocusKind.QUALITY)
-        if non_quality:
-            sink.error(
-                "R-006",
-                "influences edges connect quality views only; cost view(s) involved: " + ", ".join(non_quality),
-                subject,
-                key,
-            )
-        else:
-            resolved_influences.append((source, target))
-
-    influences_set = set(vm.influences_edges)
-    for source, target in vm.depends_on_edges:
-        subject = f"view_model:{v}/depends_on:{source}->{target}"
-        key = ("edge", v, "depends_on", source, target)
-        kinds = {}
-        for endpoint in dict.fromkeys((source, target)):
-            kinds[endpoint] = view_kind(endpoint)
-            if kinds[endpoint] is None:
-                sink.error("R-REF", f"unknown view {endpoint!r} in view model {v!r}", subject, key)
-        if any(k is None for k in kinds.values()):
-            continue
-        non_quality = sorted(name for name, k in kinds.items() if k is not FocusKind.QUALITY)
-        if non_quality:
-            sink.error(
-                "R-005",
-                "depends_on edges connect quality views only; cost view(s) involved: " + ", ".join(non_quality),
-                subject,
-                key,
-            )
-        elif (target, source) not in influences_set:
+        # one diagnostic names every endpoint of the wrong kind
+        wrong = sorted({name for name, allowed in ((source, kind.sources), (target, kind.targets))
+                        if vm.views[name].kind not in allowed})
+        if wrong:
+            sink.error(kind.code, edge_message(kind.target_message, ", ".join(wrong)), subject, key)
+        elif (kind.keyword, source, target) in contradicting:
             sink.error(
                 "R-006b",
                 f"explicit depends_on contradicts influences: no influences {target!r} -> {source!r}"
@@ -371,6 +245,8 @@ def _check_view_model(doc: Document, vm: NfrsViewModelNode, mode: ValidationMode
                 key,
             )
 
+    quality = {name for name, view in vm.views.items() if view.kind is FocusKind.QUALITY}
+    resolved_influences = [(s, t) for s, t in vm.influences_edges if s in quality and t in quality]
     for group in _cycle_groups(resolved_influences):
         sink.warning(
             "R-016",

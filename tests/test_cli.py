@@ -29,6 +29,15 @@ def test_validate_clean_fixture(capsys):
     assert out == ""
 
 
+def test_validate_undecodable_input_is_parse_failure(capsys, tmp_path):
+    bad = tmp_path / "bad.nfrs"
+    bad.write_bytes(b'category "A" { }\r\ncat\xffegory\n')
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == f"{bad}:2:4: error: invalid UTF-8 byte 0xff\n"
+
+
 def test_validate_reports_r001(capsys, tmp_path):
     bad = tmp_path / "bad.nfrs"
     bad.write_text('entity "JIRA" { belongs_to: "Nope" }\n', encoding="utf-8")
@@ -141,6 +150,15 @@ def test_export_blocked_by_referential_errors(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "R-REF" in err
+
+
+def test_export_unwritable_output_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing_dir" / "x.json"
+    code, out, err = run(capsys, "export", CHAIN, "json", "-o", str(target))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"nfrsctl: error: cannot write {target}:")
+    assert not target.parent.exists()
 
 
 def test_export_unknown_format_is_usage_error(capsys):

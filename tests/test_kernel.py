@@ -300,6 +300,19 @@ def test_arch_parse_errors(text):
         parse_arch(text)
 
 
+def test_arch_undeclared_component_reports_edge_line():
+    text = "component ThingFO level Foundational\nenriches A <- ThingFO\n\ncomponent B level Core\n# end\n"
+    with pytest.raises(ArchParseError) as excinfo:
+        parse_arch(text)
+    assert excinfo.value.line_no == 2
+    assert str(excinfo.value) == "line 2: enrichment edge names undeclared component: A <- ThingFO"
+
+
+def test_arch_edge_may_precede_component_declaration():
+    spec = parse_arch("peer A B\ncomponent A level Core\ncomponent B level Core\n")
+    assert spec.peer_edges == (("A", "B"),)
+
+
 def test_arch_comments_and_blanks_ignored():
     spec = parse_arch("# intro\n\ncomponent ThingFO level Foundational  # trailing\n")
     assert [c.name for c in spec.components] == ["ThingFO"]

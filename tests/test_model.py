@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import pytest
 
+from dataclasses import fields
+
+from nfrstdo.kernel import builtin_schema
 from nfrstdo.model import (
+    EDGE_KINDS,
     CategoryNode,
     Document,
     DuplicateName,
@@ -19,6 +23,7 @@ from nfrstdo.model import (
     add_model_edge,
     add_node,
     add_view_edge,
+    iter_edges,
     resolve,
 )
 
@@ -198,3 +203,54 @@ def test_view_edges_quality_only():
         add_view_edge(doc, "VM", "depends_on", "K", "Q1")
     with pytest.raises(NotFound):
         add_view_edge(doc, "VM", "influences", "Q1", "Nope")
+
+
+# --- the relationship table ---------------------------------------------------------
+
+# kernel term of each endpoint kind set or Document collection used by the table
+_TERMS = {
+    frozenset(NfrKind): "Non-Functional Requirement",
+    frozenset({NfrKind.CHARACTERISTIC}): "Characteristic",
+    frozenset({NfrKind.ATTRIBUTE}): "Attribute",
+    frozenset({NfrKind.STATEMENT_ITEM}): "Statement Item",
+    frozenset({FocusKind.QUALITY}): "Quality View",
+    "frs": "Functional Requirement",
+    "entities": "Evaluable Entity",
+    "categories": "Evaluable Entity Category",
+}
+
+
+def test_edge_table_covers_every_edge_list():
+    for owner in (NfrsModelNode, NfrsViewModelNode):
+        edge_fields = [f.name for f in fields(owner) if f.name.endswith("_edges")]
+        assert sorted(edge_fields) == sorted(k.field for k in EDGE_KINDS if k.field in edge_fields)
+    assert len(EDGE_KINDS) == len({k.field for k in EDGE_KINDS}) == 10
+
+
+def test_edge_table_agrees_with_kernel_registry():
+    registry = {r.descriptor() for r in builtin_schema("1.2").relationships}
+    # the sub-characteristic hierarchy is structural, not a registered relationship
+    rows = [k for k in EDGE_KINDS if k.keyword != "subcharacteristic"]
+    described = {(k.relationship, _TERMS[frozenset(k.sources)], _TERMS[k.collection or frozenset(k.targets)])
+                 for k in rows}
+    assert len(described) == len(rows)
+    assert described <= registry
+    # both combines definitions have a row; the rest are node attributes, not edge lists
+    assert {r[0] for r in registry - described} == {"belongs to", "deals with universals", "is represented by"}
+
+
+def test_iter_edges_follows_relationship_direction():
+    doc = add_model_edge(_model_with_nfrs(), "M", "subcharacteristic", "C2", "C1")
+    doc = add_model_edge(doc, "M", "combines", "C1", "S1")
+    edges = [(k.keyword, k.field, s, t) for k, s, t in iter_edges(doc.models["M"])]
+    assert edges == [
+        ("subcharacteristic", "subchar_edges", "C2", "C1"),
+        ("combines", "combines_item_edges", "C1", "S1"),
+    ]
+
+
+def test_unknown_edge_keywords_rejected():
+    with pytest.raises(ValueError):
+        add_model_edge(_model_with_nfrs(), "M", "influences", "C1", "C2")
+    with pytest.raises(ValueError):
+        add_view_edge(_view_model_doc(), "VM", "combines", "Q1", "Q2")
