@@ -14,6 +14,7 @@ pair-joining closure instead of stack traversal.
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 from nfrstdo.model import (
     CategoryNode,
@@ -27,6 +28,7 @@ from nfrstdo.model import (
     NfrsViewModelNode,
     NfrViewNode,
 )
+from nfrstdo.textformat import serialize
 
 _WORDS = [
     "Quality",
@@ -284,3 +286,36 @@ def oracle_leaf_attributes(model: NfrsModelNode, characteristic: str) -> list[st
                     changed = True
     descendants = {characteristic} | {c for p, c in closure if p == characteristic}
     return sorted({t for s, t in model.combines_attr_edges if s in descendants})
+
+
+# What ``mutate_text`` inserts: every token class of the format, the inputs
+# that make the lexer fail (a lone quote, bad escapes, stray characters), and
+# every line-break spelling, so that line and column bookkeeping is exercised.
+_SNIPPETS = ('"', "\\", "\\q", "\\n", "\n", "\r", "\r\n", "#", "# note\n", "-", ">", "<", "->", "<->",
+             "{", "}", ":", ".", " ", "\t", "  ", "a", "Z_9", "7", "é", "@", "\x0c", '""', "model")
+
+
+def mutate_text(rng: random.Random, text: str) -> str:
+    """``text`` after one to three seeded edits: insert a snippet, delete a short span, or truncate."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        edit = rng.randrange(3)
+        if edit == 0:
+            text = text[:i] + rng.choice(_SNIPPETS) + text[i:]
+        elif edit == 1:
+            text = text[:i] + text[i + rng.randint(1, 8):]
+        else:
+            text = text[:i]
+    return text
+
+
+def lexer_texts(seeds: int = 200) -> list[str]:
+    """The ``.nfrs`` fixtures and the serializations of ``random_document`` seeds ``0..seeds-1``."""
+    fixtures = sorted((Path(__file__).parent / "fixtures").glob("*.nfrs"))
+    return ([p.read_text(encoding="utf-8") for p in fixtures]
+            + [serialize(random_document(random.Random(seed))) for seed in range(seeds)])
+
+
+def mutated_texts(bases: list[str], count: int, first_seed: int = 0) -> list[str]:
+    """``count`` seeded mutations; seed ``s`` edits ``bases[s % len(bases)]``."""
+    return [mutate_text(random.Random(s), bases[s % len(bases)]) for s in range(first_seed, first_seed + count)]

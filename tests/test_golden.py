@@ -6,8 +6,12 @@ for a fixed document set: the ``.nfrs`` fixtures, 200 seeded random documents,
 the same 200 with every edge list reversed and partly dangling, a few
 hand-written documents for the node-level rules and the kind spellings in
 messages, and those with the two ``combines`` lists swapped (a mix-up only a
-document built in code can hold). A refactor that changes any byte of any
-output, diagnostic locations included, fails here.
+document built in code can hold). It also holds, in chunks of 100, the
+sha256 of what ``parse`` makes of 2,000 seeded mutations of the fixtures and
+of the random documents' serializations: every ``ParseError`` (line, column,
+expected, found), or the canonical text when the mutation still parses. A
+refactor that changes any byte of any output, diagnostic locations included,
+fails here.
 
 Regenerate the hashes (only when an output change is intended) with::
 
@@ -24,17 +28,19 @@ import re
 from dataclasses import fields, replace
 from pathlib import Path
 
-from docgen import random_document
+from docgen import lexer_texts, mutated_texts, random_document
 from nfrstdo import validator
 from nfrstdo.diagnostics import render_json
 from nfrstdo.export import to_dot, to_json, to_turtle
 from nfrstdo.model import Document
-from nfrstdo.textformat import parse, serialize
+from nfrstdo.textformat import ParseFailure, parse, serialize
 from nfrstdo.validator import ValidationMode, validate
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden_outputs.json"
 SEEDS = range(200)
+PARSE_MUTATIONS = 2000
+PARSE_CHUNK = 100
 
 OUTPUTS = ("serialize", "json", "dot", "turtle", "validate_model", "validate_instance")
 
@@ -176,6 +182,21 @@ def run_all() -> tuple[dict[str, list[str]], frozenset[str]]:
     return hashes, frozenset(fired)
 
 
+def parse_outcome(text: str) -> list | str:
+    try:
+        doc = parse(text)
+    except ParseFailure as exc:
+        return [[e.location.line, e.location.column, e.expected, e.found] for e in exc.errors]
+    return serialize(doc)
+
+
+def parse_hashes() -> list[str]:
+    """One hash per ``PARSE_CHUNK`` mutations over the JSON list of their parse outcomes."""
+    texts = mutated_texts(lexer_texts(), PARSE_MUTATIONS)
+    return [_sha(json.dumps([parse_outcome(text) for text in texts[i:i + PARSE_CHUNK]]))
+            for i in range(0, len(texts), PARSE_CHUNK)]
+
+
 def test_outputs_match_golden():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert golden["outputs"] == list(OUTPUTS)
@@ -185,6 +206,14 @@ def test_outputs_match_golden():
                for doc_id, expected in golden["documents"].items()
                for output, want, got in zip(OUTPUTS, expected, hashes[doc_id]) if want != got]
     assert not changed, f"{len(changed)} outputs changed, first: {changed[:10]}"
+
+
+def test_parse_outcomes_match_golden():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    hashes = parse_hashes()
+    changed = [i * PARSE_CHUNK for i, (want, got) in enumerate(zip(golden["parse"], hashes)) if want != got]
+    assert len(hashes) == len(golden["parse"])
+    assert not changed, f"parse outcomes changed in the chunks of mutations starting at {changed}"
 
 
 RULE_CODES = {f"R-{i:03d}" for i in range(1, 18)} | {"R-006b", "R-REF"}
@@ -204,6 +233,6 @@ def test_golden_set_fires_every_rule_code():
 
 if __name__ == "__main__":
     hashes, _ = run_all()
-    GOLDEN.write_text(json.dumps({"outputs": list(OUTPUTS), "documents": hashes}, indent=1) + "\n",
-                      encoding="utf-8")
+    GOLDEN.write_text(json.dumps({"outputs": list(OUTPUTS), "documents": hashes, "parse": parse_hashes()},
+                                 indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(hashes)} documents x {len(OUTPUTS)} outputs to {GOLDEN}")

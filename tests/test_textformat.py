@@ -104,6 +104,23 @@ def test_error_locations_within_bounds(text):
         assert 1 <= error.location.column <= len(line_text) + 1
 
 
+@pytest.mark.parametrize(
+    ("text", "location", "found"),
+    [
+        # EOF sits at the end of the last line; a trailing comment does not move it
+        ('model "M" {\n# end', "1:12", "end of input"),
+        ('model "M" {  # end', "1:14", "end of input"),
+        ('model "M" {\r\r', "2:1", "end of input"),
+        ('model "M" {\t ', "1:14", "end of input"),
+        # an escape cut off by the end of input is reported at its backslash
+        ('category "a\\', "1:12", "'\\'"),
+    ],
+)
+def test_exact_eof_and_escape_locations(text, location, found):
+    error = parse_errors(text)[0]
+    assert (f"{error.location.line}:{error.location.column}", error.found) == (location, found)
+
+
 def test_focus_only_on_characteristics():
     errors = parse_errors('model "M" { attribute "A" { definition: "d" focus: quality } }')
     assert errors
