@@ -287,12 +287,12 @@ def edge_message(template: str, name: str, kind: Enum | None = None) -> str:
 
 Node = CategoryNode | EntityNode | FunctionalRequirementNode | NfrsModelNode | NfrsViewModelNode
 
-_COLLECTIONS = {
-    CategoryNode: "categories",
-    EntityNode: "entities",
-    FunctionalRequirementNode: "frs",
-    NfrsModelNode: "models",
-    NfrsViewModelNode: "view_models",
+_NODE_KINDS = {
+    CategoryNode: "category",
+    EntityNode: "entity",
+    FunctionalRequirementNode: "fr",
+    NfrsModelNode: "model",
+    NfrsViewModelNode: "view_model",
 }
 
 _KIND_NAMES = {
@@ -333,10 +333,11 @@ class Document:
 
 def add_node(doc: Document, node: Node) -> Document:
     """Return a new document containing ``node``; ``doc`` is unchanged."""
-    collection_name = _COLLECTIONS[type(node)]
+    kind = _NODE_KINDS[type(node)]
+    collection_name = _KIND_NAMES[kind]
     collection = getattr(doc, collection_name)
     if node.name in collection:
-        raise DuplicateName(f"{collection_name[:-1].replace('_', ' ')} {node.name!r} already exists")
+        raise DuplicateName(f"{kind.replace('_', ' ')} {node.name!r} already exists")
     return replace(doc, **{collection_name: {**collection, node.name: node}})
 
 

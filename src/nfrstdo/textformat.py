@@ -35,6 +35,7 @@ Grammar sketch (names and texts are double-quoted strings, ``#`` comments)::
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .diagnostics import SourceLocation
@@ -91,10 +92,22 @@ class ParseFailure(ValueError):
 
 # --- lexer --------------------------------------------------------------------
 
-_WORD_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_WORD_CHARS = _WORD_START | set("0123456789")
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+_ESCAPES_TABLE = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"})
+
+# A string up to, not including, its closing quote: anything but a quote, a
+# backslash or a line break, and the five escapes.
+_OPEN_STRING = r'"[^"\\\n]*(?:\\[\\"ntr][^"\\\n]*)*'
+# One token per match: blanks, then a complete string, punctuation, a word, a
+# line break, the end of input (tried before a comment, so that a trailing
+# comment does not move the EOF column), a comment, or any other character,
+# which is a lexical error.
+_TOKEN_RE = re.compile(
+    rf'[ \t]*(?:(?P<string>{_OPEN_STRING}")|(?P<punct><->|->|[{{}}:.])|(?P<word>[A-Za-z_][A-Za-z0-9_]*)'
+    r"|(?P<newline>\n)|(?P<eof>)(?:#[^\n]*)?\Z|(?P<comment>#[^\n]*)|(?P<other>.))"
+)
+_OPEN_STRING_RE = re.compile(_OPEN_STRING)
+_ESCAPE_RE = re.compile(r"\\(.)")
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,85 +125,50 @@ class _Token:
         return f"'{self.value}'"
 
 
-class _LexError(Exception):
-    def __init__(self, error: ParseError) -> None:
-        self.error = error
+def _unescape(match: re.Match) -> str:
+    return _UNESCAPES[match[1]]
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of ``text``, ending with EOF; raises ParseFailure with the first lexical error."""
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     tokens: list[_Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line, col, i = line + 1, 1, i + 1
+    line, line_start = 1, 0
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
             continue
-        if ch in " \t":
-            i, col = i + 1, col + 1
+        if kind == "comment":
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start = SourceLocation(line, col)
-        if ch in _WORD_START:
-            j = i
-            while j < n and text[j] in _WORD_CHARS:
-                j += 1
-            tokens.append(_Token("word", text[i:j], start))
-            col += j - i
-            i = j
-            continue
-        if ch == '"':
-            value = []
-            j = i + 1
-            while True:
-                if j >= n or text[j] == "\n":
-                    raise _LexError(ParseError(start, "closing '\"'", "end of line or input"))
-                c = text[j]
-                if c == '"':
-                    j += 1
-                    break
-                if c == "\\":
-                    if j + 1 >= n or text[j + 1] not in _UNESCAPES:
-                        raise _LexError(
-                            ParseError(SourceLocation(line, col + (j - i)), "a valid escape", f"'\\{text[j + 1: j + 2]}'")
-                        )
-                    value.append(_UNESCAPES[text[j + 1]])
-                    j += 2
-                    continue
-                value.append(c)
-                j += 1
-            tokens.append(_Token("string", "".join(value), start))
-            col += j - i
-            i = j
-            continue
-        if text.startswith("<->", i):
-            tokens.append(_Token("punct", "<->", start))
-            i, col = i + 3, col + 3
-            continue
-        if text.startswith("->", i):
-            tokens.append(_Token("punct", "->", start))
-            i, col = i + 2, col + 2
-            continue
-        if ch in "{}:.":
-            tokens.append(_Token("punct", ch, start))
-            i, col = i + 1, col + 1
-            continue
-        raise _LexError(ParseError(start, "a declaration", f"'{ch}'"))
-    # place EOF on the last line's end-of-line cursor, never past the input
-    if col == 1 and line > 1:
-        line -= 1
-        col = len(text.split("\n")[line - 1]) + 1
-    tokens.append(_Token("eof", "", SourceLocation(line, col)))
+        start = match.start(kind)
+        location = SourceLocation(line, start - line_start + 1)
+        value = match[kind]
+        if kind == "string":
+            value = _ESCAPE_RE.sub(_unescape, value[1:-1])
+        elif kind == "eof" and start == line_start and line > 1:
+            # place EOF on the last line's end-of-line cursor, never past the input
+            location = SourceLocation(line - 1, line_start - text.rfind("\n", 0, line_start - 1) - 1)
+        elif kind == "other":
+            if value != '"':
+                error = ParseError(location, "a declaration", f"'{value}'")
+            else:
+                end = _OPEN_STRING_RE.match(text, start).end()
+                if text.startswith("\\", end):
+                    error = ParseError(SourceLocation(line, end - line_start + 1), "a valid escape",
+                                       f"'\\{text[end + 1:end + 2]}'")
+                else:
+                    error = ParseError(location, "closing '\"'", "end of line or input")
+            raise ParseFailure([error])
+        tokens.append(_Token(kind, value, location))
+        if kind == "eof":
+            break
     return tokens
 
 
 def quote(value: str) -> str:
     """Render a string in the format's double-quoted, backslash-escaped form."""
-    return '"' + "".join(_ESCAPES.get(ch, ch) for ch in value) + '"'
+    return '"' + value.translate(_ESCAPES_TABLE) + '"'
 
 
 # --- parser -------------------------------------------------------------------
@@ -545,11 +523,7 @@ def parse(text: str) -> Document:
     Raises ParseFailure carrying every collected ParseError; the document is
     produced only when the input is error-free.
     """
-    try:
-        tokens = _tokenize(text)
-    except _LexError as exc:
-        raise ParseFailure([exc.error]) from None
-    parser = _Parser(tokens)
+    parser = _Parser(_tokenize(text))
     parser.parse_document()
     if parser.errors:
         raise ParseFailure(parser.errors)
@@ -623,8 +597,11 @@ def _view_model_block(vm: NfrsViewModelNode) -> str:
 def serialize(doc: Document) -> str:
     """Emit the canonical form: fixed block order, names sorted, LF endings.
 
-    A document that resolves referentially round-trips:
-    ``parse(serialize(doc)) == doc``.
+    A document that resolves referentially, and whose ``combines`` edges each
+    sit in the list of their target's kind (``combines_attr_edges`` for an
+    attribute, ``combines_item_edges`` for a statement item), round-trips:
+    ``parse(serialize(doc)) == doc``. An edge in the other list comes back in
+    the right one, since the text has one ``combines`` keyword.
     """
     blocks: list[str] = []
     for name in sorted(doc.categories):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import nfrstdo
 from conftest import fixture_path
 from nfrstdo.cli import main
 
@@ -395,10 +398,14 @@ def test_no_color_env(monkeypatch, capsys):
 
 
 def test_console_entry_point_via_module():
+    # the child imports the package this process is testing, installed or not
+    package_root = str(Path(nfrstdo.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "nfrstdo", "schema", "counts", "--version", "1.2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert result.returncode == 0
     assert result.stdout == "terms=15 properties=18 relationships=12\n"

@@ -50,6 +50,21 @@ def test_add_duplicate_name():
         add_node(doc, CategoryNode(name="Service Category"))
 
 
+@pytest.mark.parametrize(
+    ("node", "message"),
+    [
+        (CategoryNode(name="X"), "category 'X' already exists"),
+        (EntityNode(name="X", category="C"), "entity 'X' already exists"),
+        (FunctionalRequirementNode(name="X", statement="s", requester="r"), "fr 'X' already exists"),
+        (NfrsModelNode(name="X"), "model 'X' already exists"),
+        (NfrsViewModelNode(name="X"), "view model 'X' already exists"),
+    ],
+)
+def test_duplicate_name_message_names_the_kind(node, message):
+    with pytest.raises(DuplicateName, match=f"^{message}$"):
+        add_node(add_node(Document(), node), node)
+
+
 def test_entity_reference_resolvable_after_category():
     doc = add_node(Document(), CategoryNode(name="Service Category"))
     doc = add_node(doc, EntityNode(name="Helpdesk", category="Service Category"))

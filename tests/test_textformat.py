@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from docgen import random_document
-from nfrstdo.model import CategoryNode, Document, add_node
+from nfrstdo.model import CategoryNode, Document, NfrKind, NfrNode, NfrsModelNode, add_node
 from nfrstdo.textformat import ParseFailure, parse, serialize
+from nfrstdo.validator import validate
 
 
 def parse_errors(text: str):
@@ -157,6 +158,16 @@ def test_combines_routing_by_lookup():
     model = parse(text).models["M"]
     assert model.combines_attr_edges == (("C", "A"), ("C", "Ghost"))
     assert model.combines_item_edges == (("C", "S"),)
+
+
+def test_combines_edge_in_the_wrong_list_does_not_round_trip():
+    # the round trip holds only when each combines edge sits in the list of its target's kind
+    nfrs = {"C": NfrNode(kind=NfrKind.CHARACTERISTIC, name="C", definition="d"),
+            "A": NfrNode(kind=NfrKind.ATTRIBUTE, name="A", definition="d")}
+    doc = add_node(Document(), NfrsModelNode(name="M", nfrs=nfrs, combines_item_edges=(("C", "A"),)))
+    model = parse(serialize(doc)).models["M"]
+    assert (model.combines_attr_edges, model.combines_item_edges) == ((("C", "A"),), ())
+    assert "R-003" in {d.code for d in validate(doc)}
 
 
 def test_subcharacteristic_stored_parent_first():
