@@ -22,6 +22,8 @@ from urllib.parse import quote as percent_encode
 
 from .model import (
     MODEL_EDGE_KINDS,
+    NODE_KINDS,
+    PLAIN_NODE_KINDS,
     VIEW_EDGE_KINDS,
     Document,
     FocusKind,
@@ -33,7 +35,7 @@ from .model import (
 )
 
 # node kind of the ids and URNs of edge targets that live in a Document collection
-_COLLECTION_KINDS = {"categories": "category", "entities": "entity", "frs": "fr"}
+_COLLECTION_KINDS = {k.collection: k.keyword for k in NODE_KINDS}
 
 # --- canonical JSON -------------------------------------------------------------
 
@@ -87,24 +89,11 @@ def _view_model_json(vm: NfrsViewModelNode) -> dict:
 
 def to_json(doc: Document) -> str:
     """Canonical JSON: sorted keys, name-sorted arrays, compact, LF-terminated."""
-    obj: dict = {"categories": [], "entities": [], "frs": [], "models": [], "view_models": []}
-    for name in sorted(doc.categories):
-        node = doc.categories[name]
-        entry: dict = {"name": name}
-        if node.description is not None:
-            entry["description"] = node.description
-        if node.parent is not None:
-            entry["parent"] = node.parent
-        obj["categories"].append(entry)
-    for name in sorted(doc.entities):
-        node = doc.entities[name]
-        entry = {"category": node.category, "name": name}
-        if node.description is not None:
-            entry["description"] = node.description
-        obj["entities"].append(entry)
-    for name in sorted(doc.frs):
-        node = doc.frs[name]
-        obj["frs"].append({"name": name, "requester": node.requester, "statement": node.statement})
+    obj: dict = {k.collection: [] for k in NODE_KINDS}
+    for kind in PLAIN_NODE_KINDS:
+        nodes = getattr(doc, kind.collection)
+        for name in sorted(nodes):
+            obj[kind.collection].append({"name": name, **{f.attribute: v for f, v in kind.present(nodes[name])}})
     for name in sorted(doc.models):
         obj["models"].append(_model_json(doc.models[name]))
     for name in sorted(doc.view_models):
@@ -177,18 +166,14 @@ def to_dot(doc: Document) -> str:
     nodes: list[str] = []
     edges: list[str] = []
 
-    for name, node in doc.categories.items():
-        nodes.append(_dot_node(f"category:{name}", name, _NODE_SHAPES["category"]))
-        if node.parent is not None:
-            edges.append(_dot_edge(f"category:{name}", f"category:{node.parent}", "subcharacteristic of"))
-    for name, node in doc.entities.items():
-        nodes.append(_dot_node(f"entity:{name}", name, _NODE_SHAPES["entity"]))
-        edges.append(_dot_edge(f"entity:{name}", f"category:{node.category}", "belongs to"))
-    for name in doc.frs:
-        nodes.append(_dot_node(f"fr:{name}", name, _NODE_SHAPES["fr"]))
+    for kind in NODE_KINDS:
+        for name, node in getattr(doc, kind.collection).items():
+            node_id = f"{kind.keyword}:{name}"
+            nodes.append(_dot_node(node_id, name, _NODE_SHAPES[kind.keyword]))
+            for f, value in kind.present(node):
+                if f.dot_label:
+                    edges.append(_dot_edge(node_id, f"category:{value}", f.dot_label))
     for model_name, model in doc.models.items():
-        nodes.append(_dot_node(f"model:{model_name}", model_name, _NODE_SHAPES["model"]))
-
         def nfr_id(name: str) -> str:
             return f"nfr:{model_name}/{name}"
 
@@ -198,8 +183,6 @@ def to_dot(doc: Document) -> str:
                 edges.append(_dot_edge(nfr_id(name), f"model:{model_name}", "is represented by"))
         edges += _dot_edges(model, nfr_id)
     for vm_name, vm in doc.view_models.items():
-        nodes.append(_dot_node(f"view_model:{vm_name}", vm_name, _NODE_SHAPES["view_model"]))
-
         def view_id(name: str) -> str:
             return f"view:{vm_name}/{name}"
 
@@ -269,26 +252,18 @@ def to_turtle(doc: Document) -> str:
             subject, obj = kind.stored(local_urn(source), target_urn)
             add(subject, f"nfrstdo:{kind.turtle}", obj)
 
-    for name, node in doc.categories.items():
-        subject = _urn("category", name)
-        add(subject, "a", "nfrstdo:Evaluable_Entity_Category")
-        add_literal(subject, "description", node.description)
-        if node.parent is not None:
-            add(subject, "nfrstdo:sub_category_of", _urn("category", node.parent))
-    for name, node in doc.entities.items():
-        subject = _urn("entity", name)
-        add(subject, "a", "nfrstdo:Evaluable_Entity")
-        add_literal(subject, "description", node.description)
-        add(subject, "nfrstdo:belongs_to", _urn("category", node.category))
-    for name, node in doc.frs.items():
-        subject = _urn("fr", name)
-        add(subject, "a", "nfrstdo:Functional_Requirement")
-        add_literal(subject, "statement", node.statement)
-        add_literal(subject, "requester", node.requester)
+    for kind in NODE_KINDS:
+        for name, node in getattr(doc, kind.collection).items():
+            subject = _urn(kind.keyword, name)
+            add(subject, "a", f"nfrstdo:{kind.turtle}")
+            for f, value in kind.present(node):
+                if f.turtle:
+                    add(subject, f"nfrstdo:{f.turtle}", _urn("category", value))
+                else:
+                    add_literal(subject, f.keyword, value)
 
     for model_name, model in doc.models.items():
         model_subject = _urn("model", model_name)
-        add(model_subject, "a", "nfrstdo:NFRs_Model")
         add_literal(model_subject, "specification", model.specification)
 
         def nfr_urn(name: str) -> str:
@@ -309,9 +284,7 @@ def to_turtle(doc: Document) -> str:
         add_edges(model, nfr_urn)
 
     for vm_name, vm in doc.view_models.items():
-        vm_subject = _urn("view_model", vm_name)
-        add(vm_subject, "a", "nfrstdo:NFRs_View_Model")
-        add_literal(vm_subject, "specification", vm.specification)
+        add_literal(_urn("view_model", vm_name), "specification", vm.specification)
 
         def view_urn(name: str) -> str:
             return _urn("view", vm_name, name)

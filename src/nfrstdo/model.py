@@ -16,6 +16,13 @@ relationship it instantiates, the endpoint kinds it allows, the rule code and
 messages for a wrong endpoint, and its JSON, DOT and Turtle names. The
 parser, serializer, validator, exporters and ``add_model_edge`` all read this
 table; ``iter_edges`` walks a node's edges through it.
+
+``NODE_KINDS`` does the same for the five ``Document`` collections: one row
+each with its ``.nfrs`` keyword (also the ``resolve`` kind and the DOT/URN
+prefix), node type, words for parse messages and Turtle type, and, for the
+plain kinds (category, entity, fr), the block fields in order. ``add_node``,
+``resolve``, document equality, the parser, the serializer and the exporters
+read it.
 """
 
 from __future__ import annotations
@@ -287,21 +294,66 @@ def edge_message(template: str, name: str, kind: Enum | None = None) -> str:
 
 Node = CategoryNode | EntityNode | FunctionalRequirementNode | NfrsModelNode | NfrsViewModelNode
 
-_NODE_KINDS = {
-    CategoryNode: "category",
-    EntityNode: "entity",
-    FunctionalRequirementNode: "fr",
-    NfrsModelNode: "model",
-    NfrsViewModelNode: "view_model",
-}
 
-_KIND_NAMES = {
-    "category": "categories",
-    "entity": "entities",
-    "fr": "frs",
-    "model": "models",
-    "view_model": "view_models",
-}
+# --- the node table ------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class NodeField:
+    """One ``keyword: "text"`` line of a plain node block.
+
+    A category reference (``parent``, ``belongs_to``) also names its DOT edge
+    label and Turtle predicate; every other field exports as a literal.
+    """
+
+    keyword: str
+    attribute: str  # the node attribute, also the JSON key
+    optional: bool = False
+    dot_label: str | None = None
+    turtle: str | None = None
+
+
+@dataclass(frozen=True, slots=True)
+class NodeKind:
+    """One ``Document`` collection, with what every layer needs to know about it."""
+
+    keyword: str  # the .nfrs keyword, also the resolve kind, location-key kind and DOT/URN prefix
+    collection: str  # the Document attribute
+    type: type
+    words: str  # the kind in parse messages
+    turtle: str  # Turtle type local name
+    fields: tuple[NodeField, ...] = ()  # block fields in order; only the plain kinds have them
+
+    def present(self, node: Node):
+        """Yield (field, value) for each field of ``node`` that is set or required."""
+        for f in self.fields:
+            value = getattr(node, f.attribute)
+            if value is not None or not f.optional:
+                yield f, value
+
+
+_DESCRIPTION = NodeField("description", "description", optional=True)
+
+# One row per Document collection, in canonical serialization order.
+NODE_KINDS = (
+    NodeKind("category", "categories", CategoryNode, "category", "Evaluable_Entity_Category",
+             (_DESCRIPTION, NodeField("parent", "parent", True, "subcharacteristic of", "sub_category_of"))),
+    NodeKind("entity", "entities", EntityNode, "entity", "Evaluable_Entity",
+             (_DESCRIPTION, NodeField("belongs_to", "category", False, "belongs to", "belongs_to"))),
+    NodeKind("fr", "frs", FunctionalRequirementNode, "functional requirement", "Functional_Requirement",
+             (NodeField("statement", "statement"), NodeField("requester", "requester"))),
+    NodeKind("model", "models", NfrsModelNode, "model", "NFRs_Model"),
+    NodeKind("view_model", "view_models", NfrsViewModelNode, "view model", "NFRs_View_Model"),
+)
+
+PLAIN_NODE_KINDS = tuple(k for k in NODE_KINDS if k.fields)
+_KINDS_BY_TYPE = {k.type: k for k in NODE_KINDS}
+NODE_KINDS_BY_KEYWORD = {k.keyword: k for k in NODE_KINDS}
+
+
+def with_article(words: str) -> str:
+    """``words`` after "a" or "an"."""
+    return f"{'an' if words[:1] in ('a', 'e', 'i', 'o', 'u') else 'a'} {words}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,34 +371,27 @@ class Document:
         # source locations are presentation metadata, not structure
         if not isinstance(other, Document):
             return NotImplemented
-        return (
-            self.categories == other.categories
-            and self.entities == other.entities
-            and self.frs == other.frs
-            and self.models == other.models
-            and self.view_models == other.view_models
-        )
+        return all(getattr(self, k.collection) == getattr(other, k.collection) for k in NODE_KINDS)
 
     def is_empty(self) -> bool:
-        return not (self.categories or self.entities or self.frs or self.models or self.view_models)
+        return not any(getattr(self, k.collection) for k in NODE_KINDS)
 
 
 def add_node(doc: Document, node: Node) -> Document:
     """Return a new document containing ``node``; ``doc`` is unchanged."""
-    kind = _NODE_KINDS[type(node)]
-    collection_name = _KIND_NAMES[kind]
-    collection = getattr(doc, collection_name)
+    kind = _KINDS_BY_TYPE[type(node)]
+    collection = getattr(doc, kind.collection)
     if node.name in collection:
-        raise DuplicateName(f"{kind.replace('_', ' ')} {node.name!r} already exists")
-    return replace(doc, **{collection_name: {**collection, node.name: node}})
+        raise DuplicateName(f"{kind.keyword.replace('_', ' ')} {node.name!r} already exists")
+    return replace(doc, **{kind.collection: {**collection, node.name: node}})
 
 
 def resolve(doc: Document, kind: str, name: str) -> Node:
     """Exact-name lookup in one kind-segregated collection; never fuzzy."""
     try:
-        collection = getattr(doc, _KIND_NAMES[kind])
+        collection = getattr(doc, NODE_KINDS_BY_KEYWORD[kind].collection)
     except KeyError:
-        raise ValueError(f"unknown node kind {kind!r}; expected one of {sorted(_KIND_NAMES)}") from None
+        raise ValueError(f"unknown node kind {kind!r}; expected one of {sorted(NODE_KINDS_BY_KEYWORD)}") from None
     try:
         return collection[name]
     except KeyError:

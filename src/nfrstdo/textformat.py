@@ -41,22 +41,24 @@ from dataclasses import dataclass
 from .diagnostics import SourceLocation
 from .model import (
     MODEL_EDGE_KINDS,
+    NODE_KINDS,
+    NODE_KINDS_BY_KEYWORD,
+    PLAIN_NODE_KINDS,
     VIEW_EDGE_KINDS,
-    CategoryNode,
     Document,
-    EntityNode,
     FocusKind,
-    FunctionalRequirementNode,
     NfrKind,
     NfrNode,
     NfrsModelNode,
     NfrsViewModelNode,
     NfrViewNode,
+    NodeKind,
     edge_kind,
     iter_edges,
+    with_article,
 )
 
-_TOP_KEYWORDS = ("category", "entity", "fr", "model", "view_model")
+_DECLARATION = f"a declaration ({', '.join(NODE_KINDS_BY_KEYWORD)})"
 _NFR_KEYWORDS = {"characteristic": NfrKind.CHARACTERISTIC, "attribute": NfrKind.ATTRIBUTE,
                  "statement_item": NfrKind.STATEMENT_ITEM}
 _MODEL_EDGE_ARROWS = {k.keyword: k.arrow for k in MODEL_EDGE_KINDS}
@@ -184,11 +186,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.errors: list[ParseError] = []
-        self.categories: dict[str, CategoryNode] = {}
-        self.entities: dict[str, EntityNode] = {}
-        self.frs: dict[str, FunctionalRequirementNode] = {}
-        self.models: dict[str, NfrsModelNode] = {}
-        self.view_models: dict[str, NfrsViewModelNode] = {}
+        self.collections: dict[str, dict] = {k.collection: {} for k in NODE_KINDS}
         self.locations: dict[tuple, SourceLocation] = {}
 
     # token plumbing
@@ -268,7 +266,7 @@ class _Parser:
     def skip_to_top_level(self) -> None:
         while True:
             t = self.peek()
-            if t.kind == "eof" or (t.kind == "word" and t.value in _TOP_KEYWORDS):
+            if t.kind == "eof" or (t.kind == "word" and t.value in NODE_KINDS_BY_KEYWORD):
                 return
             self.advance()
             if t.kind == "punct" and t.value == "{":
@@ -293,55 +291,36 @@ class _Parser:
             t = self.peek()
             if t.kind == "eof":
                 return
-            if t.kind == "word" and t.value in _TOP_KEYWORDS:
-                self.advance()
-                try:
-                    getattr(self, f"parse_{t.value}")(t.location)
-                except _SyntaxError as exc:
-                    self.record_error(exc.error)
-                    self.skip_to_top_level()
-            else:
-                self.record_error(
-                    ParseError(t.location, "a declaration (category, entity, fr, model, view_model)", t.describe())
-                )
+            kind = NODE_KINDS_BY_KEYWORD.get(t.value) if t.kind == "word" else None
+            if kind is None:
+                self.record_error(ParseError(t.location, _DECLARATION, t.describe()))
                 self.advance()
                 self.skip_to_top_level()
+                continue
+            self.advance()
+            try:
+                name = self.expect_name(f"{with_article(kind.words)} name")
+                self.expect_punct("{")
+                node = self.parse_fields(kind, name) if kind.fields else getattr(self, f"parse_{t.value}")(name)
+                self.declare(self.collections[kind.collection], (t.value, name), node, t.location,
+                             f"a unique {kind.words} name")
+            except _SyntaxError as exc:
+                self.record_error(exc.error)
+                self.skip_to_top_level()
 
-    def declare(self, collection: dict, key: tuple, node, location: SourceLocation, what: str) -> None:
+    def declare(self, collection: dict, key: tuple, node, location: SourceLocation, expected: str) -> None:
         if node.name in collection:
-            self.record_error(ParseError(location, f"a unique {what} name", f"duplicate {node.name!r}"))
+            self.record_error(ParseError(location, expected, f"duplicate {node.name!r}"))
             return
         collection[node.name] = node
         self.locations[key] = location
 
-    def parse_category(self, loc: SourceLocation) -> None:
-        name = self.expect_name("a category name")
-        self.expect_punct("{")
-        description = self.opt_field("description")
-        parent = None
-        if self.at_word("parent"):
-            parent = self.field_value("parent")
+    def parse_fields(self, kind: NodeKind, name: str):
+        """The rest of a plain node block: its fields in table order, then '}'."""
+        values = {f.attribute: self.opt_field(f.keyword) if f.optional else self.field_value(f.keyword)
+                  for f in kind.fields}
         self.expect_punct("}")
-        node = CategoryNode(name=name, description=description, parent=parent)
-        self.declare(self.categories, ("category", name), node, loc, "category")
-
-    def parse_entity(self, loc: SourceLocation) -> None:
-        name = self.expect_name("an entity name")
-        self.expect_punct("{")
-        description = self.opt_field("description")
-        category = self.field_value("belongs_to")
-        self.expect_punct("}")
-        node = EntityNode(name=name, description=description, category=category)
-        self.declare(self.entities, ("entity", name), node, loc, "entity")
-
-    def parse_fr(self, loc: SourceLocation) -> None:
-        name = self.expect_name("a functional requirement name")
-        self.expect_punct("{")
-        statement = self.field_value("statement")
-        requester = self.field_value("requester")
-        self.expect_punct("}")
-        node = FunctionalRequirementNode(name=name, statement=statement, requester=requester)
-        self.declare(self.frs, ("fr", name), node, loc, "functional requirement")
+        return kind.type(name=name, **values)
 
     def parse_nfr(self, kind: NfrKind, loc: SourceLocation, model_name: str, nfrs: dict[str, NfrNode]) -> None:
         name = self.expect_name(f"a {kind.value} name")
@@ -369,15 +348,9 @@ class _Parser:
             is_focus=focus_kind is not None,
             focus_kind=focus_kind,
         )
-        if name in nfrs:
-            self.record_error(ParseError(loc, f"a unique NFR name in model {model_name!r}", f"duplicate {name!r}"))
-            return
-        nfrs[name] = node
-        self.locations[("nfr", model_name, name)] = loc
+        self.declare(nfrs, ("nfr", model_name, name), node, loc, f"a unique NFR name in model {model_name!r}")
 
-    def parse_model(self, loc: SourceLocation) -> None:
-        name = self.expect_name("a model name")
-        self.expect_punct("{")
+    def parse_model(self, name: str) -> NfrsModelNode:
         specification = self.opt_field("specification")
         nfrs: dict[str, NfrNode] = {}
         edges: list[tuple[str, str, str, SourceLocation]] = []  # keyword, source, target, location
@@ -424,10 +397,9 @@ class _Parser:
             edge = kind.stored(source, target)
             stored[kind.field].append(edge)
             self.locations[("edge", name, keyword, *edge)] = edge_loc
-        node = NfrsModelNode(
+        return NfrsModelNode(
             name=name, specification=specification, nfrs=nfrs, **{f: tuple(e) for f, e in stored.items()}
         )
-        self.declare(self.models, ("model", name), node, loc, "model")
 
     def parse_edge(self, arrow: str, source_what: str, target_what: str) -> tuple[str, str]:
         """The two names of an edge statement after its keyword, in the order written."""
@@ -456,15 +428,9 @@ class _Parser:
         self.expect_punct("}")
         node = NfrViewNode(name=name, kind=kind, category=category, focus=(focus_model, focus_char),
                            statement=statement)
-        if name in views:
-            self.record_error(ParseError(loc, f"a unique view name in {vm_name!r}", f"duplicate {name!r}"))
-            return
-        views[name] = node
-        self.locations[("view", vm_name, name)] = loc
+        self.declare(views, ("view", vm_name, name), node, loc, f"a unique view name in {vm_name!r}")
 
-    def parse_view_model(self, loc: SourceLocation) -> None:
-        name = self.expect_name("a view model name")
-        self.expect_punct("{")
+    def parse_view_model(self, name: str) -> NfrsViewModelNode:
         specification = self.opt_field("specification")
         views: dict[str, NfrViewNode] = {}
         edges: dict[str, list[tuple[str, str]]] = {k.field: [] for k in VIEW_EDGE_KINDS}
@@ -511,10 +477,9 @@ class _Parser:
             self.locations[("edge", name, t.value, source, target)] = t.location
         self.expect_punct("}")
 
-        node = NfrsViewModelNode(
+        return NfrsViewModelNode(
             name=name, specification=specification, views=views, **{f: tuple(e) for f, e in edges.items()}
         )
-        self.declare(self.view_models, ("view_model", name), node, loc, "view model")
 
 
 def parse(text: str) -> Document:
@@ -527,14 +492,7 @@ def parse(text: str) -> Document:
     parser.parse_document()
     if parser.errors:
         raise ParseFailure(parser.errors)
-    return Document(
-        categories=parser.categories,
-        entities=parser.entities,
-        frs=parser.frs,
-        models=parser.models,
-        view_models=parser.view_models,
-        source_locations=parser.locations,
-    )
+    return Document(**parser.collections, source_locations=parser.locations)
 
 
 # --- serializer ----------------------------------------------------------------
@@ -604,32 +562,14 @@ def serialize(doc: Document) -> str:
     the right one, since the text has one ``combines`` keyword.
     """
     blocks: list[str] = []
-    for name in sorted(doc.categories):
-        node = doc.categories[name]
-        lines = [f"category {quote(name)} {{"]
-        lines += _field_line("  ", "description", node.description)
-        lines += _field_line("  ", "parent", node.parent)
-        lines.append("}")
-        blocks.append("\n".join(lines))
-    for name in sorted(doc.entities):
-        node = doc.entities[name]
-        lines = [f"entity {quote(name)} {{"]
-        lines += _field_line("  ", "description", node.description)
-        lines.append(f"  belongs_to: {quote(node.category)}")
-        lines.append("}")
-        blocks.append("\n".join(lines))
-    for name in sorted(doc.frs):
-        node = doc.frs[name]
-        blocks.append(
-            "\n".join(
-                [
-                    f"fr {quote(name)} {{",
-                    f"  statement: {quote(node.statement)}",
-                    f"  requester: {quote(node.requester)}",
-                    "}",
-                ]
-            )
-        )
+    for kind in PLAIN_NODE_KINDS:
+        nodes = getattr(doc, kind.collection)
+        for name in sorted(nodes):
+            lines = [f"{kind.keyword} {quote(name)} {{"]
+            for f, value in kind.present(nodes[name]):
+                lines += _field_line("  ", f.keyword, value)
+            lines.append("}")
+            blocks.append("\n".join(lines))
     for name in sorted(doc.models):
         blocks.append(_model_block(doc.models[name]))
     for name in sorted(doc.view_models):

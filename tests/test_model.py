@@ -7,6 +7,7 @@ from dataclasses import fields
 from nfrstdo.kernel import builtin_schema
 from nfrstdo.model import (
     EDGE_KINDS,
+    NODE_KINDS,
     CategoryNode,
     Document,
     DuplicateName,
@@ -252,6 +253,16 @@ def test_edge_table_agrees_with_kernel_registry():
     assert described <= registry
     # both combines definitions have a row; the rest are node attributes, not edge lists
     assert {r[0] for r in registry - described} == {"belongs to", "deals with universals", "is represented by"}
+
+
+def test_node_table_covers_every_collection_in_order():
+    collections = [f.name for f in fields(Document) if f.name != "source_locations"]
+    assert [k.collection for k in NODE_KINDS] == collections
+
+
+def test_node_table_turtle_types_are_kernel_terms():
+    terms = builtin_schema("1.2").terms
+    assert [k.turtle for k in NODE_KINDS if k.turtle.replace("_", " ") not in terms] == []
 
 
 def test_iter_edges_follows_relationship_direction():
