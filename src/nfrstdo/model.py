@@ -184,8 +184,9 @@ class EdgeKind:
     ``source`` and ``target`` follow the relationship's reading direction: a
     subcharacteristic edge goes from child to parent. Lists written with
     ``of`` are stored the other way round, as (parent, child). Messages are
-    ``str.format`` templates over ``name``, ``kind`` (the kind's value) and
-    ``kind_words`` (the value with spaces); see ``edge_message``.
+    ``str.format`` templates over ``name``, ``kind`` (the kind's value),
+    ``kind_words`` (the value with spaces) and ``an`` (its article); see
+    ``edge_message``.
     """
 
     keyword: str  # the .nfrs keyword, also the kind in ("edge", owner, keyword, a, b) location keys
@@ -224,16 +225,16 @@ EDGE_KINDS = (
     EdgeKind("subcharacteristic", "subchar_edges", "subcharacteristic of", "of", _CHARACTERISTIC,
              _CHARACTERISTIC, "R-017", _HIERARCHY, _HIERARCHY, "subcharacteristics", "has_subcharacteristic"),
     EdgeKind("combines", "combines_attr_edges", "combines", "->", _CHARACTERISTIC, _ATTRIBUTE, "R-002",
-             "only a characteristic can combine attributes; {name!r} is a {kind}",
-             "combines must target an attribute or statement item; {name!r} is a {kind_words}",
+             "only a characteristic can combine attributes; {name!r} is {an} {kind}",
+             "combines must target an attribute or statement item; {name!r} is {an} {kind_words}",
              "combines_attributes", "combines"),
     EdgeKind("combines", "combines_item_edges", "combines", "->", _CHARACTERISTIC, _STATEMENT_ITEM, "R-003",
-             "only a characteristic can combine statement items; {name!r} is a {kind}",
-             "this combines edge must target a statement item; {name!r} is a {kind}",
+             "only a characteristic can combine statement items; {name!r} is {an} {kind}",
+             "this combines edge must target a statement item; {name!r} is {an} {kind}",
              "combines_statement_items", "combines"),
     EdgeKind("maps", "mapped_to_edges", "is mapped to", "->", _STATEMENT_ITEM, _ATTRIBUTE, "R-008",
-             "maps edges start at a statement item; {name!r} is a {kind}",
-             "maps edges target an attribute; {name!r} is a {kind_words}", "maps", "is_mapped_to"),
+             "maps edges start at a statement item; {name!r} is {an} {kind}",
+             "maps edges target an attribute; {name!r} is {an} {kind_words}", "maps", "is_mapped_to"),
     EdgeKind("refers_to_entity", "refers_to_entity_edges", "refers to particulars", "->", _ANY_NFR,
              (), "R-REF", "", "unknown entity {name!r}", "refers_to_entities", "refers_to_particulars",
              collection="entities"),
@@ -289,7 +290,7 @@ def iter_edges(node: NfrsModelNode | NfrsViewModelNode):
 def edge_message(template: str, name: str, kind: Enum | None = None) -> str:
     """Fill an EdgeKind message template for endpoint ``name`` of ``kind``."""
     value = "" if kind is None else kind.value
-    return template.format(name=name, kind=value, kind_words=value.replace("_", " "))
+    return template.format(name=name, kind=value, kind_words=value.replace("_", " "), an=article(value))
 
 
 Node = CategoryNode | EntityNode | FunctionalRequirementNode | NfrsModelNode | NfrsViewModelNode
@@ -351,9 +352,9 @@ _KINDS_BY_TYPE = {k.type: k for k in NODE_KINDS}
 NODE_KINDS_BY_KEYWORD = {k.keyword: k for k in NODE_KINDS}
 
 
-def with_article(words: str) -> str:
-    """``words`` after "a" or "an"."""
-    return f"{'an' if words[:1] in ('a', 'e', 'i', 'o', 'u') else 'a'} {words}"
+def article(words: str) -> str:
+    """The indefinite article before ``words``."""
+    return "an" if words[:1] in ("a", "e", "i", "o", "u") else "a"
 
 
 @dataclass(frozen=True, eq=False)

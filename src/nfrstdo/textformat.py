@@ -53,9 +53,9 @@ from .model import (
     NfrsViewModelNode,
     NfrViewNode,
     NodeKind,
+    article,
     edge_kind,
     iter_edges,
-    with_article,
 )
 
 _DECLARATION = f"a declaration ({', '.join(NODE_KINDS_BY_KEYWORD)})"
@@ -299,7 +299,7 @@ class _Parser:
                 continue
             self.advance()
             try:
-                name = self.expect_name(f"{with_article(kind.words)} name")
+                name = self.expect_name(f"{article(kind.words)} {kind.words} name")
                 self.expect_punct("{")
                 node = self.parse_fields(kind, name) if kind.fields else getattr(self, f"parse_{t.value}")(name)
                 self.declare(self.collections[kind.collection], (t.value, name), node, t.location,

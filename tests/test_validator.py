@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from docgen import random_document
 from nfrstdo.diagnostics import Severity
-from nfrstdo.model import NfrsViewModelNode, NfrViewNode, FocusKind
+from nfrstdo.model import Document, FocusKind, NfrKind, NfrNode, NfrsModelNode, NfrsViewModelNode, NfrViewNode
 from nfrstdo.textformat import parse
 from nfrstdo.validator import ValidationMode, derive_depends_on, depends_contradictions, validate
 
@@ -296,3 +296,18 @@ def test_chain_fixture_depends_derivation(chain_doc):
     vm = derive_depends_on(chain_doc.view_models["Organization Quality Views"])
     assert ("Process Quality View", "Resource Quality View") in vm.depends_on_edges
     assert len(vm.depends_on_edges) == 4
+
+
+def test_attribute_endpoint_messages_take_an():
+    nfrs = {"C": NfrNode(kind=NfrKind.CHARACTERISTIC, name="C", definition="d"),
+            "A": NfrNode(kind=NfrKind.ATTRIBUTE, name="A", definition="d"),
+            "S": NfrNode(kind=NfrKind.STATEMENT_ITEM, name="S", declaration="d")}
+    # an attribute in the statement-item list can only come from a document built in code
+    model = NfrsModelNode(name="M", nfrs=nfrs, combines_item_edges=(("A", "S"), ("C", "A")),
+                          mapped_to_edges=(("A", "A"),))
+    messages = {(d.code, d.message) for d in validate(Document(models={"M": model}))}
+    assert messages >= {
+        ("R-003", "only a characteristic can combine statement items; 'A' is an attribute"),
+        ("R-003", "this combines edge must target a statement item; 'A' is an attribute"),
+        ("R-008", "maps edges start at a statement item; 'A' is an attribute"),
+    }
