@@ -12,6 +12,7 @@ function, so schemas can be shared freely across threads.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import IntEnum
 
@@ -550,40 +551,18 @@ def diff_schemas(old: OntologySchema, new: OntologySchema) -> SchemaDiff:
     added_terms = tuple(sorted(set(new.terms) - set(old.terms)))
     removed_terms = tuple(sorted(set(old.terms) - set(new.terms)))
 
-    old_rels = sorted(old.relationships, key=RelationshipDef.descriptor)
-    new_rels = sorted(new.relationships, key=RelationshipDef.descriptor)
-    new_keys = [r.descriptor() for r in new_rels]
-    unmatched_old = []
-    for r in old_rels:
-        if r.descriptor() in new_keys:
-            new_keys.remove(r.descriptor())
-        else:
-            unmatched_old.append(r)
-    old_keys = [r.descriptor() for r in old_rels]
-    unmatched_new = []
-    for r in new_rels:
-        if r.descriptor() in old_keys:
-            old_keys.remove(r.descriptor())
-        else:
-            unmatched_new.append(r)
-
+    old_count = Counter(r.descriptor() for r in old.relationships)
+    new_count = Counter(r.descriptor() for r in new.relationships)
+    still_new = sorted((new_count - old_count).elements())
     renamed: list[tuple[str, str, str, str]] = []
-    still_new = list(unmatched_new)
     removed: list[tuple[str, str, str]] = []
-    for old_rel in unmatched_old:
-        partner = next(
-            (
-                r
-                for r in still_new
-                if r.source_term == old_rel.source_term and r.target_term == old_rel.target_term
-            ),
-            None,
-        )
+    for name, source, target in sorted((old_count - new_count).elements()):
+        partner = next((r for r in still_new if r[1:] == (source, target)), None)
         if partner is not None:
             still_new.remove(partner)
-            renamed.append((old_rel.name, partner.name, old_rel.source_term, old_rel.target_term))
+            renamed.append((name, partner[0], source, target))
         else:
-            removed.append(old_rel.descriptor())
+            removed.append((name, source, target))
 
     stereotype_changes: list[StereotypeChange] = []
     for name in sorted(set(old.terms) & set(new.terms)):
@@ -597,8 +576,8 @@ def diff_schemas(old: OntologySchema, new: OntologySchema) -> SchemaDiff:
     return SchemaDiff(
         added_terms=added_terms,
         removed_terms=removed_terms,
-        added_relationships=tuple(sorted(r.descriptor() for r in still_new)),
-        removed_relationships=tuple(sorted(removed)),
+        added_relationships=tuple(still_new),
+        removed_relationships=tuple(removed),
         renamed_relationships=tuple(sorted(renamed)),
         stereotype_changes=tuple(stereotype_changes),
     )

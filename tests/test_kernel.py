@@ -207,6 +207,17 @@ def test_diff_from_empty_schema():
     assert diff.removed_terms == ()
 
 
+def test_diff_counts_a_repeated_relationship_once():
+    v12 = builtin_schema("1.2")
+    repeated = v12.relationships[0]
+    doubled = OntologySchema(component=v12.component, terms=v12.terms,
+                             relationships=(*v12.relationships, repeated))
+    diff = diff_schemas(v12, doubled)
+    assert diff.added_relationships == (repeated.descriptor(),)
+    assert diff.removed_relationships == diff.renamed_relationships == ()
+    assert diff_schemas(doubled, v12).removed_relationships == (repeated.descriptor(),)
+
+
 def _mutated_schema(seed: int) -> OntologySchema:
     rng = random.Random(seed)
     base = builtin_schema("1.2")
