@@ -331,6 +331,36 @@ def test_query_trace_fr(capsys):
     ]
 
 
+def test_query_leaf_attributes_json_bytes(capsys, tmp_path):
+    code, out, _ = run(capsys, "query", "leaf-attributes", PRODUCT, "--model", "Software Product Quality Model",
+                       "--characteristic", "Usability", "--format", "json")
+    assert (code, out) == (0, '["Help availability","Task success ratio"]\n')
+    doc = tmp_path / "umlaut.nfrs"
+    doc.write_text('model "M" {\n  characteristic "C" { definition: "d" }\n  attribute "Größe" { definition: "d" }\n'
+                   '  combines "C" -> "Größe"\n}\n', encoding="utf-8")
+    code, out, _ = run(capsys, "query", "leaf-attributes", str(doc), "--model", "M", "--characteristic", "C",
+                       "--format", "json")
+    assert (code, out) == (0, '["Größe"]\n')
+
+
+def test_query_coverage_json_bytes(capsys):
+    code, out, _ = run(capsys, "query", "coverage", CHECKLIST, "--model", "Usability Heuristic Checklist",
+                       "--format", "json")
+    assert code == 0
+    assert out == (
+        '{"mapped":[["Progress for long operations",["Status visibility"]],'
+        '["Recovery hints in errors",["Status visibility"]],["Undoable destructive actions",["Undo availability"]]],'
+        '"ratio":0.75,"unmapped":["Searchable help"]}\n'
+    )
+
+
+def test_query_trace_fr_json_bytes(capsys):
+    code, out, _ = run(capsys, "query", "trace-fr", TRACE, "--name", "User login", "--format", "json")
+    assert code == 0
+    assert out == ('[["Performance Requirements","Login response time"],'
+                   '["Security Requirements","Authentication strength"]]\n')
+
+
 def test_query_refuses_invalid_document(capsys, tmp_path):
     bad = tmp_path / "bad.nfrs"
     bad.write_text('entity "E" { belongs_to: "Nope" }\n', encoding="utf-8")
