@@ -84,6 +84,10 @@ def _print_diagnostics(diagnostics: list[Diagnostic], path: str, fmt: str, strea
         print(render_text(diagnostic, path, color=color), file=stream)
 
 
+def _print_json(obj) -> None:
+    print(json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":")))
+
+
 def _write_output(payload: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(payload)
@@ -142,7 +146,7 @@ def cmd_schema(args: argparse.Namespace) -> ExitCode:
     else:  # diff
         diff = kernel.diff_schemas(_schema(args.old), _schema(args.new))
         if args.format == "json":
-            print(_diff_json(diff))
+            _print_json(_diff_object(diff))
         else:
             for line in _diff_lines(diff):
                 print(line)
@@ -166,8 +170,8 @@ def _diff_lines(diff: kernel.SchemaDiff) -> list[str]:
     return lines
 
 
-def _diff_json(diff: kernel.SchemaDiff) -> str:
-    obj = {
+def _diff_object(diff: kernel.SchemaDiff) -> dict:
+    return {
         "added_relationships": [list(r) for r in diff.added_relationships],
         "added_terms": list(diff.added_terms),
         "removed_relationships": [list(r) for r in diff.removed_relationships],
@@ -183,7 +187,6 @@ def _diff_json(diff: kernel.SchemaDiff) -> str:
             for c in diff.stereotype_changes
         ],
     }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 def _validated_document(path: str) -> Document:
@@ -203,7 +206,7 @@ def cmd_query(args: argparse.Namespace) -> ExitCode:
         elif args.query_command == "leaf-attributes":
             attributes = queries.leaf_attributes(doc, args.model, args.characteristic)
             if args.format == "json":
-                print(json.dumps(attributes, ensure_ascii=False, separators=(",", ":")))
+                _print_json(attributes)
             else:
                 for name in attributes:
                     print(name)
@@ -212,7 +215,7 @@ def cmd_query(args: argparse.Namespace) -> ExitCode:
         else:  # trace-fr
             pairs = queries.trace_satisfies(doc, args.name)
             if args.format == "json":
-                print(json.dumps([list(p) for p in pairs], ensure_ascii=False, separators=(",", ":")))
+                _print_json(pairs)
             else:
                 for model_name, nfr_name in pairs:
                     print(f"{model_name}: {nfr_name}")
@@ -232,8 +235,7 @@ def _query_closure(doc: Document, args: argparse.Namespace) -> None:
             edges = derive_depends_on(vm).depends_on_edges
         reached = sorted({t for s, t in edges if s == args.origin})
     if args.format == "json":
-        print(json.dumps({"origin": args.origin, "reached": reached}, sort_keys=True,
-                         ensure_ascii=False, separators=(",", ":")))
+        _print_json({"origin": args.origin, "reached": reached})
     else:
         for name in reached:
             print(name)
@@ -242,12 +244,7 @@ def _query_closure(doc: Document, args: argparse.Namespace) -> None:
 def _query_coverage(doc: Document, args: argparse.Namespace) -> None:
     report = queries.mapping_coverage(doc, args.model)
     if args.format == "json":
-        obj = {
-            "mapped": [[item, list(attrs)] for item, attrs in report.mapped],
-            "ratio": float(report.ratio),
-            "unmapped": list(report.unmapped),
-        }
-        print(json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":")))
+        _print_json({"mapped": report.mapped, "ratio": float(report.ratio), "unmapped": report.unmapped})
         return
     for item, attrs in report.mapped:
         print(f"mapped {item!r} -> " + ", ".join(attrs))
