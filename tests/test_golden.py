@@ -13,9 +13,13 @@ expected, found), or the canonical text when the mutation still parses. A
 refactor that changes any byte of any output, diagnostic locations included,
 fails here.
 
-Regenerate the hashes (only when an output change is intended) with::
+Regenerate the hashes (only when an output change is intended) from the
+repository root with::
 
-    PYTHONPATH=src python tests/test_golden.py
+    python tests/test_golden.py
+
+Run as a script, the file puts ``src`` on ``sys.path`` first, as
+``pyproject.toml`` does for pytest.
 """
 
 from __future__ import annotations
@@ -25,8 +29,12 @@ import hashlib
 import json
 import random
 import re
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from docgen import lexer_texts, mutated_texts, random_document
 from nfrstdo import validator
