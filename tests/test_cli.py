@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import nfrstdo
 from conftest import fixture_path
 from nfrstdo.cli import main
@@ -367,6 +369,59 @@ def test_query_refuses_invalid_document(capsys, tmp_path):
     code, _, err = run(capsys, "query", "coverage", str(bad), "--model", "M")
     assert code == 1
     assert "R-001" in err
+
+
+# three quality views with a self-loop on Q2, and one cost view outside the influences graph
+CLOSURE_DOC = (
+    'category "C" { }\n'
+    'model "M1" { characteristic "F1" { definition: "d" focus: quality } }\n'
+    'model "MC" { characteristic "FC" { definition: "d" focus: cost } }\n'
+    'view_model "VM" {\n'
+    '  view "Q1" { kind: quality category: "C" focus: "M1" . "F1" }\n'
+    '  view "Q2" { kind: quality category: "C" focus: "M1" . "F1" }\n'
+    '  view "Q3" { kind: quality category: "C" focus: "M1" . "F1" }\n'
+    '  view "K" { kind: cost category: "C" focus: "MC" . "FC" }\n'
+    '  influences "Q1" -> "Q2"\n'
+    '  influences "Q2" -> "Q2"\n'
+    '  influences "Q2" -> "Q3"\n'
+    '  depends_on "Q3" -> "Q2"\n'
+    "}\n"
+)
+
+
+@pytest.mark.parametrize("transitive", [(), ("--transitive",)], ids=["direct", "transitive"])
+@pytest.mark.parametrize("command", ["influences", "depends"])
+@pytest.mark.parametrize(("view_model", "origin", "message"), [
+    ("Nope", "Q1", "no view model named 'Nope'"),
+    ("VM", "Nope", "no view named 'Nope' in view model 'VM'"),
+    ("VM", "K", "'K' is a cost view; closures walk quality views"),
+], ids=["unknown-view-model", "unknown-origin", "cost-origin"])
+def test_query_closure_name_errors_bytes(capsys, tmp_path, transitive, command, view_model, origin, message):
+    doc = tmp_path / "closure.nfrs"
+    doc.write_text(CLOSURE_DOC, encoding="utf-8")
+    code, out, err = run(capsys, "query", command, str(doc), "--view-model", view_model, "--from", origin,
+                         *transitive)
+    assert (code, out, err) == (3, "", f"nfrsctl: error: {message}\n")
+
+
+@pytest.mark.parametrize(("command", "origin", "direct", "transitive"), [
+    ("influences", "Q1", ["Q2"], ["Q2", "Q3"]),
+    ("influences", "Q2", ["Q2", "Q3"], ["Q2", "Q3"]),
+    ("influences", "Q3", [], []),
+    ("depends", "Q1", [], []),
+    ("depends", "Q2", ["Q1", "Q2"], ["Q1", "Q2"]),
+    ("depends", "Q3", ["Q2"], ["Q2", "Q1"]),
+])
+def test_query_closure_direct_and_transitive_bytes(capsys, tmp_path, command, origin, direct, transitive):
+    doc = tmp_path / "closure.nfrs"
+    doc.write_text(CLOSURE_DOC, encoding="utf-8")
+    for flags, reached in (((), direct), (("--transitive",), transitive)):
+        code, out, err = run(capsys, "query", command, str(doc), "--view-model", "VM", "--from", origin,
+                             *flags, "--format", "json")
+        names = ",".join(f'"{name}"' for name in reached)
+        assert (code, out, err) == (0, f'{{"origin":"{origin}","reached":[{names}]}}\n', "")
+        code, out, err = run(capsys, "query", command, str(doc), "--view-model", "VM", "--from", origin, *flags)
+        assert (code, out, err) == (0, "".join(f"{name}\n" for name in reached), "")
 
 
 # --- lint-arch ------------------------------------------------------------------
