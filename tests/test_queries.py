@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from docgen import oracle_leaf_attributes, oracle_reachable
+from docgen import oracle_leaf_attributes, oracle_reachable, random_document
 from nfrstdo.model import (
     Document,
     FocusKind,
@@ -20,6 +20,7 @@ from nfrstdo.model import (
 )
 from nfrstdo.textformat import serialize
 from nfrstdo.queries import (
+    ClosureResult,
     NotAQualityView,
     UnknownCharacteristic,
     UnknownFunctionalRequirement,
@@ -30,7 +31,9 @@ from nfrstdo.queries import (
     leaf_attributes,
     mapping_coverage,
     trace_satisfies,
+    _bfs_closure,
 )
+from nfrstdo.validator import derive_depends_on
 
 CHAIN_VM = "Organization Quality Views"
 CHAIN_DOWNSTREAM = [
@@ -133,6 +136,21 @@ def test_closure_duality(seed):
     for x in names:
         for y in names:
             assert (y in influenced[x]) == (x in depended[y])
+
+
+def test_depends_closure_matches_derived_edges_on_generated_documents():
+    # the walk over explicit depends_on plus reversed influences equals the walk over the derived set
+    origins = 0
+    for seed in range(1500):
+        doc = random_document(random.Random(seed))
+        for vm in doc.view_models.values():
+            derived = derive_depends_on(vm).depends_on_edges
+            for origin, view in vm.views.items():
+                if view.kind is FocusKind.QUALITY:
+                    expected = ClosureResult(origin=origin, reached=_bfs_closure(derived, origin))
+                    assert depends_closure(doc, vm.name, origin) == expected, (seed, vm.name, origin)
+                    origins += 1
+    assert origins >= 400
 
 
 # --- leaf attribute rollups -------------------------------------------------------

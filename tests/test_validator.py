@@ -5,11 +5,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cycle_oracle import _cycle_groups as oracle_cycle_groups
 from docgen import random_document
 from nfrstdo.diagnostics import Severity
 from nfrstdo.model import Document, FocusKind, NfrKind, NfrNode, NfrsModelNode, NfrsViewModelNode, NfrViewNode
 from nfrstdo.textformat import parse
-from nfrstdo.validator import ValidationMode, derive_depends_on, depends_contradictions, validate
+from nfrstdo.validator import ValidationMode, _cycle_groups, derive_depends_on, depends_contradictions, validate
 
 QUALITY_FOCUS_MODEL = 'model "M" { characteristic "F" { definition: "d" focus: quality } }\n'
 COST_FOCUS_MODEL = 'model "MC" { characteristic "FC" { definition: "d" focus: cost } }\n'
@@ -253,6 +254,93 @@ def test_focus_with_parent_is_r013():
         "}\n"
     )
     assert error_codes(validate(parse(source), ValidationMode.MODEL)) == {"R-013"}
+
+
+# --- cycle groups (R-013, R-016) against the reach-set oracle ------------------
+
+# names whose sort order differs from their creation order, some non-ASCII
+_GRAPH_NAMES = ["n10", "n2", "N", "é", "a b", "Ω", "z", "n1", "_", "Z9", "q", "b", "a", "m", "x"]
+
+
+def _random_graph(rng: random.Random) -> list[tuple[str, str]]:
+    nodes = rng.sample(_GRAPH_NAMES, rng.randint(1, 15))
+    most = rng.choice([len(nodes), 28])  # sparse or dense
+    edges = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(rng.randint(0, most))]
+    if edges and rng.random() < 0.3:
+        edges.append(rng.choice(edges))  # duplicate edge
+    if rng.random() < 0.3:
+        node = rng.choice(nodes)
+        edges.insert(rng.randint(0, len(edges)), (node, node))  # self-loop
+    return edges
+
+
+def test_cycle_groups_match_oracle_on_random_graphs():
+    seen = {"empty": 0, "self-loop": 0, "duplicate": 0, "target-only": 0, "acyclic": 0, "several-groups": 0}
+    for seed in range(3000):
+        edges = _random_graph(random.Random(seed))
+        groups = oracle_cycle_groups(edges)
+        assert _cycle_groups(edges) == groups, (seed, edges)
+        sources = {a for a, _ in edges}
+        seen["empty"] += not edges
+        seen["self-loop"] += any(a == b for a, b in edges)
+        seen["duplicate"] += len(set(edges)) < len(edges)
+        seen["target-only"] += any(b not in sources for _, b in edges)
+        seen["acyclic"] += bool(edges) and not groups
+        seen["several-groups"] += len(groups) > 1
+    # the generator reaches every shape the comparison is meant to cover
+    assert min(seen.values()) >= 50, seen
+
+
+def test_cycle_groups_match_oracle_on_generated_documents():
+    for seed in range(500):
+        doc = random_document(random.Random(seed))
+        graphs = [list(vm.influences_edges) + list(vm.depends_on_edges) for vm in doc.view_models.values()]
+        graphs += [list(vm.influences_edges) for vm in doc.view_models.values()]
+        graphs += [[(child, parent) for parent, child in m.subchar_edges] for m in doc.models.values()]
+        for edges in graphs:
+            assert _cycle_groups(edges) == oracle_cycle_groups(edges), (seed, edges)
+
+
+def _quality_vm_doc(names: list[str], influences: list[tuple[str, str]], cost: tuple[str, ...] = ()) -> Document:
+    views = {name: NfrViewNode(name=name, kind=FocusKind.COST if name in cost else FocusKind.QUALITY,
+                               category="C", focus=("M", "F"))
+             for name in names}
+    vm = NfrsViewModelNode(name="VM", views=views, influences_edges=tuple(influences))
+    return Document(view_models={"VM": vm})
+
+
+def _cycle_diagnostics(doc: Document) -> list[tuple[str, str, str]]:
+    return [(d.code, d.message, d.subject) for d in validate(doc, ValidationMode.MODEL)
+            if d.code in ("R-013", "R-016")]
+
+
+def test_influences_self_loop_is_a_one_view_cycle():
+    doc = _quality_vm_doc(["P", "Q"], [("P", "Q"), ("Q", "Q")])
+    assert _cycle_diagnostics(doc) == [
+        ("R-016", "influence relationships form a cycle: Q", "view_model:VM/influences-cycle:Q"),
+    ]
+
+
+def test_own_subcharacteristic_is_a_one_node_cycle():
+    source = 'model "M" {\n  characteristic "A" { definition: "d" }\n  subcharacteristic "A" of "A"\n}\n'
+    assert _cycle_diagnostics(parse(source)) == [
+        ("R-013", "sub-characteristic hierarchy contains a cycle: A", "model:M/subcharacteristic-cycle:A"),
+    ]
+
+
+def test_disjoint_cycles_are_two_diagnostics_ordered_by_smallest_name():
+    doc = _quality_vm_doc(["a", "b", "c", "x", "y", "z"],
+                          [("z", "c"), ("c", "z"), ("y", "b"), ("b", "x"), ("x", "y"), ("a", "b")])
+    assert _cycle_diagnostics(doc) == [
+        ("R-016", "influence relationships form a cycle: b -> x -> y", "view_model:VM/influences-cycle:b -> x -> y"),
+        ("R-016", "influence relationships form a cycle: c -> z", "view_model:VM/influences-cycle:c -> z"),
+    ]
+
+
+def test_cycle_through_a_cost_view_is_not_r016():
+    doc = _quality_vm_doc(["A", "B", "K"], [("A", "B"), ("B", "K"), ("K", "A")], cost=("K",))
+    assert [d.code for d in validate(doc, ValidationMode.MODEL) if d.code == "R-016"] == []
+    assert any(d.code == "R-006" for d in validate(doc, ValidationMode.MODEL))
 
 
 # --- depends_on derivation ------------------------------------------------------
