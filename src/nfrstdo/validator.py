@@ -60,34 +60,52 @@ class _Sink:
 
 
 def _cycle_groups(edges: list[tuple[str, str]]) -> list[list[str]]:
-    """Groups of nodes lying on directed cycles, each group one cycle cluster."""
-    successors: dict[str, set[str]] = {}
+    """Groups of nodes lying on directed cycles, each group one strongly connected component.
+
+    One iterative pass of Tarjan's algorithm (Tarjan 1972) with an explicit work
+    stack, so the cost is O(V + E) and no recursion limit applies. A component
+    is a cycle when it has more than one node or its one node has a self-loop.
+    Each group is sorted, and the groups are ordered by their smallest node.
+    """
+    successors: dict[str, list[str]] = {}
     for a, b in edges:
-        successors.setdefault(a, set()).add(b)
+        successors.setdefault(a, []).append(b)
 
-    reach: dict[str, set[str]] = {}
-    for start in successors:
-        seen: set[str] = set()
-        frontier = list(successors.get(start, ()))
-        while frontier:
-            node = frontier.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            frontier.extend(successors.get(node, ()))
-        reach[start] = seen
-
-    on_cycle = sorted(n for n in reach if n in reach[n])
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
     groups: list[list[str]] = []
-    assigned: set[str] = set()
-    for node in on_cycle:
-        if node in assigned:
+    for root in successors:
+        if root in index:
             continue
-        group = sorted(
-            m for m in on_cycle if m == node or (m in reach.get(node, ()) and node in reach.get(m, ()))
-        )
-        assigned.update(group)
-        groups.append(group)
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(successors[root]))]
+        while work:
+            node, children = work[-1]
+            for child in children:
+                if child not in index:
+                    index[child] = low[child] = len(index)
+                    stack.append(child)
+                    on_stack.add(child)
+                    work.append((child, iter(successors.get(child, ()))))
+                    break
+                if child in on_stack and index[child] < low[node]:
+                    low[node] = index[child]
+            else:
+                work.pop()
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+                if low[node] == index[node]:
+                    component = [stack.pop()]
+                    while component[-1] != node:
+                        component.append(stack.pop())
+                    on_stack.difference_update(component)
+                    if len(component) > 1 or node in successors.get(node, ()):
+                        groups.append(sorted(component))
+    groups.sort()  # disjoint sorted groups: this orders them by their smallest node
     return groups
 
 
