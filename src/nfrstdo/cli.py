@@ -18,7 +18,7 @@ from . import export, kernel, queries
 from .diagnostics import Diagnostic, render_json, render_text
 from .model import Document
 from .textformat import ParseFailure, parse
-from .validator import ValidationMode, derive_depends_on, has_errors, validate
+from .validator import ValidationMode, has_errors, validate
 
 
 class ExitCode(IntEnum):
@@ -226,14 +226,7 @@ def cmd_query(args: argparse.Namespace) -> ExitCode:
 
 def _query_closure(doc: Document, args: argparse.Namespace) -> None:
     run = queries.influence_closure if args.query_command == "influences" else queries.depends_closure
-    result = run(doc, args.view_model, args.origin)
-    reached = list(result.reached)
-    if not args.transitive:
-        vm = doc.view_models[args.view_model]
-        edges = vm.influences_edges
-        if args.query_command == "depends":
-            edges = derive_depends_on(vm).depends_on_edges
-        reached = sorted({t for s, t in edges if s == args.origin})
+    reached = list(run(doc, args.view_model, args.origin, transitive=args.transitive).reached)
     if args.format == "json":
         _print_json({"origin": args.origin, "reached": reached})
     else:

@@ -9,11 +9,12 @@ lexicographic elsewhere).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .model import Document, FocusKind, NfrKind, NfrsViewModelNode
-from .validator import derive_depends_on
 
 
 class QueryError(LookupError):
@@ -65,7 +66,7 @@ def _quality_view_model(doc: Document, view_model: str, origin: str) -> NfrsView
     return vm
 
 
-def _bfs_closure(edges: tuple[tuple[str, str], ...], origin: str) -> tuple[str, ...]:
+def _bfs_closure(edges: Iterable[tuple[str, str]], origin: str, transitive: bool = True) -> tuple[str, ...]:
     successors: dict[str, set[str]] = {}
     for a, b in edges:
         successors.setdefault(a, set()).add(b)
@@ -79,22 +80,29 @@ def _bfs_closure(edges: tuple[tuple[str, str], ...], origin: str) -> tuple[str, 
         discovered.update(frontier)
         level = sorted(frontier)
         reached.extend(level)
+        if not transitive:
+            break
     return tuple(reached)
 
 
-def influence_closure(doc: Document, view_model: str, origin: str) -> ClosureResult:
-    """Every view transitively influenced by ``origin``.
+def influence_closure(doc: Document, view_model: str, origin: str, *, transitive: bool = True) -> ClosureResult:
+    """Every view transitively influenced by ``origin``; only the direct ones unless ``transitive``.
 
     The origin itself appears only when a cycle leads back to it.
     """
     vm = _quality_view_model(doc, view_model, origin)
-    return ClosureResult(origin=origin, reached=_bfs_closure(vm.influences_edges, origin))
+    return ClosureResult(origin=origin, reached=_bfs_closure(vm.influences_edges, origin, transitive))
 
 
-def depends_closure(doc: Document, view_model: str, origin: str) -> ClosureResult:
-    """Every view ``origin`` transitively depends on, over derived edges."""
-    vm = derive_depends_on(_quality_view_model(doc, view_model, origin))
-    return ClosureResult(origin=origin, reached=_bfs_closure(vm.depends_on_edges, origin))
+def depends_closure(doc: Document, view_model: str, origin: str, *, transitive: bool = True) -> ClosureResult:
+    """Every view ``origin`` transitively depends on; only the direct ones unless ``transitive``.
+
+    The edges are the derived depends_on set (see ``validator.derive_depends_on``):
+    the explicit edges and the reversed influences edges, walked as they are.
+    """
+    vm = _quality_view_model(doc, view_model, origin)
+    edges = chain(vm.depends_on_edges, ((b, a) for a, b in vm.influences_edges))
+    return ClosureResult(origin=origin, reached=_bfs_closure(edges, origin, transitive))
 
 
 def leaf_attributes(doc: Document, model: str, characteristic: str) -> list[str]:

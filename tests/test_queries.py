@@ -139,7 +139,8 @@ def test_closure_duality(seed):
 
 
 def test_depends_closure_matches_derived_edges_on_generated_documents():
-    # the walk over explicit depends_on plus reversed influences equals the walk over the derived set
+    # the walk over explicit depends_on plus reversed influences equals the walk over the derived set;
+    # without transitive, each query returns the sorted direct successors
     origins = 0
     for seed in range(1500):
         doc = random_document(random.Random(seed))
@@ -149,6 +150,9 @@ def test_depends_closure_matches_derived_edges_on_generated_documents():
                 if view.kind is FocusKind.QUALITY:
                     expected = ClosureResult(origin=origin, reached=_bfs_closure(derived, origin))
                     assert depends_closure(doc, vm.name, origin) == expected, (seed, vm.name, origin)
+                    for run, edges in ((depends_closure, derived), (influence_closure, vm.influences_edges)):
+                        direct = tuple(sorted({t for s, t in edges if s == origin}))
+                        assert run(doc, vm.name, origin, transitive=False).reached == direct
                     origins += 1
     assert origins >= 400
 
