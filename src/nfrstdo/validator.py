@@ -12,6 +12,7 @@ always a subset of instance-mode errors.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import replace
 from enum import Enum
 
@@ -75,22 +76,24 @@ def _cycle_groups(edges: list[tuple[str, str]]) -> list[list[str]]:
     low: dict[str, int] = {}
     stack: list[str] = []
     on_stack: set[str] = set()
+    work: list[tuple[str, Iterator[str]]] = []  # the depth-first path, each node with its unvisited successors
     groups: list[list[str]] = []
+
+    def enter(node: str) -> None:
+        index[node] = low[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        work.append((node, iter(successors.get(node, ()))))
+
     for root in successors:
         if root in index:
             continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(successors[root]))]
+        enter(root)
         while work:
             node, children = work[-1]
             for child in children:
                 if child not in index:
-                    index[child] = low[child] = len(index)
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(successors.get(child, ()))))
+                    enter(child)
                     break
                 if child in on_stack and index[child] < low[node]:
                     low[node] = index[child]
