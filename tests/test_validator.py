@@ -301,16 +301,6 @@ def test_cycle_groups_match_oracle_on_generated_documents():
             assert _cycle_groups(edges) == oracle_cycle_groups(edges), (seed, edges)
 
 
-def test_long_ring_and_chain_need_no_recursion():
-    # far past the recursion limit, and far too large for the quadratic oracle
-    names = [f"V{i:05d}" for i in range(20_000)]
-    chain = list(zip(names, names[1:]))
-    ring = _cycle_diagnostics(_quality_vm_doc(names, chain + [(names[-1], names[0])]))
-    assert [(code, message.count(" -> ")) for code, message, _ in ring] == [("R-016", 19_999)]
-    assert ring[0][1].startswith("influence relationships form a cycle: V00000 -> V00001 -> ")
-    assert _cycle_diagnostics(_quality_vm_doc(names, chain)) == []
-
-
 def _quality_vm_doc(names: list[str], influences: list[tuple[str, str]], cost: tuple[str, ...] = ()) -> Document:
     views = {name: NfrViewNode(name=name, kind=FocusKind.COST if name in cost else FocusKind.QUALITY,
                                category="C", focus=("M", "F"))
@@ -349,8 +339,19 @@ def test_disjoint_cycles_are_two_diagnostics_ordered_by_smallest_name():
 
 def test_cycle_through_a_cost_view_is_not_r016():
     doc = _quality_vm_doc(["A", "B", "K"], [("A", "B"), ("B", "K"), ("K", "A")], cost=("K",))
-    assert [d.code for d in validate(doc, ValidationMode.MODEL) if d.code == "R-016"] == []
-    assert any(d.code == "R-006" for d in validate(doc, ValidationMode.MODEL))
+    codes = {d.code for d in validate(doc, ValidationMode.MODEL)}
+    assert "R-006" in codes
+    assert "R-016" not in codes
+
+
+def test_long_ring_and_chain_need_no_recursion():
+    # far past the recursion limit, and far too large for the quadratic oracle
+    names = [f"V{i:05d}" for i in range(20_000)]
+    chain = list(zip(names, names[1:]))
+    ring = _cycle_diagnostics(_quality_vm_doc(names, chain + [(names[-1], names[0])]))
+    assert [(code, message.count(" -> ")) for code, message, _ in ring] == [("R-016", 19_999)]
+    assert ring[0][1].startswith("influence relationships form a cycle: V00000 -> V00001 -> ")
+    assert _cycle_diagnostics(_quality_vm_doc(names, chain)) == []
 
 
 # --- depends_on derivation ------------------------------------------------------
