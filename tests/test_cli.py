@@ -389,6 +389,13 @@ CLOSURE_DOC = (
 )
 
 
+@pytest.fixture
+def closure_doc(tmp_path) -> str:
+    doc = tmp_path / "closure.nfrs"
+    doc.write_text(CLOSURE_DOC, encoding="utf-8")
+    return str(doc)
+
+
 @pytest.mark.parametrize("transitive", [(), ("--transitive",)], ids=["direct", "transitive"])
 @pytest.mark.parametrize("command", ["influences", "depends"])
 @pytest.mark.parametrize(("view_model", "origin", "message"), [
@@ -396,10 +403,8 @@ CLOSURE_DOC = (
     ("VM", "Nope", "no view named 'Nope' in view model 'VM'"),
     ("VM", "K", "'K' is a cost view; closures walk quality views"),
 ], ids=["unknown-view-model", "unknown-origin", "cost-origin"])
-def test_query_closure_name_errors_bytes(capsys, tmp_path, transitive, command, view_model, origin, message):
-    doc = tmp_path / "closure.nfrs"
-    doc.write_text(CLOSURE_DOC, encoding="utf-8")
-    code, out, err = run(capsys, "query", command, str(doc), "--view-model", view_model, "--from", origin,
+def test_query_closure_name_errors_bytes(capsys, closure_doc, transitive, command, view_model, origin, message):
+    code, out, err = run(capsys, "query", command, closure_doc, "--view-model", view_model, "--from", origin,
                          *transitive)
     assert (code, out, err) == (3, "", f"nfrsctl: error: {message}\n")
 
@@ -412,15 +417,13 @@ def test_query_closure_name_errors_bytes(capsys, tmp_path, transitive, command, 
     ("depends", "Q2", ["Q1", "Q2"], ["Q1", "Q2"]),
     ("depends", "Q3", ["Q2"], ["Q2", "Q1"]),
 ])
-def test_query_closure_direct_and_transitive_bytes(capsys, tmp_path, command, origin, direct, transitive):
-    doc = tmp_path / "closure.nfrs"
-    doc.write_text(CLOSURE_DOC, encoding="utf-8")
+def test_query_closure_direct_and_transitive_bytes(capsys, closure_doc, command, origin, direct, transitive):
     for flags, reached in (((), direct), (("--transitive",), transitive)):
-        code, out, err = run(capsys, "query", command, str(doc), "--view-model", "VM", "--from", origin,
+        code, out, err = run(capsys, "query", command, closure_doc, "--view-model", "VM", "--from", origin,
                              *flags, "--format", "json")
         names = ",".join(f'"{name}"' for name in reached)
         assert (code, out, err) == (0, f'{{"origin":"{origin}","reached":[{names}]}}\n', "")
-        code, out, err = run(capsys, "query", command, str(doc), "--view-model", "VM", "--from", origin, *flags)
+        code, out, err = run(capsys, "query", command, closure_doc, "--view-model", "VM", "--from", origin, *flags)
         assert (code, out, err) == (0, "".join(f"{name}\n" for name in reached), "")
 
 
