@@ -1,15 +1,17 @@
 """The character-by-character ``.nfrs`` lexer, kept as the oracle for ``textformat._tokenize``.
 
 ``_tokenize`` is the lexer as it stood before the master-pattern rewrite,
-copied verbatim. It returns the same ``_Token`` list as the library's lexer,
-or raises ``_LexError`` carrying the one ``ParseError`` that the library
-raises inside a ``ParseFailure``. ``tests/test_lexer.py`` compares the two.
+copied verbatim. It returns a list of ``_Token`` (from ``parser_oracle``, the
+token record of that time), or raises ``_LexError`` carrying the one
+``ParseError`` that the library raises inside a ``ParseFailure``.
+``tests/test_lexer.py`` compares its tokens with the library's.
 """
 
 from __future__ import annotations
 
 from nfrstdo.diagnostics import SourceLocation
-from nfrstdo.textformat import ParseError, _Token
+from nfrstdo.textformat import ParseError
+from parser_oracle import _Token
 
 _WORD_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _WORD_CHARS = _WORD_START | set("0123456789")

@@ -3,7 +3,8 @@
 Both lexers run on the ``.nfrs`` fixtures, 200 ``random_document``
 serializations and 2,000 seeded mutations of those texts (inserted quotes,
 bad escapes, stray characters, line breaks, deletions, truncations). Each
-input must give the same tokens, EOF location included, or the same error.
+input must give the same tokens as ``(kind, value, line, column)`` records,
+EOF included, or the same error.
 """
 
 from __future__ import annotations
@@ -23,10 +24,15 @@ def inputs() -> tuple[str, ...]:
     return (*bases, *mutated_texts(bases, MUTATIONS))
 
 
-def lex(tokenize, text: str) -> list:
-    """The token list, or the errors raised."""
+def record(token) -> tuple:
+    """A ``_Token`` as a ``(kind, value, line, column)`` record."""
+    return (token.kind, token.value, token.location.line, token.location.column)
+
+
+def lex(tokenize, text: str, as_record=record) -> list:
+    """The token records, or the errors raised."""
     try:
-        return tokenize(text)
+        return [as_record(token) for token in tokenize(text)]
     except ParseFailure as exc:
         return exc.errors
     except lexer_oracle._LexError as exc:
