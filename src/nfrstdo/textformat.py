@@ -7,6 +7,11 @@ validator's concern. Serialization is canonical, so two documents that are
 structurally equal serialize to identical bytes regardless of how they were
 built.
 
+The lexer turns the text into flat ``(kind, value, line, column)`` tuples.
+The parser walks them by index and builds a ``SourceLocation`` only where it
+keeps one: for a declaration or an edge in ``Document.source_locations``, and
+for a ``ParseError``.
+
 Grammar sketch (names and texts are double-quoted strings, ``#`` comments)::
 
     category "X" { description: "..." parent: "Y" }
@@ -62,7 +67,8 @@ _DECLARATION = f"a declaration ({', '.join(NODE_KINDS_BY_KEYWORD)})"
 _NFR_KEYWORDS = {"characteristic": NfrKind.CHARACTERISTIC, "attribute": NfrKind.ATTRIBUTE,
                  "statement_item": NfrKind.STATEMENT_ITEM}
 _MODEL_EDGE_ARROWS = {k.keyword: k.arrow for k in MODEL_EDGE_KINDS}
-_VIEW_EDGE_KEYWORDS = {k.keyword for k in VIEW_EDGE_KINDS}
+_VIEW_EDGE_KINDS = {k.keyword: k for k in VIEW_EDGE_KINDS}
+_VIEW_EDGE_KEYWORDS = set(_VIEW_EDGE_KINDS)
 # what the second name of a model edge is expected to be, by syntax
 _MODEL_EDGE_TARGETS = {"of": "a characteristic name", "<->": "an NFR name", "->": "a target name"}
 
@@ -111,30 +117,39 @@ _TOKEN_RE = re.compile(
 _OPEN_STRING_RE = re.compile(_OPEN_STRING)
 _ESCAPE_RE = re.compile(r"\\(.)")
 
+# A token is a flat (kind, value, line, column) record; kind is word, string,
+# punct or eof, and a string's value is unescaped.
+_Record = tuple[str, str, int, int]
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # word, string, punct, eof
-    value: str
-    location: SourceLocation
 
-    def describe(self) -> str:
-        if self.kind == "eof":
-            return "end of input"
-        if self.kind == "string":
-            text = self.value if len(self.value) <= 20 else self.value[:17] + "..."
-            return f'string "{text}"'
-        return f"'{self.value}'"
+def _describe(token: _Record) -> str:
+    """How a parse error names the token it found."""
+    kind, value = token[0], token[1]
+    if kind == "eof":
+        return "end of input"
+    if kind == "string":
+        text = value if len(value) <= 20 else value[:17] + "..."
+        return f'string "{text}"'
+    return f"'{value}'"
+
+
+def _location(token: _Record) -> SourceLocation:
+    return SourceLocation(token[2], token[3])
+
+
+def _error_at(token: _Record, expected: str) -> ParseError:
+    return ParseError(_location(token), expected, _describe(token))
 
 
 def _unescape(match: re.Match) -> str:
     return _UNESCAPES[match[1]]
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[_Record]:
     """The tokens of ``text``, ending with EOF; raises ParseFailure with the first lexical error."""
     text = text.replace("\r\n", "\n").replace("\r", "\n")
-    tokens: list[_Token] = []
+    tokens: list[_Record] = []
+    append = tokens.append
     line, line_start = 1, 0
     for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
@@ -144,14 +159,20 @@ def _tokenize(text: str) -> list[_Token]:
         if kind == "comment":
             continue
         start = match.start(kind)
-        location = SourceLocation(line, start - line_start + 1)
         value = match[kind]
         if kind == "string":
-            value = _ESCAPE_RE.sub(_unescape, value[1:-1])
-        elif kind == "eof" and start == line_start and line > 1:
-            # place EOF on the last line's end-of-line cursor, never past the input
-            location = SourceLocation(line - 1, line_start - text.rfind("\n", 0, line_start - 1) - 1)
+            value = value[1:-1]
+            if "\\" in value:
+                value = _ESCAPE_RE.sub(_unescape, value)
+        elif kind == "eof":
+            if start == line_start and line > 1:
+                # place EOF on the last line's end-of-line cursor, never past the input
+                append((kind, value, line - 1, line_start - text.rfind("\n", 0, line_start - 1) - 1))
+            else:
+                append((kind, value, line, start - line_start + 1))
+            break
         elif kind == "other":
+            location = SourceLocation(line, start - line_start + 1)
             if value != '"':
                 error = ParseError(location, "a declaration", f"'{value}'")
             else:
@@ -162,9 +183,7 @@ def _tokenize(text: str) -> list[_Token]:
                 else:
                     error = ParseError(location, "closing '\"'", "end of line or input")
             raise ParseFailure([error])
-        tokens.append(_Token(kind, value, location))
-        if kind == "eof":
-            break
+        append((kind, value, line, start - line_start + 1))
     return tokens
 
 
@@ -182,63 +201,71 @@ class _SyntaxError(Exception):
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]) -> None:
+    def __init__(self, tokens: list[_Record]) -> None:
         self.tokens = tokens
         self.pos = 0
         self.errors: list[ParseError] = []
         self.collections: dict[str, dict] = {k.collection: {} for k in NODE_KINDS}
         self.locations: dict[tuple, SourceLocation] = {}
 
-    # token plumbing
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        if token.kind != "eof":
-            self.pos += 1
-        return token
+    # token plumbing: ``self.tokens[self.pos]`` is the next token; no method
+    # advances past the closing EOF, since each advances only over a token it
+    # has seen to be something else
 
     def at_word(self, *words: str) -> bool:
-        t = self.peek()
-        return t.kind == "word" and t.value in words
+        t = self.tokens[self.pos]
+        return t[0] == "word" and t[1] in words
+
+    def at_punct(self, value: str) -> bool:
+        t = self.tokens[self.pos]
+        return t[1] == value and t[0] == "punct"
 
     def fail(self, expected: str) -> None:
-        raise _SyntaxError(ParseError(self.peek().location, expected, self.peek().describe()))
+        raise _SyntaxError(_error_at(self.tokens[self.pos], expected))
 
-    def expect_punct(self, value: str) -> _Token:
-        t = self.peek()
-        if t.kind != "punct" or t.value != value:
+    def expect_punct(self, value: str) -> None:
+        t = self.tokens[self.pos]
+        if t[1] != value or t[0] != "punct":
             self.fail(f"'{value}'")
-        return self.advance()
+        self.pos += 1
 
-    def expect_word(self, value: str, expected: str | None = None) -> _Token:
-        t = self.peek()
-        if t.kind != "word" or t.value != value:
+    def expect_word(self, value: str, expected: str | None = None) -> None:
+        t = self.tokens[self.pos]
+        if t[1] != value or t[0] != "word":
             self.fail(expected or f"'{value}'")
-        return self.advance()
+        self.pos += 1
 
     def expect_string(self, expected: str = "a string") -> str:
-        t = self.peek()
-        if t.kind != "string":
+        t = self.tokens[self.pos]
+        if t[0] != "string":
             self.fail(expected)
-        return self.advance().value
+        self.pos += 1
+        return t[1]
 
     def expect_name(self, expected: str = "a name") -> str:
-        t = self.peek()
-        value = self.expect_string(expected)
-        if not value:
-            raise _SyntaxError(ParseError(t.location, "a non-empty name", "an empty string"))
-        return value
+        t = self.tokens[self.pos]
+        if t[0] != "string":
+            self.fail(expected)
+        self.pos += 1
+        if not t[1]:
+            raise _SyntaxError(ParseError(_location(t), "a non-empty name", "an empty string"))
+        return t[1]
 
     def field_value(self, keyword: str) -> str:
-        self.expect_word(keyword, f"field '{keyword}'")
+        t = self.tokens[self.pos]
+        if t[1] != keyword or t[0] != "word":
+            self.fail(f"field '{keyword}'")
+        self.pos += 1
         self.expect_punct(":")
-        return self.expect_string(f"text for field '{keyword}'")
+        t = self.tokens[self.pos]
+        if t[0] != "string":
+            self.fail(f"text for field '{keyword}'")
+        self.pos += 1
+        return t[1]
 
     def opt_field(self, keyword: str) -> str | None:
-        if self.at_word(keyword):
+        t = self.tokens[self.pos]
+        if t[1] == keyword and t[0] == "word":
             return self.field_value(keyword)
         return None
 
@@ -246,74 +273,84 @@ class _Parser:
         if len(self.errors) < _MAX_ERRORS:
             self.errors.append(error)
 
+    def focus_kind(self) -> FocusKind:
+        """The ``quality`` or ``cost`` after a ``focus`` or ``kind`` field keyword."""
+        self.expect_punct(":")
+        t = self.tokens[self.pos]
+        if t[0] != "word" or t[1] not in ("quality", "cost"):
+            self.fail("'quality' or 'cost'")
+        self.pos += 1
+        return FocusKind(t[1])
+
     # error recovery
 
     def skip_block_rest(self) -> None:
         """Consume up to and including the closing brace of the current block."""
         depth = 0
         while True:
-            t = self.peek()
-            if t.kind == "eof":
+            kind, value = self.tokens[self.pos][:2]
+            if kind == "eof":
                 return
-            self.advance()
-            if t.kind == "punct" and t.value == "{":
+            self.pos += 1
+            if kind == "punct" and value == "{":
                 depth += 1
-            elif t.kind == "punct" and t.value == "}":
+            elif kind == "punct" and value == "}":
                 if depth == 0:
                     return
                 depth -= 1
 
     def skip_to_top_level(self) -> None:
         while True:
-            t = self.peek()
-            if t.kind == "eof" or (t.kind == "word" and t.value in NODE_KINDS_BY_KEYWORD):
+            kind, value = self.tokens[self.pos][:2]
+            if kind == "eof" or (kind == "word" and value in NODE_KINDS_BY_KEYWORD):
                 return
-            self.advance()
-            if t.kind == "punct" and t.value == "{":
+            self.pos += 1
+            if kind == "punct" and value == "{":
                 # skip the whole block so nested keywords do not look top-level
                 self.skip_block_rest()
 
     def sync_inside_block(self, keywords: set[str]) -> None:
         while True:
-            t = self.peek()
-            if t.kind == "eof" or (t.kind == "punct" and t.value == "}"):
+            kind, value = self.tokens[self.pos][:2]
+            if kind == "eof" or (kind == "punct" and value == "}"):
                 return
-            if t.kind == "word" and t.value in keywords:
+            if kind == "word" and value in keywords:
                 return
-            self.advance()
-            if t.kind == "punct" and t.value == "{":
+            self.pos += 1
+            if kind == "punct" and value == "{":
                 self.skip_block_rest()
 
     # node declarations
 
     def parse_document(self) -> None:
         while True:
-            t = self.peek()
-            if t.kind == "eof":
+            t = self.tokens[self.pos]
+            if t[0] == "eof":
                 return
-            kind = NODE_KINDS_BY_KEYWORD.get(t.value) if t.kind == "word" else None
+            kind = NODE_KINDS_BY_KEYWORD.get(t[1]) if t[0] == "word" else None
             if kind is None:
-                self.record_error(ParseError(t.location, _DECLARATION, t.describe()))
-                self.advance()
+                self.record_error(_error_at(t, _DECLARATION))
+                self.pos += 1
                 self.skip_to_top_level()
                 continue
-            self.advance()
+            self.pos += 1
             try:
                 name = self.expect_name(f"{article(kind.words)} {kind.words} name")
                 self.expect_punct("{")
-                node = self.parse_fields(kind, name) if kind.fields else getattr(self, f"parse_{t.value}")(name)
-                self.declare(self.collections[kind.collection], (t.value, name), node, t.location,
+                node = self.parse_fields(kind, name) if kind.fields else getattr(self, f"parse_{t[1]}")(name)
+                self.declare(self.collections[kind.collection], (t[1], name), node, t,
                              f"a unique {kind.words} name")
             except _SyntaxError as exc:
                 self.record_error(exc.error)
                 self.skip_to_top_level()
 
-    def declare(self, collection: dict, key: tuple, node, location: SourceLocation, expected: str) -> None:
+    def declare(self, collection: dict, key: tuple, node, token: _Record, expected: str) -> None:
+        """Store ``node``, at the location of the ``token`` that opens it, unless its name is taken."""
         if node.name in collection:
-            self.record_error(ParseError(location, expected, f"duplicate {node.name!r}"))
+            self.record_error(ParseError(_location(token), expected, f"duplicate {node.name!r}"))
             return
         collection[node.name] = node
-        self.locations[key] = location
+        self.locations[key] = _location(token)
 
     def parse_fields(self, kind: NodeKind, name: str):
         """The rest of a plain node block: its fields in table order, then '}'."""
@@ -322,7 +359,7 @@ class _Parser:
         self.expect_punct("}")
         return kind.type(name=name, **values)
 
-    def parse_nfr(self, kind: NfrKind, loc: SourceLocation, model_name: str, nfrs: dict[str, NfrNode]) -> None:
+    def parse_nfr(self, kind: NfrKind, token: _Record, model_name: str, nfrs: dict[str, NfrNode]) -> None:
         name = self.expect_name(f"a {kind.value} name")
         self.expect_punct("{")
         definition = declaration = None
@@ -333,11 +370,8 @@ class _Parser:
         statement = self.opt_field("statement")
         focus_kind = None
         if kind is NfrKind.CHARACTERISTIC and self.at_word("focus"):
-            self.advance()
-            self.expect_punct(":")
-            if not self.at_word("quality", "cost"):
-                self.fail("'quality' or 'cost'")
-            focus_kind = FocusKind(self.advance().value)
+            self.pos += 1
+            focus_kind = self.focus_kind()
         self.expect_punct("}")
         node = NfrNode(
             kind=kind,
@@ -348,55 +382,53 @@ class _Parser:
             is_focus=focus_kind is not None,
             focus_kind=focus_kind,
         )
-        self.declare(nfrs, ("nfr", model_name, name), node, loc, f"a unique NFR name in model {model_name!r}")
+        self.declare(nfrs, ("nfr", model_name, name), node, token, f"a unique NFR name in model {model_name!r}")
 
     def parse_model(self, name: str) -> NfrsModelNode:
         specification = self.opt_field("specification")
         nfrs: dict[str, NfrNode] = {}
-        edges: list[tuple[str, str, str, SourceLocation]] = []  # keyword, source, target, location
+        edges: list[tuple[str, str, str, _Record]] = []  # keyword, source, target, keyword token
 
         sync = set(_NFR_KEYWORDS) | set(_MODEL_EDGE_ARROWS)
         seen_edge = False
-        while not (self.peek().kind == "punct" and self.peek().value == "}"):
-            t = self.peek()
-            if t.kind == "word" and t.value in _NFR_KEYWORDS:
+        while not self.at_punct("}"):
+            t = self.tokens[self.pos]
+            if t[0] == "word" and t[1] in _NFR_KEYWORDS:
                 if seen_edge:
-                    self.record_error(
-                        ParseError(t.location, "a model edge or '}' (NFR declarations precede edges)", t.describe())
-                    )
-                self.advance()
+                    self.record_error(_error_at(t, "a model edge or '}' (NFR declarations precede edges)"))
+                self.pos += 1
                 try:
-                    self.parse_nfr(_NFR_KEYWORDS[t.value], t.location, name, nfrs)
+                    self.parse_nfr(_NFR_KEYWORDS[t[1]], t, name, nfrs)
                 except _SyntaxError as exc:
                     self.record_error(exc.error)
                     self.skip_block_rest()
-            elif t.kind == "word" and t.value in _MODEL_EDGE_ARROWS:
+            elif t[0] == "word" and t[1] in _MODEL_EDGE_ARROWS:
                 seen_edge = True
-                self.advance()
-                arrow = _MODEL_EDGE_ARROWS[t.value]
+                self.pos += 1
+                arrow = _MODEL_EDGE_ARROWS[t[1]]
                 try:
                     source, target = self.parse_edge(arrow, "an NFR name", _MODEL_EDGE_TARGETS[arrow])
                 except _SyntaxError as exc:
                     self.record_error(exc.error)
                     self.sync_inside_block(sync)
                 else:
-                    edges.append((t.value, source, target, t.location))
-            elif t.kind == "eof":
+                    edges.append((t[1], source, target, t))
+            elif t[0] == "eof":
                 self.fail("'}'")
             else:
                 expected = "a model edge or '}'" if seen_edge else "an NFR declaration, a model edge, or '}'"
-                self.record_error(ParseError(t.location, expected, t.describe()))
-                self.advance()
+                self.record_error(_error_at(t, expected))
+                self.pos += 1
                 self.sync_inside_block(sync)
-        self.expect_punct("}")
+        self.pos += 1  # the '}' the loop stopped at
 
         stored: dict[str, list[tuple[str, str]]] = {k.field: [] for k in MODEL_EDGE_KINDS}
-        for keyword, source, target, edge_loc in edges:
+        for keyword, source, target, token in edges:
             nfr = nfrs.get(target)
             kind = edge_kind(NfrsModelNode, keyword, None if nfr is None else nfr.kind)
             edge = kind.stored(source, target)
             stored[kind.field].append(edge)
-            self.locations[("edge", name, keyword, *edge)] = edge_loc
+            self.locations[("edge", name, keyword, *edge)] = _location(token)
         return NfrsModelNode(
             name=name, specification=specification, nfrs=nfrs, **{f: tuple(e) for f, e in stored.items()}
         )
@@ -410,14 +442,11 @@ class _Parser:
             self.expect_punct(arrow)
         return source, self.expect_name(target_what)
 
-    def parse_view(self, loc: SourceLocation, vm_name: str, views: dict[str, NfrViewNode]) -> None:
+    def parse_view(self, token: _Record, vm_name: str, views: dict[str, NfrViewNode]) -> None:
         name = self.expect_name("a view name")
         self.expect_punct("{")
         self.expect_word("kind", "field 'kind'")
-        self.expect_punct(":")
-        if not self.at_word("quality", "cost"):
-            self.fail("'quality' or 'cost'")
-        kind = FocusKind(self.advance().value)
+        kind = self.focus_kind()
         category = self.field_value("category")
         self.expect_word("focus", "field 'focus'")
         self.expect_punct(":")
@@ -428,7 +457,7 @@ class _Parser:
         self.expect_punct("}")
         node = NfrViewNode(name=name, kind=kind, category=category, focus=(focus_model, focus_char),
                            statement=statement)
-        self.declare(views, ("view", vm_name, name), node, loc, f"a unique view name in {vm_name!r}")
+        self.declare(views, ("view", vm_name, name), node, token, f"a unique view name in {vm_name!r}")
 
     def parse_view_model(self, name: str) -> NfrsViewModelNode:
         specification = self.opt_field("specification")
@@ -437,36 +466,35 @@ class _Parser:
 
         stage = "view"  # views, then influences, then depends_on
         sync = {"view"} | _VIEW_EDGE_KEYWORDS
-        while not (self.peek().kind == "punct" and self.peek().value == "}"):
-            t = self.peek()
-            if t.kind == "eof":
+        while not self.at_punct("}"):
+            t = self.tokens[self.pos]
+            if t[0] == "eof":
                 self.fail("'}'")
-            if not (t.kind == "word" and t.value in sync):
-                self.record_error(ParseError(t.location, "a view, an edge, or '}'", t.describe()))
-                self.advance()
+            if not (t[0] == "word" and t[1] in sync):
+                self.record_error(_error_at(t, "a view, an edge, or '}'"))
+                self.pos += 1
                 self.sync_inside_block(sync)
                 continue
-            if t.value == "view":
+            keyword = t[1]
+            if keyword == "view":
                 if stage != "view":
-                    self.record_error(ParseError(t.location, "an edge or '}' (views precede edges)", t.describe()))
-                self.advance()
+                    self.record_error(_error_at(t, "an edge or '}' (views precede edges)"))
+                self.pos += 1
                 try:
-                    self.parse_view(t.location, name, views)
+                    self.parse_view(t, name, views)
                 except _SyntaxError as exc:
                     self.record_error(exc.error)
                     self.skip_block_rest()
                 continue
-            if t.value == "influences":
+            if keyword == "influences":
                 if stage == "depends_on":
-                    self.record_error(
-                        ParseError(t.location, "'depends_on' or '}' (influences precede depends_on)", t.describe())
-                    )
+                    self.record_error(_error_at(t, "'depends_on' or '}' (influences precede depends_on)"))
                 else:
                     stage = "influences"
             else:
                 stage = "depends_on"
-            self.advance()
-            kind = edge_kind(NfrsViewModelNode, t.value)
+            self.pos += 1
+            kind = _VIEW_EDGE_KINDS[keyword]
             try:
                 source, target = self.parse_edge(kind.arrow, "a view name", "a view name")
             except _SyntaxError as exc:
@@ -474,8 +502,8 @@ class _Parser:
                 self.sync_inside_block(sync)
                 continue
             edges[kind.field].append((source, target))
-            self.locations[("edge", name, t.value, source, target)] = t.location
-        self.expect_punct("}")
+            self.locations[("edge", name, keyword, source, target)] = _location(t)
+        self.pos += 1  # the '}' the loop stopped at
 
         return NfrsViewModelNode(
             name=name, specification=specification, views=views, **{f: tuple(e) for f, e in edges.items()}
