@@ -210,11 +210,6 @@ _NFR_TYPES = {
 }
 
 
-def _urn(kind: str, *name_parts: str) -> str:
-    encoded = "/".join(percent_encode(part, safe="") for part in name_parts)
-    return f"<urn:nfrstdo:{kind}:{encoded}>"
-
-
 def _literal(value: str) -> str:
     escaped = (
         value.replace("\\", "\\\\")
@@ -235,6 +230,15 @@ def to_turtle(doc: Document) -> str:
     ``nfrstdo:sub_category_of``.
     """
     triples: list[str] = []
+    urns: dict[tuple[str, ...], str] = {}
+
+    def urn(kind: str, *name_parts: str) -> str:
+        # a name recurs in every edge that touches it: encode each URN once per call
+        key = (kind, *name_parts)
+        if key not in urns:
+            encoded = "/".join(percent_encode(part, safe="") for part in name_parts)
+            urns[key] = f"<urn:nfrstdo:{kind}:{encoded}>"
+        return urns[key]
 
     def add(subject: str, predicate: str, obj: str) -> None:
         triples.append(f"{subject} {predicate} {obj} .")
@@ -248,28 +252,28 @@ def to_turtle(doc: Document) -> str:
             if kind.collection is None:
                 target_urn = local_urn(target)
             else:
-                target_urn = _urn(_COLLECTION_KINDS[kind.collection], target)
+                target_urn = urn(_COLLECTION_KINDS[kind.collection], target)
             subject, obj = kind.stored(local_urn(source), target_urn)
             add(subject, f"nfrstdo:{kind.turtle}", obj)
 
     for kind in NODE_KINDS:
         for name, node in getattr(doc, kind.collection).items():
-            subject = _urn(kind.keyword, name)
+            subject = urn(kind.keyword, name)
             add(subject, "a", f"nfrstdo:{kind.turtle}")
             for f, value in kind.present(node):
                 if f.turtle:
-                    add(subject, f"nfrstdo:{f.turtle}", _urn("category", value))
+                    add(subject, f"nfrstdo:{f.turtle}", urn("category", value))
                 else:
                     add_literal(subject, f.keyword, value)
 
     for model_name, model in doc.models.items():
-        model_subject = _urn("model", model_name)
+        model_subject = urn("model", model_name)
         add_literal(model_subject, "specification", model.specification)
 
         def nfr_urn(name: str) -> str:
             nfr = model.nfrs.get(name)
             kind = "nfr" if nfr is None else nfr.kind.value
-            return _urn(kind, model_name, name)
+            return urn(kind, model_name, name)
 
         for name, nfr in model.nfrs.items():
             subject = nfr_urn(name)
@@ -284,23 +288,23 @@ def to_turtle(doc: Document) -> str:
         add_edges(model, nfr_urn)
 
     for vm_name, vm in doc.view_models.items():
-        add_literal(_urn("view_model", vm_name), "specification", vm.specification)
+        add_literal(urn("view_model", vm_name), "specification", vm.specification)
 
         def view_urn(name: str) -> str:
-            return _urn("view", vm_name, name)
+            return urn("view", vm_name, name)
 
         for name, view in vm.views.items():
             subject = view_urn(name)
             view_type = "Quality_View" if view.kind is FocusKind.QUALITY else "Cost_View"
             add(subject, "a", f"nfrstdo:{view_type}")
             add_literal(subject, "statement", view.statement)
-            add(subject, "nfrstdo:deals_with_universals", _urn("category", view.category))
+            add(subject, "nfrstdo:deals_with_universals", urn("category", view.category))
             focus_model, focus_char = view.focus
             focus_nfr = doc.models.get(focus_model)
             kind = "nfr"
             if focus_nfr is not None and focus_char in focus_nfr.nfrs:
                 kind = focus_nfr.nfrs[focus_char].kind.value
-            add(subject, "nfrstdo:has_focus", _urn(kind, focus_model, focus_char))
+            add(subject, "nfrstdo:has_focus", urn(kind, focus_model, focus_char))
         add_edges(vm, view_urn)
 
     if not triples:
