@@ -128,6 +128,7 @@ _EDGE_STYLES = {
     "refers to universals": ("dotted", "diamond"),
     "relates with": ("solid", "none"),
     "satisfies": ("bold", "vee"),
+    "sub category of": ("solid", "empty"),
     "subcharacteristic of": ("solid", "empty"),
     "focus": ("dashed", "dot"),
 }

@@ -338,7 +338,7 @@ _DESCRIPTION = NodeField("description", "description", optional=True)
 # One row per Document collection, in canonical serialization order.
 NODE_KINDS = (
     NodeKind("category", "categories", CategoryNode, "category", "Evaluable_Entity_Category",
-             (_DESCRIPTION, NodeField("parent", "parent", True, "subcharacteristic of", "sub_category_of"))),
+             (_DESCRIPTION, NodeField("parent", "parent", True, "sub category of", "sub_category_of"))),
     NodeKind("entity", "entities", EntityNode, "entity", "Evaluable_Entity",
              (_DESCRIPTION, NodeField("belongs_to", "category", False, "belongs to", "belongs_to"))),
     NodeKind("fr", "frs", FunctionalRequirementNode, "functional requirement", "Functional_Requirement",

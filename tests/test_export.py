@@ -69,6 +69,13 @@ def test_dot_shapes_by_kind(product_quality_doc):
     assert dot.count('label="is mapped to"') == 1
 
 
+def test_dot_labels_category_parent_as_sub_category():
+    dot = to_dot(parse('category "Top" { }\ncategory "Sub" { parent: "Top" }\n'))
+    edge = '"category:Sub" -> "category:Top" [label="sub category of", style=solid, arrowhead=empty];'
+    assert edge in dot
+    assert "subcharacteristic of" not in dot
+
+
 def test_dot_escapes_quotes():
     doc = parse('category "Say \\"hi\\"" { }')
     dot = to_dot(doc)
