@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 validation errors (warnings too under ``--strict``),
 2 parse failure (input that is not UTF-8 included), 3 usage error (an
-unreadable input or an unwritable ``-o`` file included). Set
-``NFRSCTL_NO_COLOR`` to disable ANSI styling of severities.
+unreadable input or an unwritable ``-o`` file included). ``-o`` writes a
+sibling temporary file and renames it onto the target, so the target never
+holds a partial output. Set ``NFRSCTL_NO_COLOR`` to disable ANSI styling of
+severities.
 """
 
 from __future__ import annotations
@@ -92,11 +94,21 @@ def _write_output(payload: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(payload)
         return
+    # write a sibling file and rename it onto the target, so that the target is
+    # either the old file or the whole new output; the pid keeps concurrent
+    # writers apart without the start-up cost of importing tempfile
+    temporary = f"{out}.{os.getpid()}.tmp"
     try:
-        with open(out, "w", encoding="utf-8", newline="\n") as handle:
+        with open(temporary, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(payload)
+        os.replace(temporary, out)
     except OSError as exc:
         raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
+    finally:
+        try:
+            os.remove(temporary)
+        except OSError:
+            pass  # renamed onto the target, or never created
 
 
 # --- commands -----------------------------------------------------------------

@@ -139,10 +139,24 @@ def test_export_turtle(capsys):
 
 def test_export_to_file(capsys, tmp_path):
     out_path = tmp_path / "chain.json"
+    out_path.write_text("old output, longer than nothing", encoding="utf-8")
     code, out, _ = run(capsys, "export", CHAIN, "json", "-o", str(out_path))
     assert code == 0
     assert out == ""
-    assert out_path.read_text(encoding="utf-8").endswith("\n")
+    assert out_path.read_text(encoding="utf-8").startswith('{"categories":')
+    assert os.listdir(tmp_path) == ["chain.json"]
+
+
+def test_export_to_directory_is_usage_error_and_leaves_no_file(capsys, tmp_path):
+    target = tmp_path / "out"
+    target.mkdir()
+    code, out, err = run(capsys, "export", CHAIN, "json", "-o", str(target))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"nfrsctl: error: cannot write {target}:")
+    assert err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["out"]
+    assert os.listdir(target) == []
 
 
 def test_export_blocked_by_referential_errors(capsys, tmp_path):
