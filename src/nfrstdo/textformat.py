@@ -212,9 +212,9 @@ class _Parser:
     # advances past the closing EOF, since each advances only over a token it
     # has seen to be something else
 
-    def at_word(self, *words: str) -> bool:
+    def at_word(self, value: str) -> bool:
         t = self.tokens[self.pos]
-        return t[0] == "word" and t[1] in words
+        return t[1] == value and t[0] == "word"
 
     def at_punct(self, value: str) -> bool:
         t = self.tokens[self.pos]
@@ -234,13 +234,6 @@ class _Parser:
         if t[1] != value or t[0] != "word":
             self.fail(expected or f"'{value}'")
         self.pos += 1
-
-    def expect_string(self, expected: str = "a string") -> str:
-        t = self.tokens[self.pos]
-        if t[0] != "string":
-            self.fail(expected)
-        self.pos += 1
-        return t[1]
 
     def expect_name(self, expected: str = "a name") -> str:
         t = self.tokens[self.pos]
@@ -264,8 +257,7 @@ class _Parser:
         return t[1]
 
     def opt_field(self, keyword: str) -> str | None:
-        t = self.tokens[self.pos]
-        if t[1] == keyword and t[0] == "word":
+        if self.at_word(keyword):
             return self.field_value(keyword)
         return None
 
