@@ -68,7 +68,6 @@ _NFR_KEYWORDS = {"characteristic": NfrKind.CHARACTERISTIC, "attribute": NfrKind.
                  "statement_item": NfrKind.STATEMENT_ITEM}
 _MODEL_EDGE_ARROWS = {k.keyword: k.arrow for k in MODEL_EDGE_KINDS}
 _VIEW_EDGE_KINDS = {k.keyword: k for k in VIEW_EDGE_KINDS}
-_VIEW_EDGE_KEYWORDS = set(_VIEW_EDGE_KINDS)
 # what the second name of a model edge is expected to be, by syntax
 _MODEL_EDGE_TARGETS = {"of": "a characteristic name", "<->": "an NFR name", "->": "a target name"}
 
@@ -457,7 +456,7 @@ class _Parser:
         edges: dict[str, list[tuple[str, str]]] = {k.field: [] for k in VIEW_EDGE_KINDS}
 
         stage = "view"  # views, then influences, then depends_on
-        sync = {"view"} | _VIEW_EDGE_KEYWORDS
+        sync = {"view", *_VIEW_EDGE_KINDS}
         while not self.at_punct("}"):
             t = self.tokens[self.pos]
             if t[0] == "eof":

@@ -47,7 +47,7 @@ def outcome(parse_text, text: str) -> tuple:
 def test_documents_and_errors_match_oracle():
     expected = [outcome(parser_oracle.parse, text) for text in inputs()]
     failures = [want for want in expected if want[0] == "failure"]
-    assert len(failures) < len(expected) - 200
+    assert len(expected) - len(failures) > 200  # documents that parse
     assert any(len(want[1]) == parser_oracle._MAX_ERRORS for want in failures)
     assert len({error.expected for want in failures for error in want[1]}) >= 30
     mismatched = [text for text, want in zip(inputs(), expected) if outcome(parse, text) != want]
