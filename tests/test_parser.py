@@ -26,6 +26,9 @@ RECOVERY = (
     'view_model "V" {\n  depends_on "A" -> "B"\n  influences "A" -> "B"\n  view "X" { kind: cost }\n'
     '  view "Y" { kind: quality category: "c" focus: "M" "C" }\n  "stray" { } }\ncategory "" { }\n',
     'category "C" { } category "C" { } entity "E" { belongs_to: "C" } entity "E" { }\n',
+    # found strings of 20 and 21 characters, the last shown whole and the first shortened
+    '"twenty characters.." { }\nmodel "M" { attribute "A" { definition: "d" focus: quality }\n'
+    '  "twenty-one characters" }\n',
 )
 
 
