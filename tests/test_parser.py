@@ -26,7 +26,7 @@ RECOVERY = (
     'view_model "V" {\n  depends_on "A" -> "B"\n  influences "A" -> "B"\n  view "X" { kind: cost }\n'
     '  view "Y" { kind: quality category: "c" focus: "M" "C" }\n  "stray" { } }\ncategory "" { }\n',
     'category "C" { } category "C" { } entity "E" { belongs_to: "C" } entity "E" { }\n',
-    # found strings of 20 and 21 characters, the last shown whole and the first shortened
+    # found strings of 20 characters, shown whole, and of 21, shortened
     '"twenty characters.." { }\nmodel "M" { attribute "A" { definition: "d" focus: quality }\n'
     '  "twenty-one characters" }\n',
 )
