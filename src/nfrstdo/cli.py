@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 validation errors (warnings too under ``--strict``),
 2 parse failure (input that is not UTF-8 included), 3 usage error (an
-unreadable input or an unwritable ``-o`` file included). ``-o`` writes a
-sibling temporary file and renames it onto the target, so the target never
-holds a partial output. Set ``NFRSCTL_NO_COLOR`` to disable ANSI styling of
-severities.
+unreadable input or an unwritable ``-o`` file included). ``-o`` onto a new
+or regular file writes a sibling temporary file and renames it onto the
+target, so the target holds either the old or the whole new output; any other
+target (a symlink, a FIFO, a device) is written directly. Set
+``NFRSCTL_NO_COLOR`` to disable ANSI styling of severities.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 from enum import IntEnum
 
@@ -94,21 +96,29 @@ def _write_output(payload: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(payload)
         return
-    # write a sibling file and rename it onto the target, so that the target is
-    # either the old file or the whole new output; the pid keeps concurrent
-    # writers apart without the start-up cost of importing tempfile
-    temporary = f"{out}.{os.getpid()}.tmp"
+    try:
+        regular = stat.S_ISREG(os.lstat(out).st_mode)
+    except OSError:
+        regular = True  # missing: the rename creates it; any other fault shows on open
+    # a new or regular target gets a sibling file renamed onto it, so that it is
+    # either the old file or the whole new output (the pid keeps concurrent
+    # writers apart without the start-up cost of importing tempfile); anything
+    # else (a symlink, a FIFO, a device, a directory) is opened directly, since
+    # the rename would replace it
+    temporary = f"{out}.{os.getpid()}.tmp" if regular else out
     try:
         with open(temporary, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(payload)
-        os.replace(temporary, out)
+        if regular:
+            os.replace(temporary, out)
     except OSError as exc:
         raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
     finally:
-        try:
-            os.remove(temporary)
-        except OSError:
-            pass  # renamed onto the target, or never created
+        if regular:
+            try:
+                os.remove(temporary)
+            except OSError:
+                pass  # renamed onto the target, or never created
 
 
 # --- commands -----------------------------------------------------------------

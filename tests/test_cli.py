@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -143,8 +145,48 @@ def test_export_to_file(capsys, tmp_path):
     code, out, _ = run(capsys, "export", CHAIN, "json", "-o", str(out_path))
     assert code == 0
     assert out == ""
-    assert out_path.read_text(encoding="utf-8").startswith('{"categories":')
+    written = out_path.read_text(encoding="utf-8")
+    assert written.startswith('{"categories":')
+    assert written.endswith("\n")
     assert os.listdir(tmp_path) == ["chain.json"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_export_to_fifo_writes_through_it(capsys, tmp_path):
+    _, expected, _ = run(capsys, "export", CHAIN, "json")
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received: list[str] = []
+
+    def drain() -> None:
+        with open(fifo, encoding="utf-8") as handle:
+            received.append(handle.read())
+
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    code, out, _ = run(capsys, "export", CHAIN, "json", "-o", str(fifo))
+    reader.join(timeout=10)
+    assert code == 0
+    assert out == ""
+    assert not reader.is_alive()
+    assert received == [expected]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["pipe"]
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symbolic links")
+def test_export_to_symlink_writes_through_it(capsys, tmp_path):
+    real = tmp_path / "real.json"
+    real.write_text("old output", encoding="utf-8")
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    code, _, _ = run(capsys, "export", CHAIN, "json", "-o", str(link))
+    assert code == 0
+    assert link.is_symlink()
+    written = real.read_text(encoding="utf-8")
+    assert written.startswith('{"categories":')
+    assert written.endswith("\n")
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "real.json"]
 
 
 def test_export_to_directory_is_usage_error_and_leaves_no_file(capsys, tmp_path):
