@@ -67,7 +67,7 @@ _DECLARATION = f"a declaration ({', '.join(NODE_KINDS_BY_KEYWORD)})"
 _NFR_KEYWORDS = {"characteristic": NfrKind.CHARACTERISTIC, "attribute": NfrKind.ATTRIBUTE,
                  "statement_item": NfrKind.STATEMENT_ITEM}
 _MODEL_EDGE_ARROWS = {k.keyword: k.arrow for k in MODEL_EDGE_KINDS}
-_VIEW_EDGE_KINDS = {k.keyword: k for k in VIEW_EDGE_KINDS}
+_VIEW_EDGE_KEYWORDS = {k.keyword for k in VIEW_EDGE_KINDS}
 # what the second name of a model edge is expected to be, by syntax
 _MODEL_EDGE_TARGETS = {"of": "a characteristic name", "<->": "an NFR name", "->": "a target name"}
 
@@ -228,10 +228,11 @@ class _Parser:
             self.fail(f"'{value}'")
         self.pos += 1
 
-    def expect_word(self, value: str, expected: str | None = None) -> None:
+    def expect_word(self, value: str, expected: str = "'{}'") -> None:
+        """Step over the word ``value``, or fail expecting ``expected.format(value)``."""
         t = self.tokens[self.pos]
         if t[1] != value or t[0] != "word":
-            self.fail(expected or f"'{value}'")
+            self.fail(expected.format(value))
         self.pos += 1
 
     def expect_name(self, expected: str = "a name") -> str:
@@ -244,10 +245,7 @@ class _Parser:
         return t[1]
 
     def field_value(self, keyword: str) -> str:
-        t = self.tokens[self.pos]
-        if t[1] != keyword or t[0] != "word":
-            self.fail(f"field '{keyword}'")
-        self.pos += 1
+        self.expect_word(keyword, "field '{}'")
         self.expect_punct(":")
         t = self.tokens[self.pos]
         if t[0] != "string":
@@ -436,10 +434,10 @@ class _Parser:
     def parse_view(self, token: _Record, vm_name: str, views: dict[str, NfrViewNode]) -> None:
         name = self.expect_name("a view name")
         self.expect_punct("{")
-        self.expect_word("kind", "field 'kind'")
+        self.expect_word("kind", "field '{}'")
         kind = self.focus_kind()
         category = self.field_value("category")
-        self.expect_word("focus", "field 'focus'")
+        self.expect_word("focus", "field '{}'")
         self.expect_punct(":")
         focus_model = self.expect_name("a model name")
         self.expect_punct(".")
@@ -456,7 +454,7 @@ class _Parser:
         edges: dict[str, list[tuple[str, str]]] = {k.field: [] for k in VIEW_EDGE_KINDS}
 
         stage = "view"  # views, then influences, then depends_on
-        sync = {"view", *_VIEW_EDGE_KINDS}
+        sync = {"view"} | _VIEW_EDGE_KEYWORDS
         while not self.at_punct("}"):
             t = self.tokens[self.pos]
             if t[0] == "eof":
@@ -485,7 +483,7 @@ class _Parser:
             else:
                 stage = "depends_on"
             self.pos += 1
-            kind = _VIEW_EDGE_KINDS[keyword]
+            kind = edge_kind(NfrsViewModelNode, keyword)
             try:
                 source, target = self.parse_edge(kind.arrow, "a view name", "a view name")
             except _SyntaxError as exc:
