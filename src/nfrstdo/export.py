@@ -3,16 +3,23 @@
 Ordering rules are fixed (keys sorted, collections name-sorted, edge lists
 lexicographic), so exporting the same document twice yields identical bytes.
 
-Turtle subjects follow ``urn:nfrstdo:<kind>:<percent-encoded-name>``; nodes
-scoped to a model or view model embed the owner as ``<owner>/<name>`` with
-each part encoded separately. Predicates take the relationship names in
-snake_case; type local names take the term names with spaces as underscores.
+JSON mirrors the collections, with each stored edge list under its
+``model.EDGE_KINDS`` JSON key. DOT and Turtle draw one graph: ``_graph``
+walks the document once and lists each node (shape, types, literals) and
+each edge (relationship, predicate), and ``to_dot`` and ``to_turtle`` only
+format that list. Both sort their lines, so the walk's order does not matter.
 
-Edges are walked through ``model.EDGE_KINDS``: each row supplies its JSON key,
-its DOT label (the relationship name) and its Turtle predicate. DOT edges
-follow the relationship's direction (a subcharacteristic points at its
-parent); JSON pairs and Turtle triples keep the stored orientation, which is
-why the hierarchy's predicate is ``has_subcharacteristic``.
+Nodes are named by refs, ``(prefix, *name parts)``: a kind's keyword and a
+name, or, for an NFR or a view, the kind and the owner's name before its
+own. DOT renders a ref as ``<prefix>:<part>/<part>``, every NFR prefixed
+``nfr``; Turtle as ``urn:nfrstdo:<prefix>:<part>/<part>`` with each part
+percent-encoded, an NFR prefixed by its kind. Table edges take their DOT
+label (the relationship name) and Turtle predicate from their
+``EDGE_KINDS`` row. DOT edges follow the relationship's direction (a
+subcharacteristic points at its parent); Turtle triples keep the stored
+orientation, which is why the hierarchy's predicate is
+``has_subcharacteristic``. Predicates take the relationship names in
+snake_case; type local names take the term names with spaces as underscores.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ from .model import (
     PLAIN_NODE_KINDS,
     VIEW_EDGE_KINDS,
     Document,
-    FocusKind,
     NfrKind,
     NfrNode,
     NfrsModelNode,
@@ -34,7 +40,7 @@ from .model import (
     iter_edges,
 )
 
-# node kind of the ids and URNs of edge targets that live in a Document collection
+# ref prefix of edge targets that live in a Document collection
 _COLLECTION_KINDS = {k.collection: k.keyword for k in NODE_KINDS}
 
 # --- canonical JSON -------------------------------------------------------------
@@ -101,7 +107,7 @@ def to_json(doc: Document) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
 
 
-# --- DOT -------------------------------------------------------------------------
+# --- the graph DOT and Turtle draw -----------------------------------------------
 
 _NODE_SHAPES = {
     "category": "tab",
@@ -115,87 +121,131 @@ _NODE_SHAPES = {
     "view": "diamond",
 }
 
-# (style, arrowhead) per relationship; labels carry the relationship names
-_EDGE_STYLES = {
-    "belongs to": ("solid", "normal"),
-    "combines": ("solid", "vee"),
-    "deals with universals": ("dashed", "normal"),
-    "depends on": ("dashed", "vee"),
-    "influences": ("bold", "normal"),
-    "is represented by": ("dotted", "normal"),
-    "is mapped to": ("dashed", "diamond"),
-    "refers to particulars": ("dotted", "vee"),
-    "refers to universals": ("dotted", "diamond"),
-    "relates with": ("solid", "none"),
-    "satisfies": ("bold", "vee"),
-    "sub category of": ("solid", "empty"),
-    "subcharacteristic of": ("solid", "empty"),
-    "focus": ("dashed", "dot"),
+_NFR_TYPES = {
+    NfrKind.ATTRIBUTE: "Attribute",
+    NfrKind.CHARACTERISTIC: "Characteristic",
+    NfrKind.STATEMENT_ITEM: "Statement_Item",
 }
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``make(key)``: each ref is rendered once per call."""
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _nfr_ref(model: NfrsModelNode | None, model_name: str, name: str) -> tuple[str, str, str]:
+    """The ref of NFR ``name`` in ``model_name``: its kind leads, or ``nfr`` when it does not resolve."""
+    nfr = None if model is None else model.nfrs.get(name)
+    return ("nfr" if nfr is None else nfr.kind.value, model_name, name)
+
+
+def _owner_edges(owner: NfrsModelNode | NfrsViewModelNode, refs: _Memo, edges: list[tuple]) -> None:
+    """Append the edges of ``owner``'s lists; ``refs`` maps a name to the ref of one of its NFRs or views."""
+    for kind, source, target in iter_edges(owner):
+        target_ref = refs[target] if kind.collection is None else (_COLLECTION_KINDS[kind.collection], target)
+        edges.append((refs[source], kind.relationship, target_ref, kind.turtle, kind.arrow == "of"))
+
+
+def _graph(doc: Document) -> tuple[list[tuple], list[tuple]]:
+    """Every node and every edge of ``doc``, each once, in no particular order.
+
+    A ref is ``(prefix, *name parts)``: the node kind's keyword and the name,
+    or, for an NFR or a view, its kind (``nfr`` when the NFR does not resolve)
+    with the owner's name and its own. A node is (ref, DOT shape, Turtle
+    types, literal fields as (predicate, value or None)). An edge is (source
+    ref, relationship, target ref, Turtle predicate, reversed), in the
+    relationship's direction; ``reversed`` marks the ``of`` rows, whose
+    triples keep the stored orientation.
+    """
+    nodes: list[tuple] = []
+    edges: list[tuple] = []
+    for kind in NODE_KINDS:
+        for name, node in getattr(doc, kind.collection).items():
+            ref = (kind.keyword, name)
+            literals = [] if kind.fields else [("specification", node.specification)]
+            for f, value in kind.present(node):
+                if f.turtle:
+                    edges.append((ref, f.dot_label, ("category", value), f.turtle, False))
+                else:
+                    literals.append((f.keyword, value))
+            nodes.append((ref, _NODE_SHAPES[kind.keyword], (kind.turtle,), literals))
+    for model_name, model in doc.models.items():
+        nfr_refs = _Memo(lambda name: _nfr_ref(model, model_name, name))
+        for name, nfr in model.nfrs.items():
+            ref = nfr_refs[name]
+            types = [_NFR_TYPES[nfr.kind]]
+            if nfr.is_focus:
+                types.append(f"{nfr.focus_kind.value.capitalize()}_Focus")
+                edges.append((ref, "is represented by", ("model", model_name), "is_represented_by", False))
+            literals = (("definition", nfr.definition), ("declaration", nfr.declaration),
+                        ("statement", nfr.statement))
+            nodes.append((ref, _NODE_SHAPES[nfr.kind], types, literals))
+        _owner_edges(model, nfr_refs, edges)
+    for vm_name, vm in doc.view_models.items():
+        view_refs = _Memo(lambda name: ("view", vm_name, name))
+        for name, view in vm.views.items():
+            ref = view_refs[name]
+            view_type = f"{view.kind.value.capitalize()}_View"
+            nodes.append((ref, _NODE_SHAPES["view"], (view_type,), (("statement", view.statement),)))
+            category_ref = ("category", view.category)
+            edges.append((ref, "deals with universals", category_ref, "deals_with_universals", False))
+            focus_model, focus_name = view.focus
+            focus_ref = _nfr_ref(doc.models.get(focus_model), focus_model, focus_name)
+            edges.append((ref, "focus", focus_ref, "has_focus", False))
+        _owner_edges(vm, view_refs, edges)
+    return nodes, edges
+
+
+# --- DOT -------------------------------------------------------------------------
+
+# edge style per relationship; labels carry the relationship names
+_EDGE_STYLES = {
+    "belongs to": "style=solid, arrowhead=normal",
+    "combines": "style=solid, arrowhead=vee",
+    "deals with universals": "style=dashed, arrowhead=normal",
+    "depends on": "style=dashed, arrowhead=vee",
+    "influences": "style=bold, arrowhead=normal",
+    "is represented by": "style=dotted, arrowhead=normal",
+    "is mapped to": "style=dashed, arrowhead=diamond",
+    "refers to particulars": "style=dotted, arrowhead=vee",
+    "refers to universals": "style=dotted, arrowhead=diamond",
+    "relates with": "style=solid, arrowhead=none",
+    "satisfies": "style=bold, arrowhead=vee",
+    "sub category of": "style=solid, arrowhead=empty",
+    "subcharacteristic of": "style=solid, arrowhead=empty",
+    "focus": "style=dashed, arrowhead=dot",
+}
+
+# DOT ids name every NFR ``nfr:``, whatever its kind
+_DOT_PREFIXES = {kind.value: "nfr" for kind in NfrKind}
 
 
 def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-def _dot_node(node_id: str, label: str, shape: str) -> str:
-    return f'  "{_dot_escape(node_id)}" [label="{_dot_escape(label)}", shape={shape}];'
-
-
-def _dot_edge(src: str, dst: str, relationship: str) -> str:
-    style, arrowhead = _EDGE_STYLES[relationship]
-    return (
-        f'  "{_dot_escape(src)}" -> "{_dot_escape(dst)}"'
-        f' [label="{_dot_escape(relationship)}", style={style}, arrowhead={arrowhead}];'
-    )
-
-
-def _dot_edges(node: NfrsModelNode | NfrsViewModelNode, local_id) -> list[str]:
-    """DOT edges of ``node``; ``local_id`` names the owner's NFRs or views."""
-    edges = []
-    for kind, source, target in iter_edges(node):
-        if kind.collection is None:
-            target_id = local_id(target)
-        else:
-            target_id = f"{_COLLECTION_KINDS[kind.collection]}:{target}"
-        edges.append(_dot_edge(local_id(source), target_id, kind.relationship))
-    return edges
+def _dot_id(ref: tuple[str, ...]) -> str:
+    prefix, *parts = ref
+    return '"' + _dot_escape(f"{_DOT_PREFIXES.get(prefix, prefix)}:{'/'.join(parts)}") + '"'
 
 
 def to_dot(doc: Document) -> str:
     """One directed graph with node shapes by kind and one edge style per relationship."""
-    nodes: list[str] = []
-    edges: list[str] = []
-
-    for kind in NODE_KINDS:
-        for name, node in getattr(doc, kind.collection).items():
-            node_id = f"{kind.keyword}:{name}"
-            nodes.append(_dot_node(node_id, name, _NODE_SHAPES[kind.keyword]))
-            for f, value in kind.present(node):
-                if f.dot_label:
-                    edges.append(_dot_edge(node_id, f"category:{value}", f.dot_label))
-    for model_name, model in doc.models.items():
-        def nfr_id(name: str) -> str:
-            return f"nfr:{model_name}/{name}"
-
-        for name, nfr in model.nfrs.items():
-            nodes.append(_dot_node(nfr_id(name), name, _NODE_SHAPES[nfr.kind]))
-            if nfr.is_focus:
-                edges.append(_dot_edge(nfr_id(name), f"model:{model_name}", "is represented by"))
-        edges += _dot_edges(model, nfr_id)
-    for vm_name, vm in doc.view_models.items():
-        def view_id(name: str) -> str:
-            return f"view:{vm_name}/{name}"
-
-        for name, view in vm.views.items():
-            nodes.append(_dot_node(view_id(name), name, _NODE_SHAPES["view"]))
-            edges.append(_dot_edge(view_id(name), f"category:{view.category}", "deals with universals"))
-            edges.append(_dot_edge(view_id(name), f"nfr:{view.focus[0]}/{view.focus[1]}", "focus"))
-        edges += _dot_edges(vm, view_id)
-
+    nodes, edges = _graph(doc)
+    ids = _Memo(_dot_id)
     lines = ["digraph nfrs {"]
-    lines.extend(sorted(nodes))
-    lines.extend(sorted(edges))
+    lines.extend(sorted(f'  {ids[ref]} [label="{_dot_escape(ref[-1])}", shape={shape}];'
+                        for ref, shape, _, _ in nodes))
+    lines.extend(sorted(f"  {ids[source]} -> {ids[target]}"
+                        f' [label="{label}", {_EDGE_STYLES[label]}];'
+                        for source, label, target, _, _ in edges))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -203,12 +253,6 @@ def to_dot(doc: Document) -> str:
 # --- Turtle ------------------------------------------------------------------------
 
 _PREFIX = "@prefix nfrstdo: <urn:nfrstdo:vocab:> ."
-
-_NFR_TYPES = {
-    NfrKind.ATTRIBUTE: "Attribute",
-    NfrKind.CHARACTERISTIC: "Characteristic",
-    NfrKind.STATEMENT_ITEM: "Statement_Item",
-}
 
 
 def _literal(value: str) -> str:
@@ -222,91 +266,31 @@ def _literal(value: str) -> str:
     return f'"{escaped}"'
 
 
+def _urn(ref: tuple[str, ...]) -> str:
+    prefix, *parts = ref
+    return f"<urn:nfrstdo:{prefix}:{'/'.join(percent_encode(part, safe='') for part in parts)}>"
+
+
 def to_turtle(doc: Document) -> str:
     """RDF Turtle with one sorted triple per line.
 
     Predicates mirror the relationship catalog (``nfrstdo:belongs_to``,
     ``nfrstdo:refers_to_particulars``, ...); structural links use
-    ``nfrstdo:has_subcharacteristic``, ``nfrstdo:has_focus``, and
+    ``nfrstdo:has_subcharacteristic``, ``nfrstdo:is_represented_by``,
+    ``nfrstdo:deals_with_universals``, ``nfrstdo:has_focus``, and
     ``nfrstdo:sub_category_of``.
     """
-    triples: list[str] = []
-    urns: dict[tuple[str, ...], str] = {}
-
-    def urn(kind: str, *name_parts: str) -> str:
-        # a name recurs in every edge that touches it: encode each URN once per call
-        key = (kind, *name_parts)
-        if key not in urns:
-            encoded = "/".join(percent_encode(part, safe="") for part in name_parts)
-            urns[key] = f"<urn:nfrstdo:{kind}:{encoded}>"
-        return urns[key]
-
-    def add(subject: str, predicate: str, obj: str) -> None:
-        triples.append(f"{subject} {predicate} {obj} .")
-
-    def add_literal(subject: str, predicate: str, value: str | None) -> None:
-        if value is not None:
-            add(subject, f"nfrstdo:{predicate}", _literal(value))
-
-    def add_edges(node: NfrsModelNode | NfrsViewModelNode, local_urn) -> None:
-        for kind, source, target in iter_edges(node):
-            if kind.collection is None:
-                target_urn = local_urn(target)
-            else:
-                target_urn = urn(_COLLECTION_KINDS[kind.collection], target)
-            subject, obj = kind.stored(local_urn(source), target_urn)
-            add(subject, f"nfrstdo:{kind.turtle}", obj)
-
-    for kind in NODE_KINDS:
-        for name, node in getattr(doc, kind.collection).items():
-            subject = urn(kind.keyword, name)
-            add(subject, "a", f"nfrstdo:{kind.turtle}")
-            for f, value in kind.present(node):
-                if f.turtle:
-                    add(subject, f"nfrstdo:{f.turtle}", urn("category", value))
-                else:
-                    add_literal(subject, f.keyword, value)
-
-    for model_name, model in doc.models.items():
-        model_subject = urn("model", model_name)
-        add_literal(model_subject, "specification", model.specification)
-
-        def nfr_urn(name: str) -> str:
-            nfr = model.nfrs.get(name)
-            kind = "nfr" if nfr is None else nfr.kind.value
-            return urn(kind, model_name, name)
-
-        for name, nfr in model.nfrs.items():
-            subject = nfr_urn(name)
-            add(subject, "a", f"nfrstdo:{_NFR_TYPES[nfr.kind]}")
-            add_literal(subject, "definition", nfr.definition)
-            add_literal(subject, "declaration", nfr.declaration)
-            add_literal(subject, "statement", nfr.statement)
-            if nfr.is_focus and nfr.focus_kind is not None:
-                focus_type = "Quality_Focus" if nfr.focus_kind is FocusKind.QUALITY else "Cost_Focus"
-                add(subject, "a", f"nfrstdo:{focus_type}")
-                add(subject, "nfrstdo:is_represented_by", model_subject)
-        add_edges(model, nfr_urn)
-
-    for vm_name, vm in doc.view_models.items():
-        add_literal(urn("view_model", vm_name), "specification", vm.specification)
-
-        def view_urn(name: str) -> str:
-            return urn("view", vm_name, name)
-
-        for name, view in vm.views.items():
-            subject = view_urn(name)
-            view_type = "Quality_View" if view.kind is FocusKind.QUALITY else "Cost_View"
-            add(subject, "a", f"nfrstdo:{view_type}")
-            add_literal(subject, "statement", view.statement)
-            add(subject, "nfrstdo:deals_with_universals", urn("category", view.category))
-            focus_model, focus_char = view.focus
-            focus_nfr = doc.models.get(focus_model)
-            kind = "nfr"
-            if focus_nfr is not None and focus_char in focus_nfr.nfrs:
-                kind = focus_nfr.nfrs[focus_char].kind.value
-            add(subject, "nfrstdo:has_focus", urn(kind, focus_model, focus_char))
-        add_edges(vm, view_urn)
+    nodes, edges = _graph(doc)
+    urns = _Memo(_urn)
+    triples = []
+    for ref, _, types, literals in nodes:
+        subject = urns[ref]
+        triples += [f"{subject} a nfrstdo:{type_name} ." for type_name in types]
+        triples += [f"{subject} nfrstdo:{predicate} {_literal(value)} ." for predicate, value in literals
+                    if value is not None]
+    for source, _, target, predicate, reverse in edges:
+        subject, obj = (urns[target], urns[source]) if reverse else (urns[source], urns[target])
+        triples.append(f"{subject} nfrstdo:{predicate} {obj} .")
 
     if not triples:
         return _PREFIX + "\n"
