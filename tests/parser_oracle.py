@@ -262,7 +262,7 @@ class _Parser:
         return kind.type(name=name, **values)
 
     def parse_nfr(self, kind: NfrKind, loc: SourceLocation, model_name: str, nfrs: dict[str, NfrNode]) -> None:
-        name = self.expect_name(f"a {kind.value} name")
+        name = self.expect_name(f"{article(kind.value)} {kind.value.replace('_', ' ')} name")
         self.expect_punct("{")
         definition = declaration = None
         if kind is NfrKind.STATEMENT_ITEM:

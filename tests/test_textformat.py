@@ -53,6 +53,16 @@ def test_missing_declaration_reports_field():
     assert any(e.expected == "field 'declaration'" for e in errors)
 
 
+@pytest.mark.parametrize(
+    "keyword, expected",
+    [("attribute", "an attribute name"), ("statement_item", "a statement item name")],
+)
+def test_missing_nfr_name_reads_with_article(keyword, expected):
+    error = parse_errors(f'model "M" {{ {keyword} {{ }} }}')[0]
+    assert error.expected == expected
+    assert f"expected {expected}" in error.message
+
+
 def test_unterminated_string():
     errors = parse_errors('category "Oops')
     assert errors[0].expected == "closing '\"'"
