@@ -5,9 +5,10 @@ lexicographic), so exporting the same document twice yields identical bytes.
 
 JSON mirrors the collections, with each stored edge list under its
 ``model.EDGE_KINDS`` JSON key. DOT and Turtle draw one graph: ``_graph``
-walks the document once and lists each node (shape, types, literals) and
-each edge (relationship, predicate), and ``to_dot`` and ``to_turtle`` only
-format that list. Both sort their lines, so the walk's order does not matter.
+walks the document and hands each node (shape, types, literals) and each
+edge (relationship, predicate) once to a callback, and ``to_dot`` and
+``to_turtle`` are only those callbacks, formatting one line or triple per
+record. Both sort their lines, so the walk's order does not matter.
 
 Nodes are named by refs, ``(prefix, *name parts)``: a kind's keyword and a
 name, or, for an NFR or a view, the kind and the owner's name before its
@@ -146,36 +147,37 @@ def _nfr_ref(model: NfrsModelNode | None, model_name: str, name: str) -> tuple[s
     return ("nfr" if nfr is None else nfr.kind.value, model_name, name)
 
 
-def _owner_edges(owner: NfrsModelNode | NfrsViewModelNode, refs: _Memo, edges: list[tuple]) -> None:
-    """Append the edges of ``owner``'s lists; ``refs`` maps a name to the ref of one of its NFRs or views."""
+def _owner_edges(owner: NfrsModelNode | NfrsViewModelNode, refs: _Memo, edge) -> None:
+    """Pass each edge of ``owner``'s lists to ``edge``; ``refs`` maps a name to the ref of its NFR or view."""
     for kind, source, target in iter_edges(owner):
         target_ref = refs[target] if kind.collection is None else (_COLLECTION_KINDS[kind.collection], target)
-        edges.append((refs[source], kind.relationship, target_ref, kind.turtle, kind.arrow == "of"))
+        edge(refs[source], kind.relationship, target_ref, kind.turtle, kind.arrow == "of")
 
 
-def _graph(doc: Document) -> tuple[list[tuple], list[tuple]]:
-    """Every node and every edge of ``doc``, each once, in no particular order.
+def _graph(doc: Document, node, edge) -> None:
+    """Call ``node`` once per node of ``doc`` and ``edge`` once per edge, in no particular order.
 
     A ref is ``(prefix, *name parts)``: the node kind's keyword and the name,
     or, for an NFR or a view, its kind (``nfr`` when the NFR does not resolve)
-    with the owner's name and its own. A node is (ref, DOT shape, Turtle
-    types, literal fields as (predicate, value or None)). An edge is (source
-    ref, relationship, target ref, Turtle predicate, reversed), in the
+    with the owner's name and its own. A node comes as (ref, DOT shape, Turtle
+    types, literal fields as (predicate, value or None)). An edge comes as
+    (source ref, relationship, target ref, Turtle predicate, reversed), in the
     relationship's direction; ``reversed`` marks the ``of`` rows, whose
-    triples keep the stored orientation.
+    triples keep the stored orientation. Records go to the callbacks, not
+    into lists: held records would add thousands of objects for the garbage
+    collector to count and scan on every export.
     """
-    nodes: list[tuple] = []
-    edges: list[tuple] = []
     for kind in NODE_KINDS:
-        for name, node in getattr(doc, kind.collection).items():
+        for name, item in getattr(doc, kind.collection).items():
             ref = (kind.keyword, name)
-            literals = [] if kind.fields else [("specification", node.specification)]
-            for f, value in kind.present(node):
+            # a model's or view model's one literal is its specification; plain kinds list theirs as fields
+            literals = [] if kind.fields else [("specification", item.specification)]
+            for f, value in kind.present(item):
                 if f.turtle:
-                    edges.append((ref, f.dot_label, ("category", value), f.turtle, False))
+                    edge(ref, f.dot_label, ("category", value), f.turtle, False)
                 else:
                     literals.append((f.keyword, value))
-            nodes.append((ref, _NODE_SHAPES[kind.keyword], (kind.turtle,), literals))
+            node(ref, _NODE_SHAPES[kind.keyword], (kind.turtle,), literals)
     for model_name, model in doc.models.items():
         nfr_refs = _Memo(lambda name: _nfr_ref(model, model_name, name))
         for name, nfr in model.nfrs.items():
@@ -183,24 +185,23 @@ def _graph(doc: Document) -> tuple[list[tuple], list[tuple]]:
             types = [_NFR_TYPES[nfr.kind]]
             if nfr.is_focus:
                 types.append(f"{nfr.focus_kind.value.capitalize()}_Focus")
-                edges.append((ref, "is represented by", ("model", model_name), "is_represented_by", False))
+                edge(ref, "is represented by", ("model", model_name), "is_represented_by", False)
             literals = (("definition", nfr.definition), ("declaration", nfr.declaration),
                         ("statement", nfr.statement))
-            nodes.append((ref, _NODE_SHAPES[nfr.kind], types, literals))
-        _owner_edges(model, nfr_refs, edges)
+            node(ref, _NODE_SHAPES[nfr.kind], types, literals)
+        _owner_edges(model, nfr_refs, edge)
     for vm_name, vm in doc.view_models.items():
         view_refs = _Memo(lambda name: ("view", vm_name, name))
         for name, view in vm.views.items():
             ref = view_refs[name]
             view_type = f"{view.kind.value.capitalize()}_View"
-            nodes.append((ref, _NODE_SHAPES["view"], (view_type,), (("statement", view.statement),)))
+            node(ref, _NODE_SHAPES["view"], (view_type,), (("statement", view.statement),))
             category_ref = ("category", view.category)
-            edges.append((ref, "deals with universals", category_ref, "deals_with_universals", False))
+            edge(ref, "deals with universals", category_ref, "deals_with_universals", False)
             focus_model, focus_name = view.focus
             focus_ref = _nfr_ref(doc.models.get(focus_model), focus_model, focus_name)
-            edges.append((ref, "focus", focus_ref, "has_focus", False))
-        _owner_edges(vm, view_refs, edges)
-    return nodes, edges
+            edge(ref, "focus", focus_ref, "has_focus", False)
+        _owner_edges(vm, view_refs, edge)
 
 
 # --- DOT -------------------------------------------------------------------------
@@ -238,16 +239,18 @@ def _dot_id(ref: tuple[str, ...]) -> str:
 
 def to_dot(doc: Document) -> str:
     """One directed graph with node shapes by kind and one edge style per relationship."""
-    nodes, edges = _graph(doc)
     ids = _Memo(_dot_id)
-    lines = ["digraph nfrs {"]
-    lines.extend(sorted(f'  {ids[ref]} [label="{_dot_escape(ref[-1])}", shape={shape}];'
-                        for ref, shape, _, _ in nodes))
-    lines.extend(sorted(f"  {ids[source]} -> {ids[target]}"
-                        f' [label="{label}", {_EDGE_STYLES[label]}];'
-                        for source, label, target, _, _ in edges))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    nodes: list[str] = []
+    edges: list[str] = []
+
+    def node(ref, shape, types, literals) -> None:
+        nodes.append(f'  {ids[ref]} [label="{_dot_escape(ref[-1])}", shape={shape}];')
+
+    def edge(source, label, target, predicate, reverse) -> None:
+        edges.append(f'  {ids[source]} -> {ids[target]} [label="{label}", {_EDGE_STYLES[label]}];')
+
+    _graph(doc, node, edge)
+    return "\n".join(["digraph nfrs {", *sorted(nodes), *sorted(edges), "}"]) + "\n"
 
 
 # --- Turtle ------------------------------------------------------------------------
@@ -280,17 +283,20 @@ def to_turtle(doc: Document) -> str:
     ``nfrstdo:deals_with_universals``, ``nfrstdo:has_focus``, and
     ``nfrstdo:sub_category_of``.
     """
-    nodes, edges = _graph(doc)
     urns = _Memo(_urn)
-    triples = []
-    for ref, _, types, literals in nodes:
+    triples: list[str] = []
+
+    def node(ref, shape, types, literals) -> None:
         subject = urns[ref]
-        triples += [f"{subject} a nfrstdo:{type_name} ." for type_name in types]
-        triples += [f"{subject} nfrstdo:{predicate} {_literal(value)} ." for predicate, value in literals
-                    if value is not None]
-    for source, _, target, predicate, reverse in edges:
+        triples.extend(f"{subject} a nfrstdo:{type_name} ." for type_name in types)
+        triples.extend(f"{subject} nfrstdo:{predicate} {_literal(value)} ." for predicate, value in literals
+                       if value is not None)
+
+    def edge(source, label, target, predicate, reverse) -> None:
         subject, obj = (urns[target], urns[source]) if reverse else (urns[source], urns[target])
         triples.append(f"{subject} nfrstdo:{predicate} {obj} .")
+
+    _graph(doc, node, edge)
 
     if not triples:
         return _PREFIX + "\n"
