@@ -17,7 +17,7 @@ from nfrstdo.export import to_dot, to_json, to_turtle
 from nfrstdo.model import Document
 from nfrstdo.textformat import ParseFailure, parse, serialize
 from nfrstdo.validator import ValidationMode, validate
-from test_export_oracle import corpus, documents
+from test_export_oracle import MUTATIONS, corpus, documents
 
 RANDOM_INPUTS = 100
 MUTATED_INPUTS = 75  # of each outcome: parsed and failed
@@ -48,7 +48,7 @@ def test_resolved_documents_round_trip():
 def cli_inputs() -> list[bytes]:
     rng = random.Random(0)
     randoms = [bytes(rng.choice(BYTE_ALPHABET) for _ in range(rng.randrange(120))) for _ in range(RANDOM_INPUTS)]
-    mutations = list(corpus())[-2000:]
+    mutations = corpus()[-MUTATIONS:]
     parsed = [text for text, outcome in mutations if isinstance(outcome, Document)][:MUTATED_INPUTS]
     failed = [text for text, outcome in mutations if not isinstance(outcome, Document)][:MUTATED_INPUTS]
     return randoms + [text.encode("utf-8") for text in parsed + failed]
