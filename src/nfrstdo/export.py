@@ -130,7 +130,7 @@ _NFR_TYPES = {
 
 
 class _Memo(dict):
-    """A dict that fills a missing key with ``make(key)``: each ref is rendered once per call."""
+    """A dict that fills a missing key with ``make(key)`` and keeps it: each ref is made or rendered once per call."""
 
     def __init__(self, make) -> None:
         super().__init__()
