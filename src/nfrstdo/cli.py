@@ -18,7 +18,6 @@ import stat
 import sys
 from enum import IntEnum
 
-from . import export, kernel, queries
 from .diagnostics import Diagnostic, render_json, render_text
 from .model import Document
 from .textformat import ParseFailure, parse
@@ -135,6 +134,8 @@ def cmd_validate(args: argparse.Namespace) -> ExitCode:
 
 
 def cmd_export(args: argparse.Namespace) -> ExitCode:
+    from . import export
+
     doc = _load_document(args.file)
     referential = [d for d in validate(doc, ValidationMode.MODEL) if d.code == "R-REF"]
     if referential:
@@ -145,7 +146,9 @@ def cmd_export(args: argparse.Namespace) -> ExitCode:
     return ExitCode.SUCCESS
 
 
-def _schema(version: str) -> kernel.OntologySchema:
+def _schema(version: str):
+    from . import kernel
+
     try:
         return kernel.builtin_schema(version)
     except kernel.UnknownVersion as exc:
@@ -153,6 +156,8 @@ def _schema(version: str) -> kernel.OntologySchema:
 
 
 def cmd_schema(args: argparse.Namespace) -> ExitCode:
+    from . import kernel
+
     if args.schema_command == "counts":
         terms, properties, relationships = kernel.schema_counts(_schema(args.version))
         print(f"terms={terms} properties={properties} relationships={relationships}")
@@ -175,7 +180,7 @@ def cmd_schema(args: argparse.Namespace) -> ExitCode:
     return ExitCode.SUCCESS
 
 
-def _diff_lines(diff: kernel.SchemaDiff) -> list[str]:
+def _diff_lines(diff) -> list[str]:
     lines = []
     lines += [f"removed term: {t}" for t in diff.removed_terms]
     lines += [f"added term: {t}" for t in diff.added_terms]
@@ -192,7 +197,7 @@ def _diff_lines(diff: kernel.SchemaDiff) -> list[str]:
     return lines
 
 
-def _diff_object(diff: kernel.SchemaDiff) -> dict:
+def _diff_object(diff) -> dict:
     return {
         "added_relationships": [list(r) for r in diff.added_relationships],
         "added_terms": list(diff.added_terms),
@@ -221,6 +226,8 @@ def _validated_document(path: str) -> Document:
 
 
 def cmd_query(args: argparse.Namespace) -> ExitCode:
+    from . import queries
+
     doc = _validated_document(args.file)
     try:
         if args.query_command in ("influences", "depends"):
@@ -247,6 +254,8 @@ def cmd_query(args: argparse.Namespace) -> ExitCode:
 
 
 def _query_closure(doc: Document, args: argparse.Namespace) -> None:
+    from . import queries
+
     run = queries.influence_closure if args.query_command == "influences" else queries.depends_closure
     reached = list(run(doc, args.view_model, args.origin, transitive=args.transitive).reached)
     if args.format == "json":
@@ -257,6 +266,8 @@ def _query_closure(doc: Document, args: argparse.Namespace) -> None:
 
 
 def _query_coverage(doc: Document, args: argparse.Namespace) -> None:
+    from . import queries
+
     report = queries.mapping_coverage(doc, args.model)
     if args.format == "json":
         _print_json({"mapped": report.mapped, "ratio": float(report.ratio), "unmapped": report.unmapped})
@@ -269,6 +280,8 @@ def _query_coverage(doc: Document, args: argparse.Namespace) -> None:
 
 
 def cmd_lint_arch(args: argparse.Namespace) -> ExitCode:
+    from . import kernel
+
     text = _read_text(args.file)
     try:
         spec = kernel.parse_arch(text)
