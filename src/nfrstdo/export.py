@@ -40,6 +40,7 @@ from .model import (
     NfrsViewModelNode,
     iter_edges,
 )
+from .textformat import quote
 
 # ref prefix of edge targets that live in a Document collection
 _COLLECTION_KINDS = {k.collection: k.keyword for k in NODE_KINDS}
@@ -258,17 +259,6 @@ def to_dot(doc: Document) -> str:
 _PREFIX = "@prefix nfrstdo: <urn:nfrstdo:vocab:> ."
 
 
-def _literal(value: str) -> str:
-    escaped = (
-        value.replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-        .replace("\r", "\\r")
-        .replace("\t", "\\t")
-    )
-    return f'"{escaped}"'
-
-
 def _urn(ref: tuple[str, ...]) -> str:
     prefix, *parts = ref
     return f"<urn:nfrstdo:{prefix}:{'/'.join(percent_encode(part, safe='') for part in parts)}>"
@@ -289,7 +279,7 @@ def to_turtle(doc: Document) -> str:
     def node(ref, shape, types, literals) -> None:
         subject = urns[ref]
         triples.extend(f"{subject} a nfrstdo:{type_name} ." for type_name in types)
-        triples.extend(f"{subject} nfrstdo:{predicate} {_literal(value)} ." for predicate, value in literals
+        triples.extend(f"{subject} nfrstdo:{predicate} {quote(value)} ." for predicate, value in literals
                        if value is not None)
 
     def edge(source, label, target, predicate, reverse) -> None:

@@ -100,7 +100,6 @@ class ParseFailure(ValueError):
 # --- lexer --------------------------------------------------------------------
 
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
-_ESCAPES_TABLE = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"})
 
 # A string up to, not including, its closing quote: anything but a quote, a
 # backslash or a line break, and the five escapes.
@@ -187,8 +186,16 @@ def _tokenize(text: str) -> list[_Record]:
 
 
 def quote(value: str) -> str:
-    """Render a string in the format's double-quoted, backslash-escaped form."""
-    return '"' + value.translate(_ESCAPES_TABLE) + '"'
+    """Render a string in the format's double-quoted, backslash-escaped form, which is also a Turtle literal."""
+    # backslash first; chained replaces beat str.translate several times over on names that need no escape
+    escaped = (
+        value.replace("\\", "\\\\")
+        .replace('"', '\\"')
+        .replace("\n", "\\n")
+        .replace("\r", "\\r")
+        .replace("\t", "\\t")
+    )
+    return f'"{escaped}"'
 
 
 # --- parser -------------------------------------------------------------------
