@@ -235,7 +235,9 @@ def _dot_escape(text: str) -> str:
 
 def _dot_id(ref: tuple[str, ...]) -> str:
     prefix, *parts = ref
-    return '"' + _dot_escape(f"{_DOT_PREFIXES.get(prefix, prefix)}:{'/'.join(parts)}") + '"'
+    # a part's own % and / are encoded, so that only the joins read as / and no two refs share an id
+    path = "/".join(part.replace("%", "%25").replace("/", "%2F") for part in parts)
+    return '"' + _dot_escape(f"{_DOT_PREFIXES.get(prefix, prefix)}:{path}") + '"'
 
 
 def to_dot(doc: Document) -> str:

@@ -76,6 +76,18 @@ def test_dot_labels_category_parent_as_sub_category():
     assert "subcharacteristic of" not in dot
 
 
+def test_dot_ids_encode_slashes_in_names():
+    # joined raw, both characteristics would read "nfr:a/b/c" and Graphviz would draw one node
+    doc = parse('model "a/b" { characteristic "c" { definition: "d" } }\n'
+                'model "a" { characteristic "b/c" { definition: "d" } }\n'
+                'model "50%" { characteristic "x%2Fy" { definition: "d" } }\n')
+    dot = to_dot(doc)
+    assert '"nfr:a%2Fb/c" [label="c", shape=box];' in dot
+    assert '"nfr:a/b%2Fc" [label="b/c", shape=box];' in dot
+    assert '"model:a%2Fb" [label="a/b", shape=box3d];' in dot
+    assert '"nfr:50%25/x%252Fy" [label="x%2Fy", shape=box];' in dot
+
+
 def test_dot_escapes_quotes():
     doc = parse('category "Say \\"hi\\"" { }')
     dot = to_dot(doc)
