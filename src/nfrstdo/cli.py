@@ -17,6 +17,7 @@ import os
 import stat
 import sys
 from enum import IntEnum
+from functools import cache
 
 from .diagnostics import Diagnostic, render_json, render_text
 from .model import Document
@@ -297,7 +298,9 @@ def cmd_lint_arch(args: argparse.Namespace) -> ExitCode:
 # --- argument wiring -------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process: ``main`` only reads it."""
     parser = _ArgumentParser(prog="nfrsctl", description=__doc__)
     commands = parser.add_subparsers(dest="command")
 

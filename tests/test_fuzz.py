@@ -3,23 +3,25 @@
 The library properties run on the corpus of ``test_export_oracle``: the
 ``.nfrs`` fixtures, 200 ``random_document`` serializations and 2,000 seeded
 mutations of those texts, parsed once. The CLI runs in-process on 100 seeded
-random byte strings and 150 of those mutations, half of which parse; every
-subcommand that reads a document must end in a documented exit code.
+random byte strings, the first 8 of those texts (the fixtures among them, whose
+views let the closure queries succeed) and 150 of the mutations, half of which
+parse. Every subcommand that reads a document, each query and an export to a
+file among them, must end in a documented exit code.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 
 from nfrstdo import cli
 from nfrstdo.export import to_dot, to_json, to_turtle
-from nfrstdo.model import Document
+from nfrstdo.model import Document, NfrKind
 from nfrstdo.textformat import ParseFailure, parse, serialize
 from nfrstdo.validator import ValidationMode, validate
 from test_export_oracle import MUTATIONS, corpus, documents
 
 RANDOM_INPUTS = 100
+BASE_INPUTS = 8
 MUTATED_INPUTS = 75  # of each outcome: parsed and failed
 # .nfrs punctuation, letters, escapes and bytes that are not UTF-8 on their own
 BYTE_ALPHABET = b'{}":.-<># \n\r\t\\abcdefilmnoqrstuvwy_MV\x00\xc3\xa9\xff'
@@ -48,48 +50,59 @@ def test_resolved_documents_round_trip():
 def cli_inputs() -> list[bytes]:
     rng = random.Random(0)
     randoms = [bytes(rng.choice(BYTE_ALPHABET) for _ in range(rng.randrange(120))) for _ in range(RANDOM_INPUTS)]
+    bases = [text for text, _ in corpus()[:BASE_INPUTS]]
     mutations = corpus()[-MUTATIONS:]
     parsed = [text for text, outcome in mutations if isinstance(outcome, Document)][:MUTATED_INPUTS]
     failed = [text for text, outcome in mutations if not isinstance(outcome, Document)][:MUTATED_INPUTS]
-    return randoms + [text.encode("utf-8") for text in parsed + failed]
+    return randoms + [text.encode("utf-8") for text in bases + parsed + failed]
 
 
-def query_names(data: bytes) -> tuple[str, str, str]:
-    """A view model, one of its views and a model of the input where it has them, so that queries can succeed."""
+def query_names(data: bytes) -> tuple[str, str, str, str, str]:
+    """A view model, one of its views, a model, one of its characteristics and an FR of the input where it has
+    them, so that queries can succeed."""
     try:
         doc = parse(data.decode("utf-8"))
     except (UnicodeDecodeError, ParseFailure):
-        return "VM", "V", "M"
+        return "VM", "V", "M", "C", "FR"
     vm = next(iter(doc.view_models.values()), None)
     view_model, view = ("VM", "V") if vm is None else (vm.name, next(iter(vm.views), "V"))
-    return view_model, view, next(iter(doc.models), "M")
+    model = next(iter(doc.models.values()), None)
+    chars = [] if model is None else [n.name for n in model.nfrs.values() if n.kind is NfrKind.CHARACTERISTIC]
+    return view_model, view, "M" if model is None else model.name, next(iter(chars), "C"), next(iter(doc.frs), "FR")
 
 
-def test_cli_ends_in_a_documented_exit_code(tmp_path, capsys, monkeypatch):
-    # argparse set-up costs more than most runs; one parser serves them all
-    monkeypatch.setattr(cli, "build_parser", functools.lru_cache(maxsize=1)(cli.build_parser))
-    path = tmp_path / "input.nfrs"
+def test_cli_ends_in_a_documented_exit_code(tmp_path, capsys):
+    path, output = tmp_path / "input.nfrs", tmp_path / "output.ttl"
     outcomes = []
     for data in cli_inputs():
         path.write_bytes(data)
-        view_model, view, model = query_names(data)
+        view_model, view, model, characteristic, fr = query_names(data)
         for argv in (
             ["validate", str(path)],
             ["validate", str(path), "--format", "json", "--mode", "instance"],
             ["export", str(path), "json"],
             ["export", str(path), "dot"],
             ["export", str(path), "turtle"],
+            ["export", str(path), "turtle", "-o", str(output)],
             ["lint-arch", str(path)],
             ["query", "influences", str(path), "--view-model", view_model, "--from", view],
+            ["query", "depends", str(path), "--view-model", view_model, "--from", view, "--transitive"],
             ["query", "coverage", str(path), "--model", model],
+            ["query", "leaf-attributes", str(path), "--model", model, "--characteristic", characteristic],
+            ["query", "trace-fr", str(path), "--name", fr],
         ):
+            command = " ".join(argv[:2]) if argv[0] == "query" else argv[0]
             try:
-                outcomes.append((data, argv[0], cli.main(argv)))
+                outcomes.append((data, command, cli.main(argv)))
             except (Exception, SystemExit) as exc:  # noqa: BLE001 - any escape is the failure looked for
-                outcomes.append((data, argv[0], repr(exc)))
+                outcomes.append((data, command, repr(exc)))
             capsys.readouterr()
-    assert len(outcomes) == 2000
+    assert len(outcomes) == 3096
     undocumented = [outcome for outcome in outcomes if outcome[2] not in (0, 1, 2, 3)]
     assert not undocumented, f"{len(undocumented)} runs, first: {undocumented[0]!r}"
-    assert {(command, code) for _, command, code in outcomes} >= {("query", 0), ("validate", 1), ("export", 2)}
+    succeeded = {command for _, command, code in outcomes if code == 0}
+    assert succeeded >= {"validate", "export", "query influences", "query depends", "query coverage",
+                         "query leaf-attributes", "query trace-fr"}
+    assert {(command, code) for _, command, code in outcomes} >= {("validate", 1), ("export", 2)}
+    assert output.is_file()
     assert {code for _, _, code in outcomes} == {0, 1, 2, 3}
