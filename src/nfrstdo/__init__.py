@@ -38,7 +38,7 @@ def __getattr__(name: str):
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
+    from importlib import import_module  # here, so that it does not become an attribute of the package
 
     value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
     return value

@@ -12,8 +12,8 @@ record. Both sort their lines, so the walk's order does not matter.
 
 Nodes are named by refs, ``(prefix, *name parts)``: a kind's keyword and a
 name, or, for an NFR or a view, the kind and the owner's name before its
-own. DOT renders a ref as ``<prefix>:<part>/<part>``, every NFR prefixed
-``nfr``; Turtle as ``urn:nfrstdo:<prefix>:<part>/<part>`` with each part
+own. DOT renders a ref as ``<prefix>:<part>/<part>`` with each part's ``%``
+and ``/`` percent-encoded, every NFR prefixed ``nfr``; Turtle as ``urn:nfrstdo:<prefix>:<part>/<part>`` with each part
 percent-encoded, an NFR prefixed by its kind. Table edges take their DOT
 label (the relationship name) and Turtle predicate from their
 ``EDGE_KINDS`` row. DOT edges follow the relationship's direction (a

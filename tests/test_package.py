@@ -61,4 +61,3 @@ def test_star_import_and_dir_list_every_public_name():
 def test_unknown_attribute_is_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         nfrstdo.no_such_name  # noqa: B018 - the lookup is the test
-    assert not hasattr(nfrstdo, "kernel_schema")
