@@ -3,8 +3,9 @@
 Ordering rules are fixed (keys sorted, collections name-sorted, edge lists
 lexicographic), so exporting the same document twice yields identical bytes.
 
-JSON mirrors the collections, with each stored edge list under its
-``model.EDGE_KINDS`` JSON key. DOT and Turtle draw one graph: ``_graph``
+JSON mirrors the ``model.NODE_KINDS`` rows: each node's name and fields
+and, for a model or a view model, its NFRs or views and each stored edge list
+under its ``EDGE_KINDS`` JSON key. DOT and Turtle draw one graph: ``_graph``
 walks the document and hands each node (shape, types, literals) and each
 edge (relationship, predicate) once to a callback, and ``to_dot`` and
 ``to_turtle`` are only those callbacks, formatting one line or triple per
@@ -29,15 +30,13 @@ import json
 from urllib.parse import quote as percent_encode
 
 from .model import (
-    MODEL_EDGE_KINDS,
     NODE_KINDS,
-    PLAIN_NODE_KINDS,
-    VIEW_EDGE_KINDS,
     Document,
     NfrKind,
     NfrNode,
     NfrsModelNode,
     NfrsViewModelNode,
+    NfrViewNode,
     iter_edges,
 )
 from .textformat import quote
@@ -65,47 +64,35 @@ def _pairs(edges: tuple[tuple[str, str], ...]) -> list[list[str]]:
     return [list(pair) for pair in sorted(edges)]
 
 
-def _model_json(model: NfrsModelNode) -> dict:
-    obj: dict = {k.json_key: _pairs(getattr(model, k.field)) for k in MODEL_EDGE_KINDS}
-    obj["name"] = model.name
-    obj["nfrs"] = [_nfr_json(model.nfrs[n]) for n in sorted(model.nfrs)]
-    if model.specification is not None:
-        obj["specification"] = model.specification
+def _view_json(view: NfrViewNode) -> dict:
+    obj: dict = {
+        "category": view.category,
+        "focus": list(view.focus),
+        "kind": view.kind.value,
+        "name": view.name,
+    }
+    if view.statement is not None:
+        obj["statement"] = view.statement
     return obj
 
 
-def _view_model_json(vm: NfrsViewModelNode) -> dict:
-    views = []
-    for name in sorted(vm.views):
-        view = vm.views[name]
-        view_obj: dict = {
-            "category": view.category,
-            "focus": list(view.focus),
-            "kind": view.kind.value,
-            "name": view.name,
-        }
-        if view.statement is not None:
-            view_obj["statement"] = view.statement
-        views.append(view_obj)
-    obj: dict = {k.json_key: _pairs(getattr(vm, k.field)) for k in VIEW_EDGE_KINDS}
-    obj["name"] = vm.name
-    obj["views"] = views
-    if vm.specification is not None:
-        obj["specification"] = vm.specification
-    return obj
+_MEMBER_JSON = {"nfrs": _nfr_json, "views": _view_json}
 
 
 def to_json(doc: Document) -> str:
     """Canonical JSON: sorted keys, name-sorted arrays, compact, LF-terminated."""
     obj: dict = {k.collection: [] for k in NODE_KINDS}
-    for kind in PLAIN_NODE_KINDS:
+    for kind in NODE_KINDS:
         nodes = getattr(doc, kind.collection)
         for name in sorted(nodes):
-            obj[kind.collection].append({"name": name, **{f.attribute: v for f, v in kind.present(nodes[name])}})
-    for name in sorted(doc.models):
-        obj["models"].append(_model_json(doc.models[name]))
-    for name in sorted(doc.view_models):
-        obj["view_models"].append(_view_model_json(doc.view_models[name]))
+            node = nodes[name]
+            record = {"name": name, **{f.attribute: v for f, v in kind.present(node)}}
+            if kind.members:
+                members = getattr(node, kind.members)
+                member_json = _MEMBER_JSON[kind.members]
+                record[kind.members] = [member_json(members[n]) for n in sorted(members)]
+                record.update((k.json_key, _pairs(getattr(node, k.field))) for k in kind.edges)
+            obj[kind.collection].append(record)
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
 
 
@@ -121,12 +108,6 @@ _NODE_SHAPES = {
     NfrKind.ATTRIBUTE: "ellipse",
     NfrKind.STATEMENT_ITEM: "note",
     "view": "diamond",
-}
-
-_NFR_TYPES = {
-    NfrKind.ATTRIBUTE: "Attribute",
-    NfrKind.CHARACTERISTIC: "Characteristic",
-    NfrKind.STATEMENT_ITEM: "Statement_Item",
 }
 
 
@@ -171,8 +152,7 @@ def _graph(doc: Document, node, edge) -> None:
     for kind in NODE_KINDS:
         for name, item in getattr(doc, kind.collection).items():
             ref = (kind.keyword, name)
-            # a model's or view model's one literal is its specification; plain kinds list theirs as fields
-            literals = [] if kind.fields else [("specification", item.specification)]
+            literals = []
             for f, value in kind.present(item):
                 if f.turtle:
                     edge(ref, f.dot_label, ("category", value), f.turtle, False)
@@ -183,7 +163,7 @@ def _graph(doc: Document, node, edge) -> None:
         nfr_refs = _Memo(lambda name: _nfr_ref(model, model_name, name))
         for name, nfr in model.nfrs.items():
             ref = nfr_refs[name]
-            types = [_NFR_TYPES[nfr.kind]]
+            types = [nfr.kind.value.title()]
             if nfr.is_focus:
                 types.append(f"{nfr.focus_kind.value.capitalize()}_Focus")
                 edge(ref, "is represented by", ("model", model_name), "is_represented_by", False)

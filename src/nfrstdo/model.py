@@ -19,10 +19,11 @@ table; ``iter_edges`` walks a node's edges through it.
 
 ``NODE_KINDS`` does the same for the five ``Document`` collections: one row
 each with its ``.nfrs`` keyword (also the ``resolve`` kind and the DOT/URN
-prefix), node type, words for parse messages and Turtle type, and, for the
-plain kinds (category, entity, fr), the block fields in order. ``add_node``,
-``resolve``, document equality, the parser, the serializer and the exporters
-read it.
+prefix), node type, words for parse messages and Turtle type, and its block
+fields in order; the model and view model rows also name the attribute that
+holds their NFRs or views and the ``EDGE_KINDS`` rows of their edge lists.
+``add_node``, ``resolve``, equality, ``iter_edges``, edge insertion, the
+parser, the serializer and the exporters read it.
 """
 
 from __future__ import annotations
@@ -116,8 +117,21 @@ class NfrNode:
             raise ValueError(f"focus kind must be set exactly when {self.name!r} is a focus")
 
 
+class _OwnerNode:
+    """Model and view model equality: name, specification and members as values, edge lists as multisets."""
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        kind = _KINDS_BY_TYPE[type(self)]
+        same_nodes = (self.name, self.specification, getattr(self, kind.members)) == (
+            other.name, other.specification, getattr(other, kind.members))
+        return same_nodes and all(sorted(getattr(self, k.field)) == sorted(getattr(other, k.field))
+                                  for k in kind.edges)
+
+
 @dataclass(frozen=True, eq=False)
-class NfrsModelNode:
+class NfrsModelNode(_OwnerNode):
     """An NFRs model: its NFR nodes plus every edge kind they participate in.
 
     Edge lists hold name pairs exactly as authored; referential and kind
@@ -136,12 +150,6 @@ class NfrsModelNode:
     refers_to_entity_edges: tuple[Edge, ...] = ()
     refers_to_category_edges: tuple[Edge, ...] = ()
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NfrsModelNode):
-            return NotImplemented
-        same_nodes = (self.name, self.specification, self.nfrs) == (other.name, other.specification, other.nfrs)
-        return same_nodes and _same_edges(self, other, MODEL_EDGE_KINDS)
-
 
 @dataclass(frozen=True, slots=True)
 class NfrViewNode:
@@ -155,23 +163,12 @@ class NfrViewNode:
 
 
 @dataclass(frozen=True, eq=False)
-class NfrsViewModelNode:
+class NfrsViewModelNode(_OwnerNode):
     name: str
     specification: str | None = None
     views: dict[str, NfrViewNode] = field(default_factory=dict)
     influences_edges: tuple[Edge, ...] = ()
     depends_on_edges: tuple[Edge, ...] = ()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NfrsViewModelNode):
-            return NotImplemented
-        same_nodes = (self.name, self.specification, self.views) == (other.name, other.specification, other.views)
-        return same_nodes and _same_edges(self, other, VIEW_EDGE_KINDS)
-
-
-def _same_edges(a: object, b: object, kinds: tuple[EdgeKind, ...]) -> bool:
-    # edge lists compare as multisets
-    return all(sorted(getattr(a, k.field)) == sorted(getattr(b, k.field)) for k in kinds)
 
 
 # --- the relationship table ----------------------------------------------------
@@ -254,12 +251,6 @@ EDGE_KINDS = (
 
 MODEL_EDGE_KINDS = tuple(k for k in EDGE_KINDS if k.field in NfrsModelNode.__dataclass_fields__)
 VIEW_EDGE_KINDS = tuple(k for k in EDGE_KINDS if k.field in NfrsViewModelNode.__dataclass_fields__)
-_OWNED_KINDS = {NfrsModelNode: MODEL_EDGE_KINDS, NfrsViewModelNode: VIEW_EDGE_KINDS}
-_ROWS_BY_KEYWORD = {
-    (owner, k.keyword): tuple(r for r in kinds if r.keyword == k.keyword)
-    for owner, kinds in _OWNED_KINDS.items()
-    for k in kinds
-}
 
 
 def edge_kind(owner: type, keyword: str, target_kind: Enum | None = None) -> EdgeKind:
@@ -278,7 +269,7 @@ def edge_kind(owner: type, keyword: str, target_kind: Enum | None = None) -> Edg
 
 def iter_edges(node: NfrsModelNode | NfrsViewModelNode):
     """Yield every edge of ``node`` as (kind, source, target), table order, relationship direction."""
-    for kind in _OWNED_KINDS[type(node)]:
+    for kind in _KINDS_BY_TYPE[type(node)].edges:
         if kind.arrow == "of":
             for target, source in getattr(node, kind.field):
                 yield kind, source, target
@@ -301,7 +292,7 @@ Node = CategoryNode | EntityNode | FunctionalRequirementNode | NfrsModelNode | N
 
 @dataclass(frozen=True, slots=True)
 class NodeField:
-    """One ``keyword: "text"`` line of a plain node block.
+    """One ``keyword: "text"`` line of a node block.
 
     A category reference (``parent``, ``belongs_to``) also names its DOT edge
     label and Turtle predicate; every other field exports as a literal.
@@ -323,7 +314,9 @@ class NodeKind:
     type: type
     words: str  # the kind in parse messages
     turtle: str  # Turtle type local name
-    fields: tuple[NodeField, ...] = ()  # block fields in order; only the plain kinds have them
+    fields: tuple[NodeField, ...]  # block fields in order
+    members: str | None = None  # the attribute holding an owner's NFRs or views by name
+    edges: tuple[EdgeKind, ...] = ()  # an owner's edge lists, in table order
 
     def present(self, node: Node):
         """Yield (field, value) for each field of ``node`` that is set or required."""
@@ -334,6 +327,7 @@ class NodeKind:
 
 
 _DESCRIPTION = NodeField("description", "description", optional=True)
+_SPECIFICATION = (NodeField("specification", "specification", optional=True),)
 
 # One row per Document collection, in canonical serialization order.
 NODE_KINDS = (
@@ -343,13 +337,15 @@ NODE_KINDS = (
              (_DESCRIPTION, NodeField("belongs_to", "category", False, "belongs to", "belongs_to"))),
     NodeKind("fr", "frs", FunctionalRequirementNode, "functional requirement", "Functional_Requirement",
              (NodeField("statement", "statement"), NodeField("requester", "requester"))),
-    NodeKind("model", "models", NfrsModelNode, "model", "NFRs_Model"),
-    NodeKind("view_model", "view_models", NfrsViewModelNode, "view model", "NFRs_View_Model"),
+    NodeKind("model", "models", NfrsModelNode, "model", "NFRs_Model", _SPECIFICATION, "nfrs", MODEL_EDGE_KINDS),
+    NodeKind("view_model", "view_models", NfrsViewModelNode, "view model", "NFRs_View_Model", _SPECIFICATION,
+             "views", VIEW_EDGE_KINDS),
 )
 
-PLAIN_NODE_KINDS = tuple(k for k in NODE_KINDS if k.fields)
 _KINDS_BY_TYPE = {k.type: k for k in NODE_KINDS}
 NODE_KINDS_BY_KEYWORD = {k.keyword: k for k in NODE_KINDS}
+_ROWS_BY_KEYWORD = {(k.type, e.keyword): tuple(r for r in k.edges if r.keyword == e.keyword)
+                    for k in NODE_KINDS for e in k.edges}
 
 
 def article(words: str) -> str:
@@ -406,35 +402,34 @@ def resolve(doc: Document, kind: str, name: str) -> Node:
 # relationship definition before any validation runs.
 
 
-def _append_edge(doc: Document, owner, members: dict, keyword: str, source: str, target: str):
-    """``owner`` with one more edge, rejecting unknown keywords, missing endpoints and wrong kinds.
-
-    ``members`` holds the owner's NFRs or views by name.
-    """
-    owner_word = "model" if isinstance(owner, NfrsModelNode) else "view model"
-    rows = _ROWS_BY_KEYWORD.get((type(owner), keyword))
+def _append_edge(doc: Document, kind: NodeKind, owner_name: str, keyword: str, source: str, target: str):
+    """``doc`` with one more edge on ``kind``'s node ``owner_name``, rejecting bad keywords, endpoints and kinds."""
+    owner = resolve(doc, kind.keyword, owner_name)
+    rows = _ROWS_BY_KEYWORD.get((kind.type, keyword))
     if rows is None:
-        raise ValueError(f"unknown {owner_word} edge kind {keyword!r}")
-    kind = rows[0]
-    for name in (source,) if kind.collection else (source, target):
+        raise ValueError(f"unknown {kind.words} edge kind {keyword!r}")
+    members = getattr(owner, kind.members)
+    edge = rows[0]
+    for name in (source,) if edge.collection else (source, target):
         if name not in members:
-            member_word = "NFR" if owner_word == "model" else "view"
-            raise NotFound(f"no {member_word} named {name!r} in {owner_word} {owner.name!r}")
+            member_word = "NFR" if kind.members == "nfrs" else "view"
+            raise NotFound(f"no {member_word} named {name!r} in {kind.words} {owner.name!r}")
     source_kind = members[source].kind
-    if kind.collection:
-        if target not in getattr(doc, kind.collection):
-            raise NotFound(edge_message(kind.target_message, target))
+    if edge.collection:
+        if target not in getattr(doc, edge.collection):
+            raise NotFound(edge_message(edge.target_message, target))
     else:
         target_kind = members[target].kind
         if len(rows) > 1:
-            kind = edge_kind(type(owner), keyword, target_kind)
-        if target_kind not in kind.targets:
-            raise EdgeKindError(edge_message(kind.target_message, target, target_kind))
-    if source_kind not in kind.sources:
-        raise EdgeKindError(edge_message(kind.source_message, source, source_kind))
+            edge = edge_kind(kind.type, keyword, target_kind)
+        if target_kind not in edge.targets:
+            raise EdgeKindError(edge_message(edge.target_message, target, target_kind))
+    if source_kind not in edge.sources:
+        raise EdgeKindError(edge_message(edge.source_message, source, source_kind))
     # every field of an owner node is an init field, so rebuilding from vars() equals
     # dataclasses.replace, without its per-field loop in Python
-    return type(owner)(**{**vars(owner), kind.field: getattr(owner, kind.field) + (kind.stored(source, target),)})
+    updated = kind.type(**{**vars(owner), edge.field: getattr(owner, edge.field) + (edge.stored(source, target),)})
+    return replace(doc, **{kind.collection: {**getattr(doc, kind.collection), owner_name: updated}})
 
 
 def add_model_edge(doc: Document, model_name: str, kind: str, source: str, target: str) -> Document:
@@ -444,13 +439,9 @@ def add_model_edge(doc: Document, model_name: str, kind: str, source: str, targe
     subcharacteristic edge goes from child to parent. ``combines`` routes to
     the attribute or statement-item edge list based on the target's kind.
     """
-    model = resolve(doc, "model", model_name)
-    updated = _append_edge(doc, model, model.nfrs, kind, source, target)
-    return replace(doc, models={**doc.models, model_name: updated})
+    return _append_edge(doc, NODE_KINDS_BY_KEYWORD["model"], model_name, kind, source, target)
 
 
 def add_view_edge(doc: Document, view_model_name: str, kind: str, source: str, target: str) -> Document:
     """Attach an influences/depends_on edge between quality views."""
-    vm = resolve(doc, "view_model", view_model_name)
-    updated = _append_edge(doc, vm, vm.views, kind, source, target)
-    return replace(doc, view_models={**doc.view_models, view_model_name: updated})
+    return _append_edge(doc, NODE_KINDS_BY_KEYWORD["view_model"], view_model_name, kind, source, target)

@@ -7,6 +7,10 @@ validator's concern. Serialization is canonical, so two documents that are
 structurally equal serialize to identical bytes regardless of how they were
 built.
 
+Both directions read the blocks from ``model.NODE_KINDS``: a kind's fields in
+table order, then, for a model or a view model, its NFRs or views and its edge
+statements in ``EDGE_KINDS`` order.
+
 The lexer turns the text into flat ``(kind, value, line, column)`` tuples.
 The parser walks them by index and builds a ``SourceLocation`` only where it
 keeps one: for a declaration or an edge in ``Document.source_locations``, and
@@ -48,7 +52,6 @@ from .model import (
     MODEL_EDGE_KINDS,
     NODE_KINDS,
     NODE_KINDS_BY_KEYWORD,
-    PLAIN_NODE_KINDS,
     VIEW_EDGE_KINDS,
     Document,
     FocusKind,
@@ -333,7 +336,7 @@ class _Parser:
             try:
                 name = self.expect_name(f"{article(kind.words)} {kind.words} name")
                 self.expect_punct("{")
-                node = self.parse_fields(kind, name) if kind.fields else getattr(self, f"parse_{t[1]}")(name)
+                node = self.parse_fields(kind, name)
                 self.declare(self.collections[kind.collection], (t[1], name), node, t,
                              f"a unique {kind.words} name")
             except _SyntaxError as exc:
@@ -349,9 +352,11 @@ class _Parser:
         self.locations[key] = _location(token)
 
     def parse_fields(self, kind: NodeKind, name: str):
-        """The rest of a plain node block: its fields in table order, then '}'."""
+        """The rest of a node block: its fields in table order, an owner's members and edges, then '}'."""
         values = {f.attribute: self.opt_field(f.keyword) if f.optional else self.field_value(f.keyword)
                   for f in kind.fields}
+        if kind.members:
+            values.update(getattr(self, f"parse_{kind.keyword}")(name))
         self.expect_punct("}")
         return kind.type(name=name, **values)
 
@@ -380,8 +385,8 @@ class _Parser:
         )
         self.declare(nfrs, ("nfr", model_name, name), node, token, f"a unique NFR name in model {model_name!r}")
 
-    def parse_model(self, name: str) -> NfrsModelNode:
-        specification = self.opt_field("specification")
+    def parse_model(self, name: str) -> dict:
+        """The NFRs and edge lists of model ``name``, as its attributes; stops at the closing '}'."""
         nfrs: dict[str, NfrNode] = {}
         edges: list[tuple[str, str, str, _Record]] = []  # keyword, source, target, keyword token
 
@@ -416,7 +421,6 @@ class _Parser:
                 self.record_error(_error_at(t, expected))
                 self.pos += 1
                 self.sync_inside_block(sync)
-        self.pos += 1  # the '}' the loop stopped at
 
         stored: dict[str, list[tuple[str, str]]] = {k.field: [] for k in MODEL_EDGE_KINDS}
         for keyword, source, target, token in edges:
@@ -425,9 +429,7 @@ class _Parser:
             edge = kind.stored(source, target)
             stored[kind.field].append(edge)
             self.locations[("edge", name, keyword, *edge)] = _location(token)
-        return NfrsModelNode(
-            name=name, specification=specification, nfrs=nfrs, **{f: tuple(e) for f, e in stored.items()}
-        )
+        return {"nfrs": nfrs, **{f: tuple(e) for f, e in stored.items()}}
 
     def parse_edge(self, arrow: str, source_what: str, target_what: str) -> tuple[str, str]:
         """The two names of an edge statement after its keyword, in the order written."""
@@ -455,8 +457,8 @@ class _Parser:
                            statement=statement)
         self.declare(views, ("view", vm_name, name), node, token, f"a unique view name in {vm_name!r}")
 
-    def parse_view_model(self, name: str) -> NfrsViewModelNode:
-        specification = self.opt_field("specification")
+    def parse_view_model(self, name: str) -> dict:
+        """The views and edge lists of view model ``name``, as its attributes; stops at the closing '}'."""
         views: dict[str, NfrViewNode] = {}
         edges: dict[str, list[tuple[str, str]]] = {k.field: [] for k in VIEW_EDGE_KINDS}
 
@@ -499,11 +501,7 @@ class _Parser:
                 continue
             edges[kind.field].append((source, target))
             self.locations[("edge", name, keyword, source, target)] = _location(t)
-        self.pos += 1  # the '}' the loop stopped at
-
-        return NfrsViewModelNode(
-            name=name, specification=specification, views=views, **{f: tuple(e) for f, e in edges.items()}
-        )
+        return {"views": views, **{f: tuple(e) for f, e in edges.items()}}
 
 
 def parse(text: str) -> Document:
@@ -541,6 +539,19 @@ def _nfr_block(nfr: NfrNode) -> list[str]:
     return lines
 
 
+def _view_block(view: NfrViewNode) -> list[str]:
+    lines = [f"  view {quote(view.name)} {{"]
+    lines.append(f"    kind: {view.kind.value}")
+    lines.append(f"    category: {quote(view.category)}")
+    lines.append(f"    focus: {quote(view.focus[0])} . {quote(view.focus[1])}")
+    lines += _field_line("    ", "statement", view.statement)
+    lines.append("  }")
+    return lines
+
+
+_MEMBER_BLOCKS = {"nfrs": _nfr_block, "views": _view_block}
+
+
 def _edge_lines(node: NfrsModelNode | NfrsViewModelNode) -> list[str]:
     """Edge statements grouped by keyword in table order, sorted within each group."""
     groups: dict[str, list[str]] = {}
@@ -548,32 +559,6 @@ def _edge_lines(node: NfrsModelNode | NfrsViewModelNode) -> list[str]:
         line = f"  {kind.keyword} {quote(source)} {kind.arrow} {quote(target)}"
         groups.setdefault(kind.keyword, []).append(line)
     return [line for group in groups.values() for line in sorted(group)]
-
-
-def _model_block(model: NfrsModelNode) -> str:
-    lines = [f"model {quote(model.name)} {{"]
-    lines += _field_line("  ", "specification", model.specification)
-    for name in sorted(model.nfrs):
-        lines += _nfr_block(model.nfrs[name])
-    lines += _edge_lines(model)
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def _view_model_block(vm: NfrsViewModelNode) -> str:
-    lines = [f"view_model {quote(vm.name)} {{"]
-    lines += _field_line("  ", "specification", vm.specification)
-    for name in sorted(vm.views):
-        view = vm.views[name]
-        lines.append(f"  view {quote(view.name)} {{")
-        lines.append(f"    kind: {view.kind.value}")
-        lines.append(f"    category: {quote(view.category)}")
-        lines.append(f"    focus: {quote(view.focus[0])} . {quote(view.focus[1])}")
-        lines += _field_line("    ", "statement", view.statement)
-        lines.append("  }")
-    lines += _edge_lines(vm)
-    lines.append("}")
-    return "\n".join(lines)
 
 
 def serialize(doc: Document) -> str:
@@ -586,18 +571,21 @@ def serialize(doc: Document) -> str:
     the right one, since the text has one ``combines`` keyword.
     """
     blocks: list[str] = []
-    for kind in PLAIN_NODE_KINDS:
+    for kind in NODE_KINDS:
         nodes = getattr(doc, kind.collection)
         for name in sorted(nodes):
+            node = nodes[name]
             lines = [f"{kind.keyword} {quote(name)} {{"]
-            for f, value in kind.present(nodes[name]):
+            for f, value in kind.present(node):
                 lines += _field_line("  ", f.keyword, value)
+            if kind.members:
+                members = getattr(node, kind.members)
+                block = _MEMBER_BLOCKS[kind.members]
+                for member in sorted(members):
+                    lines += block(members[member])
+                lines += _edge_lines(node)
             lines.append("}")
             blocks.append("\n".join(lines))
-    for name in sorted(doc.models):
-        blocks.append(_model_block(doc.models[name]))
-    for name in sorted(doc.view_models):
-        blocks.append(_view_model_block(doc.view_models[name]))
     if not blocks:
         return ""
     return "\n\n".join(blocks) + "\n"

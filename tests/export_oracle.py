@@ -183,7 +183,9 @@ def to_turtle(doc: Document) -> str:
         for name, node in getattr(doc, kind.collection).items():
             subject = urn(kind.keyword, name)
             add(subject, "a", f"nfrstdo:{kind.turtle}")
-            for f, value in kind.present(node):
+            # the kinds whose fields this walk emitted; a model's specification follows below
+            fields = kind.present(node) if kind.keyword in ("category", "entity", "fr") else ()
+            for f, value in fields:
                 if f.turtle:
                     add(subject, f"nfrstdo:{f.turtle}", urn("category", value))
                 else:

@@ -240,7 +240,10 @@ class _Parser:
             try:
                 name = self.expect_name(f"{article(kind.words)} {kind.words} name")
                 self.expect_punct("{")
-                node = self.parse_fields(kind, name) if kind.fields else getattr(self, f"parse_{t.value}")(name)
+                if kind.keyword in ("model", "view_model"):
+                    node = getattr(self, f"parse_{t.value}")(name)
+                else:
+                    node = self.parse_fields(kind, name)
                 self.declare(self.collections[kind.collection], (t.value, name), node, t.location,
                              f"a unique {kind.words} name")
             except _SyntaxError as exc:

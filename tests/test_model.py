@@ -237,10 +237,17 @@ _TERMS = {
 
 
 def test_edge_table_covers_every_edge_list():
-    for owner in (NfrsModelNode, NfrsViewModelNode):
-        edge_fields = [f.name for f in fields(owner) if f.name.endswith("_edges")]
+    owners = [kind for kind in NODE_KINDS if kind.edges]
+    assert [kind.type for kind in owners] == [NfrsModelNode, NfrsViewModelNode]
+    for kind in owners:
+        edge_fields = [f.name for f in fields(kind.type) if f.name.endswith("_edges")]
         assert sorted(edge_fields) == sorted(k.field for k in EDGE_KINDS if k.field in edge_fields)
+        # an owner row holds exactly its type's edge lists, in table order
+        assert kind.edges == tuple(k for k in EDGE_KINDS if k.field in edge_fields)
     assert len(EDGE_KINDS) == len({k.field for k in EDGE_KINDS}) == 10
+    # owner equality reads the row of its own type, so owners of two kinds never compare equal
+    model, view_model = NfrsModelNode(name="X", specification="s"), NfrsViewModelNode(name="X", specification="s")
+    assert model != view_model and view_model != model
 
 
 def test_edge_table_agrees_with_kernel_registry():
@@ -258,6 +265,12 @@ def test_edge_table_agrees_with_kernel_registry():
 def test_node_table_covers_every_collection_in_order():
     collections = [f.name for f in fields(Document) if f.name != "source_locations"]
     assert [k.collection for k in NODE_KINDS] == collections
+    for kind in NODE_KINDS:
+        # members name the type's one dict field; name, fields, members and edges cover every attribute
+        dict_fields = [f.name for f in fields(kind.type) if f.type.startswith("dict[")]
+        assert dict_fields == ([kind.members] if kind.members else [])
+        covered = ["name", *(f.attribute for f in kind.fields), *dict_fields, *(k.field for k in kind.edges)]
+        assert sorted(covered) == sorted(f.name for f in fields(kind.type))
 
 
 def test_node_table_turtle_types_are_kernel_terms():
