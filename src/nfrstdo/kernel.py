@@ -48,23 +48,15 @@ class OntoLevel(IntEnum):
 
     @property
     def label(self) -> str:
-        return _LEVEL_LABELS[self]
+        """The name in CamelCase: ``TopDomain`` for ``TOP_DOMAIN``."""
+        return self.name.title().replace("_", "")
 
     @classmethod
     def from_label(cls, label: str) -> "OntoLevel":
-        for level, name in _LEVEL_LABELS.items():
-            if name == label:
+        for level in cls:
+            if level.label == label:
                 return level
         raise ValueError(f"unknown level {label!r}")
-
-
-_LEVEL_LABELS = {
-    OntoLevel.FOUNDATIONAL: "Foundational",
-    OntoLevel.CORE: "Core",
-    OntoLevel.TOP_DOMAIN: "TopDomain",
-    OntoLevel.LOW_DOMAIN: "LowDomain",
-    OntoLevel.INSTANCE: "Instance",
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,16 +161,7 @@ class SchemaDiff:
     stereotype_changes: tuple[StereotypeChange, ...]
 
     def is_empty(self) -> bool:
-        return not any(
-            (
-                self.added_terms,
-                self.removed_terms,
-                self.added_relationships,
-                self.removed_relationships,
-                self.renamed_relationships,
-                self.stereotype_changes,
-            )
-        )
+        return not any(getattr(self, name) for name in self.__slots__)
 
 
 @dataclass(frozen=True, slots=True)
