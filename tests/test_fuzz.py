@@ -6,7 +6,9 @@ mutations of those texts, parsed once. The CLI runs in-process on 100 seeded
 random byte strings, the first 8 of those texts (the fixtures among them, whose
 views let the closure queries succeed) and 150 of the mutations, half of which
 parse. Every subcommand that reads a document, each query and an export to a
-file among them, must end in a documented exit code.
+file among them, must end in a documented exit code. The ``schema``
+subcommands run on 200 seeded argument lists of built-in and random versions
+and terms, and must end in success or a usage error.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import random
 
 from nfrstdo import cli
 from nfrstdo.export import to_dot, to_json, to_turtle
+from nfrstdo.kernel import builtin_schema
 from nfrstdo.model import Document, NfrKind
 from nfrstdo.textformat import ParseFailure, parse, serialize
 from nfrstdo.validator import ValidationMode, validate
@@ -25,6 +28,9 @@ BASE_INPUTS = 8
 MUTATED_INPUTS = 75  # of each outcome: parsed and failed
 # .nfrs punctuation, letters, escapes and bytes that are not UTF-8 on their own
 BYTE_ALPHABET = b'{}":.-<># \n\r\t\\abcdefilmnoqrstuvwy_MV\x00\xc3\xa9\xff'
+SCHEMA_RUNS = 200
+# letters, digits, blanks, dots and non-ASCII; no "-", since a word that starts with one is an option for argparse
+STRING_ALPHABET = "abcdeilmnorstuvAFNQ0129 ._\té\u00a0"
 
 
 def test_parse_raises_only_parse_failure():
@@ -106,3 +112,46 @@ def test_cli_ends_in_a_documented_exit_code(tmp_path, capsys):
     assert {(command, code) for _, command, code in outcomes} >= {("validate", 1), ("export", 2)}
     assert output.is_file()
     assert {code for _, _, code in outcomes} == {0, 1, 2, 3}
+
+
+def schema_argvs() -> list[list[str]]:
+    """``schema counts|dump|diff|stereotypes`` argument lists, in turn, with versions and terms that are built-in
+    or random."""
+    rng = random.Random(0)
+    terms = sorted({term for version in ("1.1", "1.2") for term in builtin_schema(version).terms})
+
+    def random_string() -> str:
+        return "".join(rng.choice(STRING_ALPHABET) for _ in range(rng.randrange(1, 16)))
+
+    def version() -> str:
+        return rng.choice(["1.1", "1.2", "", random_string()])
+
+    def term() -> str:
+        return rng.choice(terms) if rng.random() < 0.5 else random_string()
+
+    argvs = []
+    for i in range(SCHEMA_RUNS):
+        command = ("counts", "dump", "diff", "stereotypes")[i % 4]
+        if command == "diff":
+            argvs.append(["schema", "diff", version(), version(), "--format", rng.choice(["text", "json"])])
+        elif command == "stereotypes":
+            argvs.append(["schema", "stereotypes", term(), "--version", version()])
+        else:
+            argvs.append(["schema", command, "--version", version()])
+    return argvs
+
+
+def test_schema_ends_in_success_or_usage_error(capsys):
+    outcomes = []
+    for argv in schema_argvs():
+        try:
+            outcomes.append((argv, cli.main(argv)))
+        except (Exception, SystemExit) as exc:  # noqa: BLE001 - any escape is the failure looked for
+            outcomes.append((argv, repr(exc)))
+        capsys.readouterr()
+    assert len(outcomes) == SCHEMA_RUNS
+    undocumented = [outcome for outcome in outcomes if outcome[1] not in (0, 3)]
+    assert not undocumented, f"{len(undocumented)} runs, first: {undocumented[0]!r}"
+    assert {code for _, code in outcomes} == {0, 3}
+    assert {argv[1] for argv, code in outcomes if code == 0} == {"counts", "dump", "diff", "stereotypes"}
+    assert {argv[-1] for argv, code in outcomes if code == 0 and argv[1] == "diff"} == {"text", "json"}

@@ -1,7 +1,9 @@
-"""The package entry: lazy public names, and the layers each ``nfrsctl`` subcommand loads."""
+"""The package entry: lazy public names, the layers each ``nfrsctl`` subcommand loads, and what the sources
+need to run: the standard library only, and Python 3.10."""
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -13,6 +15,7 @@ import nfrstdo
 from conftest import fixture_path
 
 CHAIN = str(fixture_path("quality_views_chain.nfrs"))
+SOURCES = sorted(Path(nfrstdo.__file__).resolve().parent.glob("*.py"))
 VALIDATE_MODULES = {"nfrstdo", "nfrstdo.cli", "nfrstdo.diagnostics", "nfrstdo.model", "nfrstdo.textformat",
                     "nfrstdo.validator"}
 
@@ -61,3 +64,22 @@ def test_star_import_and_dir_list_every_public_name():
 def test_unknown_attribute_is_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         nfrstdo.no_such_name  # noqa: B018 - the lookup is the test
+
+
+def test_modules_import_only_the_standard_library():
+    imported = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert {"argparse", "dataclasses", "json", "re"} <= imported
+    assert imported - sys.stdlib_module_names == set()
+
+
+def test_modules_parse_as_python_3_10():
+    # pyproject.toml requires Python >= 3.10; the grammar check stands in for running an older interpreter
+    assert len(SOURCES) == 10
+    for path in SOURCES:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
