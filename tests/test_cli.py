@@ -267,18 +267,40 @@ def test_schema_stereotypes_unknown_term(capsys):
 def test_schema_diff_text(capsys):
     code, out, _ = run(capsys, "schema", "diff", "1.1", "1.2")
     assert code == 0
-    assert "added term: Functional Requirement" in out
-    assert "added relationship: satisfies (Non-Functional Requirement -> Functional Requirement)" in out
-    assert "renamed relationship: refers to -> refers to particulars" in out
-    assert "stereotype removed: Non-Functional Requirement: ThingFO:Quantity-related Assertion" in out
+    assert out.splitlines() == [
+        "added term: Functional Requirement",
+        "added relationship: is mapped to (Statement Item -> Attribute)",
+        "added relationship: relates with (Non-Functional Requirement -> Non-Functional Requirement)",
+        "added relationship: satisfies (Non-Functional Requirement -> Functional Requirement)",
+        "renamed relationship: refers to -> refers to particulars (Non-Functional Requirement -> Evaluable Entity)",
+        "renamed relationship: refers to -> refers to universals"
+        " (Non-Functional Requirement -> Evaluable Entity Category)",
+        "stereotype removed: Evaluable Entity Category: ThingFO:Thing Category",
+        "stereotype added: Evaluable Entity Category: SituationCO:Context Category",
+        "stereotype added: Evaluable Entity Category: SituationCO:Entity Category",
+        "stereotype removed: Non-Functional Requirement: ThingFO:Quantity-related Assertion",
+    ]
+    assert out.endswith("\n")
 
 
 def test_schema_diff_json(capsys):
     code, out, _ = run(capsys, "schema", "diff", "1.1", "1.2", "--format", "json")
     assert code == 0
-    obj = json.loads(out)
-    assert obj["added_terms"] == ["Functional Requirement"]
-    assert len(obj["renamed_relationships"]) == 2
+    assert out == (
+        '{"added_relationships":[["is mapped to","Statement Item","Attribute"],'
+        '["relates with","Non-Functional Requirement","Non-Functional Requirement"],'
+        '["satisfies","Non-Functional Requirement","Functional Requirement"]],'
+        '"added_terms":["Functional Requirement"],"removed_relationships":[],"removed_terms":[],'
+        '"renamed_relationships":[["refers to","refers to particulars","Non-Functional Requirement","Evaluable Entity"],'
+        '["refers to","refers to universals","Non-Functional Requirement","Evaluable Entity Category"]],'
+        '"stereotype_changes":['
+        '{"change":"removed","component":"ThingFO","stereotype":"Thing Category","term":"Evaluable Entity Category"},'
+        '{"change":"added","component":"SituationCO","stereotype":"Context Category",'
+        '"term":"Evaluable Entity Category"},'
+        '{"change":"added","component":"SituationCO","stereotype":"Entity Category","term":"Evaluable Entity Category"},'
+        '{"change":"removed","component":"ThingFO","stereotype":"Quantity-related Assertion",'
+        '"term":"Non-Functional Requirement"}]}\n'
+    )
 
 
 # --- query ----------------------------------------------------------------------
@@ -350,7 +372,7 @@ def test_query_unknown_view_is_usage_error(capsys):
     assert code == 3
 
 
-def test_query_leaf_attributes(capsys):
+def test_query_leaf_attributes(capsys, tmp_path):
     code, out, _ = run(
         capsys,
         "query",
@@ -363,13 +385,22 @@ def test_query_leaf_attributes(capsys):
     )
     assert code == 0
     assert out.splitlines() == ["Help availability", "Task success ratio"]
+    lone = tmp_path / "lone.nfrs"
+    lone.write_text('model "M" { characteristic "C" { definition: "d" } }\n', encoding="utf-8")
+    code, out, err = run(capsys, "query", "leaf-attributes", str(lone), "--model", "M", "--characteristic", "C")
+    assert (code, out, err) == (0, "", "")
 
 
 def test_query_coverage(capsys):
     code, out, _ = run(capsys, "query", "coverage", CHECKLIST, "--model", "Usability Heuristic Checklist")
     assert code == 0
-    assert "ratio 0.75" in out
-    assert "unmapped 'Searchable help'" in out
+    assert out == (
+        "mapped 'Progress for long operations' -> Status visibility\n"
+        "mapped 'Recovery hints in errors' -> Status visibility\n"
+        "mapped 'Undoable destructive actions' -> Undo availability\n"
+        "unmapped 'Searchable help'\n"
+        "ratio 0.75\n"
+    )
 
 
 def test_query_coverage_empty_model(capsys, tmp_path):
@@ -380,13 +411,17 @@ def test_query_coverage_empty_model(capsys, tmp_path):
     assert "ratio 1.0" in out
 
 
-def test_query_trace_fr(capsys):
+def test_query_trace_fr(capsys, tmp_path):
     code, out, _ = run(capsys, "query", "trace-fr", TRACE, "--name", "User login")
     assert code == 0
     assert out.splitlines() == [
         "Performance Requirements: Login response time",
         "Security Requirements: Authentication strength",
     ]
+    unsatisfied = tmp_path / "unsatisfied.nfrs"
+    unsatisfied.write_text('fr "Logout" { statement: "s" requester: "r" }\n', encoding="utf-8")
+    code, out, err = run(capsys, "query", "trace-fr", str(unsatisfied), "--name", "Logout")
+    assert (code, out, err) == (0, "", "")
 
 
 def test_query_leaf_attributes_json_bytes(capsys, tmp_path):
@@ -490,6 +525,8 @@ def test_lint_arch_reference_clean(capsys):
     code, out, _ = run(capsys, "lint-arch", ARCH)
     assert code == 0
     assert out == ""
+    code, out, _ = run(capsys, "lint-arch", ARCH, "--format", "json")
+    assert (code, out) == (0, "[]\n")
 
 
 def test_lint_arch_l002(capsys, tmp_path):

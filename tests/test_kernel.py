@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from dataclasses import replace
@@ -348,3 +349,11 @@ def test_schema_json_canonical():
     assert names == sorted(names)
     assert len(obj["relationships"]) == 12
     assert obj["component"] == {"level": "TopDomain", "name": "NFRsTDO", "version": "1.2"}
+
+
+@pytest.mark.parametrize(("version", "digest"), [
+    ("1.1", "e7b854efa7b9c341a8b9385614d522cd779c74f116129cebb30e6f4a050f0167"),
+    ("1.2", "bf68d6cc64ae88d501ddbb52f74656fd43907d1fb5d9503d94222314b54ccf4b"),
+])
+def test_schema_json_bytes(version, digest):
+    assert hashlib.sha256(schema_to_json(builtin_schema(version)).encode("utf-8")).hexdigest() == digest
