@@ -1,17 +1,21 @@
 """``nfrsctl``: validate, export, query, and inspect the built-in schemas.
 
-Exit codes: 0 success, 1 validation errors (warnings too under ``--strict``),
-2 parse failure (input that is not UTF-8 included), 3 usage error (an
-unreadable input or an unwritable ``-o`` file included). ``-o`` onto a new
-or regular file writes a sibling temporary file and renames it onto the
-target, so the target holds either the old or the whole new output; any other
-target (a symlink, a FIFO, a device) is written directly. Set
-``NFRSCTL_NO_COLOR`` to disable ANSI styling of severities.
+Input is read as UTF-8; one leading byte-order mark is skipped. Exit codes:
+0 success, 1 validation errors (warnings too under ``--strict``), 2 parse
+failure (input that is not UTF-8 included), 3 usage error (an unreadable input
+or an unwritable ``-o`` file included). Query results and ``schema diff`` go
+through one printer: compact, key-sorted JSON under ``--format json``, one
+line per item otherwise. ``-o`` onto a new or regular file writes a sibling
+temporary file and renames it onto the target, so the target holds either the
+old or the whole new output; any other target (a symlink, a FIFO, a device) is
+written directly. Set ``NFRSCTL_NO_COLOR`` to disable ANSI styling of
+severities.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import os
 import stat
@@ -58,6 +62,8 @@ def _read_text(path: str) -> str:
             data = handle.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
+    # not the utf-8-sig codec: its error offsets count from after the mark, which would misplace a bad byte
+    data = data.removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -88,8 +94,13 @@ def _print_diagnostics(diagnostics: list[Diagnostic], path: str, fmt: str, strea
         print(render_text(diagnostic, path, color=color), file=stream)
 
 
-def _print_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":")))
+def _print_result(fmt: str, obj, lines) -> None:
+    """Print ``obj`` as compact, key-sorted JSON under ``--format json``, and otherwise each of ``lines``."""
+    if fmt == "json":
+        print(json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":")))
+        return
+    for line in lines:
+        print(line)
 
 
 def _write_output(payload: str, out: str | None) -> None:
@@ -127,8 +138,7 @@ def _write_output(payload: str, out: str | None) -> None:
 def cmd_validate(args: argparse.Namespace) -> ExitCode:
     doc = _load_document(args.file)
     diagnostics = validate(doc, ValidationMode(args.mode))
-    if diagnostics or args.format == "json":
-        _print_diagnostics(diagnostics, args.file, args.format)
+    _print_diagnostics(diagnostics, args.file, args.format)
     if has_errors(diagnostics, strict=args.strict):
         return ExitCode.VALIDATION_ERRORS
     return ExitCode.SUCCESS
@@ -173,11 +183,7 @@ def cmd_schema(args: argparse.Namespace) -> ExitCode:
             print(f"{ref.component.name}:{ref.term}")
     else:  # diff
         diff = kernel.diff_schemas(_schema(args.old), _schema(args.new))
-        if args.format == "json":
-            _print_json(_diff_object(diff))
-        else:
-            for line in _diff_lines(diff):
-                print(line)
+        _print_result(args.format, _diff_object(diff), _diff_lines(diff))
     return ExitCode.SUCCESS
 
 
@@ -199,22 +205,17 @@ def _diff_lines(diff) -> list[str]:
 
 
 def _diff_object(diff) -> dict:
-    return {
-        "added_relationships": [list(r) for r in diff.added_relationships],
-        "added_terms": list(diff.added_terms),
-        "removed_relationships": [list(r) for r in diff.removed_relationships],
-        "removed_terms": list(diff.removed_terms),
-        "renamed_relationships": [list(r) for r in diff.renamed_relationships],
-        "stereotype_changes": [
-            {
-                "change": c.change,
-                "component": c.stereotype.component.name,
-                "stereotype": c.stereotype.term,
-                "term": c.term,
-            }
-            for c in diff.stereotype_changes
-        ],
-    }
+    obj = {name: getattr(diff, name) for name in diff.__slots__}  # json writes the tuples as arrays
+    obj["stereotype_changes"] = [
+        {
+            "change": c.change,
+            "component": c.stereotype.component.name,
+            "stereotype": c.stereotype.term,
+            "term": c.term,
+        }
+        for c in diff.stereotype_changes
+    ]
+    return obj
 
 
 def _validated_document(path: str) -> Document:
@@ -230,54 +231,27 @@ def cmd_query(args: argparse.Namespace) -> ExitCode:
     from . import queries
 
     doc = _validated_document(args.file)
+    command = args.query_command
     try:
-        if args.query_command in ("influences", "depends"):
-            _query_closure(doc, args)
-        elif args.query_command == "leaf-attributes":
-            attributes = queries.leaf_attributes(doc, args.model, args.characteristic)
-            if args.format == "json":
-                _print_json(attributes)
-            else:
-                for name in attributes:
-                    print(name)
-        elif args.query_command == "coverage":
-            _query_coverage(doc, args)
+        if command in ("influences", "depends"):
+            run = queries.influence_closure if command == "influences" else queries.depends_closure
+            lines = run(doc, args.view_model, args.origin, transitive=args.transitive).reached
+            obj = {"origin": args.origin, "reached": lines}
+        elif command == "leaf-attributes":
+            obj = lines = queries.leaf_attributes(doc, args.model, args.characteristic)
+        elif command == "coverage":
+            report = queries.mapping_coverage(doc, args.model)
+            obj = {"mapped": report.mapped, "ratio": float(report.ratio), "unmapped": report.unmapped}
+            lines = [f"mapped {item!r} -> " + ", ".join(attrs) for item, attrs in report.mapped]
+            lines += [f"unmapped {item!r}" for item in report.unmapped]
+            lines.append(f"ratio {obj['ratio']}")
         else:  # trace-fr
-            pairs = queries.trace_satisfies(doc, args.name)
-            if args.format == "json":
-                _print_json(pairs)
-            else:
-                for model_name, nfr_name in pairs:
-                    print(f"{model_name}: {nfr_name}")
+            obj = queries.trace_satisfies(doc, args.name)
+            lines = [f"{model_name}: {nfr_name}" for model_name, nfr_name in obj]
     except queries.QueryError as exc:
         raise UsageError(str(exc)) from None
+    _print_result(args.format, obj, lines)
     return ExitCode.SUCCESS
-
-
-def _query_closure(doc: Document, args: argparse.Namespace) -> None:
-    from . import queries
-
-    run = queries.influence_closure if args.query_command == "influences" else queries.depends_closure
-    reached = list(run(doc, args.view_model, args.origin, transitive=args.transitive).reached)
-    if args.format == "json":
-        _print_json({"origin": args.origin, "reached": reached})
-    else:
-        for name in reached:
-            print(name)
-
-
-def _query_coverage(doc: Document, args: argparse.Namespace) -> None:
-    from . import queries
-
-    report = queries.mapping_coverage(doc, args.model)
-    if args.format == "json":
-        _print_json({"mapped": report.mapped, "ratio": float(report.ratio), "unmapped": report.unmapped})
-        return
-    for item, attrs in report.mapped:
-        print(f"mapped {item!r} -> " + ", ".join(attrs))
-    for item in report.unmapped:
-        print(f"unmapped {item!r}")
-    print(f"ratio {float(report.ratio)}")
 
 
 def cmd_lint_arch(args: argparse.Namespace) -> ExitCode:
@@ -290,8 +264,7 @@ def cmd_lint_arch(args: argparse.Namespace) -> ExitCode:
         print(f"{args.file}: error: {exc}", file=sys.stderr)
         return ExitCode.PARSE_FAILURE
     diagnostics = kernel.lint_architecture(spec)
-    if diagnostics or args.format == "json":
-        _print_diagnostics(diagnostics, args.file, args.format)
+    _print_diagnostics(diagnostics, args.file, args.format)
     return ExitCode.VALIDATION_ERRORS if diagnostics else ExitCode.SUCCESS
 
 

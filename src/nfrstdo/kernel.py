@@ -11,6 +11,7 @@ function, so schemas can be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -206,26 +207,7 @@ def _nfrstdo_component(version: str) -> ComponentRef:
 
 def _build_v1_2() -> OntologySchema:
     component = _nfrstdo_component("1.2")
-
-    def term(
-        name: str,
-        definition: str,
-        synonyms: tuple[str, ...] = (),
-        notes: tuple[str, ...] = (),
-        parent: str | None = None,
-        stereotypes: tuple[StereotypeRef, ...] = (),
-        properties: tuple[PropertyDef, ...] = (),
-    ) -> TermDef:
-        return TermDef(
-            name=name,
-            definition=definition,
-            component=component,
-            synonyms=synonyms,
-            notes=notes,
-            parent_term=parent,
-            stereotypes=stereotypes,
-            properties=properties,
-        )
+    term = functools.partial(TermDef, component=component)
 
     terms = [
         term(
@@ -237,7 +219,7 @@ def _build_v1_2() -> OntologySchema:
                 "An elementary quality to be quantified.",
                 "Quantified with metrics and interpreted with elementary indicators.",
             ),
-            parent="Non-Functional Requirement",
+            parent_term="Non-Functional Requirement",
             properties=(
                 PropertyDef("definition", "Unambiguous textual meaning of the elementary aspect."),
             ),
@@ -257,7 +239,7 @@ def _build_v1_2() -> OntologySchema:
                 "Evaluable but not directly measurable; combines Attributes or Statement Items.",
                 "Can have sub-characteristics.",
             ),
-            parent="Non-Functional Requirement",
+            parent_term="Non-Functional Requirement",
             properties=(
                 PropertyDef("definition", "Unambiguous textual meaning of the non-elementary aspect."),
             ),
@@ -348,7 +330,7 @@ def _build_v1_2() -> OntologySchema:
                 "For instance an item in a questionnaire, a heuristic checklist, or a style guide.",
                 "Can be mapped to Attributes.",
             ),
-            parent="Non-Functional Requirement",
+            parent_term="Non-Functional Requirement",
             properties=(
                 PropertyDef("declaration", "Unambiguous textual expression of the item."),
             ),
@@ -356,18 +338,18 @@ def _build_v1_2() -> OntologySchema:
         term(
             "Cost Focus",
             "An Evaluation Focus for cost.",
-            parent="Evaluation Focus",
+            parent_term="Evaluation Focus",
         ),
         term(
             "Cost View",
             "An NFR View for cost.",
             synonyms=("Cost Perspective",),
-            parent="NFR View",
+            parent_term="NFR View",
         ),
         term(
             "Evaluation Focus",
             "The Characteristic that is the root of an NFRs model.",
-            parent="Characteristic",
+            parent_term="Characteristic",
         ),
         term(
             "NFR View",
@@ -397,7 +379,7 @@ def _build_v1_2() -> OntologySchema:
             "Quality Focus",
             "An Evaluation Focus for quality.",
             notes=("Examples: Process Quality, Internal Quality, External Quality, Quality in Use.",),
-            parent="Evaluation Focus",
+            parent_term="Evaluation Focus",
         ),
         term(
             "Quality View",
@@ -406,7 +388,7 @@ def _build_v1_2() -> OntologySchema:
             notes=(
                 "Examples: Resource Quality View, Process Quality View, Software Product Quality View.",
             ),
-            parent="NFR View",
+            parent_term="NFR View",
         ),
     ]
 

@@ -70,7 +70,11 @@ _DECLARATION = f"a declaration ({', '.join(NODE_KINDS_BY_KEYWORD)})"
 _NFR_KEYWORDS = {"characteristic": NfrKind.CHARACTERISTIC, "attribute": NfrKind.ATTRIBUTE,
                  "statement_item": NfrKind.STATEMENT_ITEM}
 _MODEL_EDGE_ARROWS = {k.keyword: k.arrow for k in MODEL_EDGE_KINDS}
-_VIEW_EDGE_KEYWORDS = {k.keyword for k in VIEW_EDGE_KINDS}
+# error recovery resumes at EOF or at one of these (kind, value) tokens: a declaration at the top level, and
+# a member, an edge or the closing brace inside a model or a view model
+_TOP_LEVEL_STOPS = frozenset(("word", k) for k in NODE_KINDS_BY_KEYWORD)
+_MODEL_STOPS = frozenset([("punct", "}"), *(("word", k) for k in (*_NFR_KEYWORDS, *_MODEL_EDGE_ARROWS))])
+_VIEW_MODEL_STOPS = frozenset([("punct", "}"), ("word", "view"), *(("word", k.keyword) for k in VIEW_EDGE_KINDS)])
 # what the second name of a model edge is expected to be, by syntax
 _MODEL_EDGE_TARGETS = {"of": "a characteristic name", "<->": "an NFR name", "->": "a target name"}
 
@@ -298,25 +302,15 @@ class _Parser:
                     return
                 depth -= 1
 
-    def skip_to_top_level(self) -> None:
+    def sync(self, stops: frozenset[tuple[str, str]]) -> None:
+        """Consume tokens up to EOF or a ``(kind, value)`` token in ``stops``."""
         while True:
             kind, value = self.tokens[self.pos][:2]
-            if kind == "eof" or (kind == "word" and value in NODE_KINDS_BY_KEYWORD):
+            if kind == "eof" or (kind, value) in stops:
                 return
             self.pos += 1
             if kind == "punct" and value == "{":
-                # skip the whole block so nested keywords do not look top-level
-                self.skip_block_rest()
-
-    def sync_inside_block(self, keywords: set[str]) -> None:
-        while True:
-            kind, value = self.tokens[self.pos][:2]
-            if kind == "eof" or (kind == "punct" and value == "}"):
-                return
-            if kind == "word" and value in keywords:
-                return
-            self.pos += 1
-            if kind == "punct" and value == "{":
+                # skip the whole block so nested keywords do not look like stops
                 self.skip_block_rest()
 
     # node declarations
@@ -330,7 +324,7 @@ class _Parser:
             if kind is None:
                 self.record_error(_error_at(t, _DECLARATION))
                 self.pos += 1
-                self.skip_to_top_level()
+                self.sync(_TOP_LEVEL_STOPS)
                 continue
             self.pos += 1
             try:
@@ -341,7 +335,7 @@ class _Parser:
                              f"a unique {kind.words} name")
             except _SyntaxError as exc:
                 self.record_error(exc.error)
-                self.skip_to_top_level()
+                self.sync(_TOP_LEVEL_STOPS)
 
     def declare(self, collection: dict, key: tuple, node, token: _Record, expected: str) -> None:
         """Store ``node``, at the location of the ``token`` that opens it, unless its name is taken."""
@@ -390,7 +384,6 @@ class _Parser:
         nfrs: dict[str, NfrNode] = {}
         edges: list[tuple[str, str, str, _Record]] = []  # keyword, source, target, keyword token
 
-        sync = set(_NFR_KEYWORDS) | set(_MODEL_EDGE_ARROWS)
         seen_edge = False
         while not self.at_punct("}"):
             t = self.tokens[self.pos]
@@ -411,7 +404,7 @@ class _Parser:
                     source, target = self.parse_edge(arrow, "an NFR name", _MODEL_EDGE_TARGETS[arrow])
                 except _SyntaxError as exc:
                     self.record_error(exc.error)
-                    self.sync_inside_block(sync)
+                    self.sync(_MODEL_STOPS)
                 else:
                     edges.append((t[1], source, target, t))
             elif t[0] == "eof":
@@ -420,7 +413,7 @@ class _Parser:
                 expected = "a model edge or '}'" if seen_edge else "an NFR declaration, a model edge, or '}'"
                 self.record_error(_error_at(t, expected))
                 self.pos += 1
-                self.sync_inside_block(sync)
+                self.sync(_MODEL_STOPS)
 
         stored: dict[str, list[tuple[str, str]]] = {k.field: [] for k in MODEL_EDGE_KINDS}
         for keyword, source, target, token in edges:
@@ -463,15 +456,14 @@ class _Parser:
         edges: dict[str, list[tuple[str, str]]] = {k.field: [] for k in VIEW_EDGE_KINDS}
 
         stage = "view"  # views, then influences, then depends_on
-        sync = {"view"} | _VIEW_EDGE_KEYWORDS
         while not self.at_punct("}"):
             t = self.tokens[self.pos]
             if t[0] == "eof":
                 self.fail("'}'")
-            if not (t[0] == "word" and t[1] in sync):
+            if t[:2] not in _VIEW_MODEL_STOPS:  # the loop has stopped at '}' already
                 self.record_error(_error_at(t, "a view, an edge, or '}'"))
                 self.pos += 1
-                self.sync_inside_block(sync)
+                self.sync(_VIEW_MODEL_STOPS)
                 continue
             keyword = t[1]
             if keyword == "view":
@@ -497,7 +489,7 @@ class _Parser:
                 source, target = self.parse_edge(kind.arrow, "a view name", "a view name")
             except _SyntaxError as exc:
                 self.record_error(exc.error)
-                self.sync_inside_block(sync)
+                self.sync(_VIEW_MODEL_STOPS)
                 continue
             edges[kind.field].append((source, target))
             self.locations[("edge", name, keyword, source, target)] = _location(t)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import json
 import os
 import stat
@@ -43,6 +44,25 @@ def test_validate_undecodable_input_is_parse_failure(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == f"{bad}:2:4: error: invalid UTF-8 byte 0xff\n"
+    for prefix in (b"", codecs.BOM_UTF8):  # a skipped byte-order mark moves no column
+        bad.write_bytes(prefix + b'cat\xffegory "A" { }\n')
+        assert run(capsys, "validate", str(bad)) == (2, "", f"{bad}:1:4: error: invalid UTF-8 byte 0xff\n")
+
+
+@pytest.mark.parametrize(("command", "text"), [
+    ("validate", Path(CHAIN).read_text(encoding="utf-8")),
+    ("validate", 'entity "JIRA" { belongs_to: "Nope" }\n'),
+    ("lint-arch", Path(ARCH).read_text(encoding="utf-8")),
+    ("lint-arch", "component SituationCO level Core\n"),
+], ids=["validate-clean", "validate-r001", "lint-arch-clean", "lint-arch-l001"])
+def test_leading_byte_order_mark_is_skipped(capsys, tmp_path, command, text):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+    for fmt in ("text", "json"):
+        expected = run(capsys, command, str(plain), "--format", fmt)
+        code, out, err = run(capsys, command, str(marked), "--format", fmt)
+        assert (code, out.replace(str(marked), str(plain)), err) == expected
 
 
 def test_validate_reports_r001(capsys, tmp_path):

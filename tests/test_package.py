@@ -1,10 +1,12 @@
-"""The package entry: lazy public names, the layers each ``nfrsctl`` subcommand loads, and what the sources
-need to run: the standard library only, and Python 3.10."""
+"""The package entry: lazy public names, the layers each ``nfrsctl`` subcommand loads, what the sources need
+to run (the standard library only, and Python 3.10), and a README synopsis that names every option."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ import pytest
 
 import nfrstdo
 from conftest import fixture_path
+from nfrstdo import cli
 
 CHAIN = str(fixture_path("quality_views_chain.nfrs"))
 SOURCES = sorted(Path(nfrstdo.__file__).resolve().parent.glob("*.py"))
@@ -83,3 +86,30 @@ def test_modules_parse_as_python_3_10():
     assert len(SOURCES) == 10
     for path in SOURCES:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_readme_cli_synopsis_lists_every_option():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    synopsis = [line.split() for line in block.splitlines()]
+
+    def leaves(parser: argparse.ArgumentParser, path: tuple[str, ...]):
+        branches = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not branches:
+            yield path, parser
+        for action in branches:
+            for name, subparser in action.choices.items():
+                yield from leaves(subparser, (*path, name))
+
+    commands = list(leaves(cli.build_parser(), ()))
+    assert len(commands) == 12
+    for path, parser in commands:
+        # a synopsis line names its subcommand path after "nfrsctl", alternatives joined by "|"
+        lines = [" ".join(words) for words in synopsis
+                 if len(words) > len(path) and all(name in words[i + 1].split("|") for i, name in enumerate(path))]
+        assert len(lines) == 1, path
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            for option in action.option_strings:
+                assert re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", lines[0]), (path, option)
