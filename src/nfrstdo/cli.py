@@ -3,9 +3,9 @@
 Input is read as UTF-8; one leading byte-order mark is skipped. Exit codes:
 0 success, 1 validation errors (warnings too under ``--strict``), 2 parse
 failure (input that is not UTF-8 included), 3 usage error (an unreadable input
-or an unwritable ``-o`` file included). Query results and ``schema diff`` go
-through one printer: compact, key-sorted JSON under ``--format json``, one
-line per item otherwise. ``-o`` onto a new or regular file writes a sibling
+or an unwritable ``-o`` file included). Query results and ``schema diff``
+share one printer: one line per item, or compact, key-sorted JSON under
+``--format json``. ``-o`` onto a new or regular file writes a sibling
 temporary file and renames it onto the target, so the target holds either the
 old or the whole new output; any other target (a symlink, a FIFO, a device) is
 written directly. Set ``NFRSCTL_NO_COLOR`` to disable ANSI styling of
