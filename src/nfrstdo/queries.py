@@ -4,17 +4,19 @@ Closures over view influence, attribute rollups beneath characteristics,
 mapping coverage of statement items, and NFR-to-FR satisfaction traces. All
 functions are pure, leave the document untouched, and order their results
 deterministically (breadth-first with lexicographic ties for closures,
-lexicographic elsewhere).
+lexicographic elsewhere). The closures walk an integer index of the view
+model's graph, cached by its edge tuples, so repeated queries on one document
+build it once per direction.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 
-from .model import Document, FocusKind, NfrKind, NfrsViewModelNode
+from .model import Document, Edge, FocusKind, NfrKind, NfrsViewModelNode
 
 
 class QueryError(LookupError):
@@ -66,23 +68,54 @@ def _quality_view_model(doc: Document, view_model: str, origin: str) -> NfrsView
     return vm
 
 
-def _bfs_closure(edges: Iterable[tuple[str, str]], origin: str, transitive: bool = True) -> tuple[str, ...]:
-    successors: dict[str, set[str]] = {}
+# Two entries per view model (one per direction) for a few dozen documents, so a caller that
+# cycles through them never evicts an index it is about to reuse.
+_INDEX_CACHE_SIZE = 128
+
+_Index = tuple[tuple[str, ...], dict[str, int], list[list[int]]]
+
+
+@lru_cache(maxsize=_INDEX_CACHE_SIZE)
+def _closure_index(edges: tuple[Edge, ...], reversed_edges: tuple[Edge, ...] = ()) -> _Index:
+    """The graph of ``edges`` and the reversed ``reversed_edges``, as ints.
+
+    Returns the sorted names of every endpoint, each name's position in them,
+    and each position's successor positions. Keyed by the edge tuples
+    themselves, which are immutable, so an equal key always means the same
+    graph. Callers must not mutate what it returns, which every later hit shares.
+    """
+    names = tuple(sorted({*chain.from_iterable(edges), *chain.from_iterable(reversed_edges)}))
+    position = {name: i for i, name in enumerate(names)}
+    successors: list[list[int]] = [[] for _ in names]
     for a, b in edges:
-        successors.setdefault(a, set()).add(b)
-    reached: list[str] = []
-    discovered: set[str] = set()
-    level = [origin]
+        successors[position[a]].append(position[b])
+    for a, b in reversed_edges:
+        successors[position[b]].append(position[a])
+    return names, position, successors
+
+
+def _walk(index: _Index, origin: str, transitive: bool) -> tuple[str, ...]:
+    """Breadth-first levels from ``origin``, each in name order; the origin only if a cycle returns to it."""
+    names, position, successors = index
+    start = position.get(origin)
+    if start is None:
+        return ()
+    seen = bytearray(len(names))
+    reached: list[int] = []
+    level = [start]
     while level:
-        frontier: set[str] = set()
+        frontier: list[int] = []
         for node in level:
-            frontier.update(s for s in successors.get(node, ()) if s not in discovered)
-        discovered.update(frontier)
-        level = sorted(frontier)
-        reached.extend(level)
+            for s in successors[node]:
+                if not seen[s]:
+                    seen[s] = 1
+                    frontier.append(s)
+        frontier.sort()  # positions follow the sorted names, so this is name order
+        reached.extend(frontier)
         if not transitive:
             break
-    return tuple(reached)
+        level = frontier
+    return tuple([names[i] for i in reached])
 
 
 def influence_closure(doc: Document, view_model: str, origin: str, *, transitive: bool = True) -> ClosureResult:
@@ -91,7 +124,7 @@ def influence_closure(doc: Document, view_model: str, origin: str, *, transitive
     The origin itself appears only when a cycle leads back to it.
     """
     vm = _quality_view_model(doc, view_model, origin)
-    return ClosureResult(origin=origin, reached=_bfs_closure(vm.influences_edges, origin, transitive))
+    return ClosureResult(origin=origin, reached=_walk(_closure_index(vm.influences_edges), origin, transitive))
 
 
 def depends_closure(doc: Document, view_model: str, origin: str, *, transitive: bool = True) -> ClosureResult:
@@ -101,8 +134,8 @@ def depends_closure(doc: Document, view_model: str, origin: str, *, transitive: 
     the explicit edges and the reversed influences edges, walked as they are.
     """
     vm = _quality_view_model(doc, view_model, origin)
-    edges = chain(vm.depends_on_edges, ((b, a) for a, b in vm.influences_edges))
-    return ClosureResult(origin=origin, reached=_bfs_closure(edges, origin, transitive))
+    index = _closure_index(vm.depends_on_edges, vm.influences_edges)
+    return ClosureResult(origin=origin, reached=_walk(index, origin, transitive))
 
 
 def leaf_attributes(doc: Document, model: str, characteristic: str) -> list[str]:

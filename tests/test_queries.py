@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from closure_oracle import _bfs_closure
 from docgen import oracle_leaf_attributes, oracle_reachable, random_document
 from nfrstdo.model import (
     Document,
@@ -17,6 +19,7 @@ from nfrstdo.model import (
     NfrsViewModelNode,
     NfrViewNode,
     add_node,
+    add_view_edge,
 )
 from nfrstdo.textformat import serialize
 from nfrstdo.queries import (
@@ -31,7 +34,8 @@ from nfrstdo.queries import (
     leaf_attributes,
     mapping_coverage,
     trace_satisfies,
-    _bfs_closure,
+    _closure_index,
+    _INDEX_CACHE_SIZE,
 )
 from nfrstdo.validator import derive_depends_on
 
@@ -155,6 +159,135 @@ def test_depends_closure_matches_derived_edges_on_generated_documents():
                         assert run(doc, vm.name, origin, transitive=False).reached == direct
                     origins += 1
     assert origins >= 400
+
+
+def _closure_mismatches(doc: Document) -> tuple[list[tuple], int]:
+    """Every (view model, origin, direction, transitive) where a closure differs from the string-set oracle."""
+    mismatches, checked = [], 0
+    for vm in doc.view_models.values():
+        reversed_influences = [(b, a) for a, b in vm.influences_edges]
+        for origin, view in vm.views.items():
+            if view.kind is not FocusKind.QUALITY:
+                continue
+            for transitive in (True, False):
+                expected = {
+                    "influences": _bfs_closure(vm.influences_edges, origin, transitive),
+                    "depends": _bfs_closure(chain(vm.depends_on_edges, reversed_influences), origin, transitive),
+                }
+                got = {
+                    "influences": influence_closure(doc, vm.name, origin, transitive=transitive).reached,
+                    "depends": depends_closure(doc, vm.name, origin, transitive=transitive).reached,
+                }
+                mismatches += [(vm.name, origin, d, transitive) for d in expected if expected[d] != got[d]]
+                checked += 2
+    return mismatches, checked
+
+
+def _cyclic_network(seed: int, count: int) -> Document:
+    """One view model of ``count`` quality views, about 3 influences each, with cycles, self-loops and edgeless views."""
+    rng = random.Random(seed)
+    names = [f"View {i:03d}" for i in range(count)]
+    connected = [name for i, name in enumerate(names) if i % 20 != 7]  # every 20th view has no edge at all
+    influences = [(a, b) for a in connected for b in rng.sample(connected, rng.randrange(1, 6))]
+    influences += [(name, name) for name in connected[::37]]
+    influences += list(zip(connected[::11], connected[11::11] + connected[:1]))  # one long ring
+    depends_on = [(a, rng.choice(connected)) for a in connected[::9]]
+    views = {
+        name: NfrViewNode(name=name, kind=FocusKind.QUALITY, category="C", focus=("M", "F"))
+        for name in names
+    }
+    vm = NfrsViewModelNode(name="VM", views=views, influences_edges=tuple(influences),
+                           depends_on_edges=tuple(depends_on))
+    return add_node(Document(), vm)
+
+
+def test_closures_match_string_set_oracle_on_generated_documents():
+    mismatches, checked = [], 0
+    for seed in range(1500):
+        found, count = _closure_mismatches(random_document(random.Random(seed)))
+        mismatches += [(seed, *m) for m in found]
+        checked += count
+    assert mismatches == []
+    assert checked >= 1600
+
+
+def test_closures_match_string_set_oracle_on_a_400_view_cyclic_network():
+    doc = _cyclic_network(11, 400)
+    vm = doc.view_models["VM"]
+    endpoints = {name for edge in vm.influences_edges + vm.depends_on_edges for name in edge}
+    assert any(a == b for a, b in vm.influences_edges)
+    assert len(endpoints) < len(vm.views)
+    assert 2.5 <= len(vm.influences_edges) / len(vm.views) <= 3.5
+    mismatches, checked = _closure_mismatches(doc)
+    assert mismatches == []
+    assert checked == 4 * 400
+
+
+# --- the closure index cache -------------------------------------------------------
+
+
+def test_closure_queries_build_each_direction_index_once():
+    doc = _cyclic_network(3, 60)
+    origins = sorted(doc.view_models["VM"].views)
+    _closure_index.cache_clear()
+    for i in range(50):
+        influence_closure(doc, "VM", origins[i % len(origins)])
+        depends_closure(doc, "VM", origins[-1 - i % len(origins)], transitive=i % 2 == 0)
+    info = _closure_index.cache_info()
+    assert (info.misses, info.hits) == (2, 98)
+
+
+def test_equal_but_distinct_edge_tuples_give_equal_results():
+    edges = [("View A", "View B"), ("View B", "View C"), ("View C", "View A")]
+    first, second = _view_graph(edges), _view_graph(list(edges))
+    assert first.view_models["VM"].influences_edges is not second.view_models["VM"].influences_edges
+    _closure_index.cache_clear()
+    for origin in ("View A", "View B", "View C"):
+        assert influence_closure(first, "VM", origin) == influence_closure(second, "VM", origin)
+        assert depends_closure(first, "VM", origin) == depends_closure(second, "VM", origin)
+    assert _closure_index.cache_info().misses == 2
+
+
+def test_edge_added_to_a_view_model_changes_the_closure():
+    doc = _view_graph([("View A", "View B")], ["View A", "View B", "View C"])
+    assert influence_closure(doc, "VM", "View A").reached == ("View B",)
+    assert depends_closure(doc, "VM", "View C").reached == ()
+    changed = add_view_edge(doc, "VM", "influences", "View B", "View C")
+    assert influence_closure(changed, "VM", "View A").reached == ("View B", "View C")
+    assert depends_closure(changed, "VM", "View C").reached == ("View B", "View A")
+    assert influence_closure(doc, "VM", "View A").reached == ("View B",)
+
+
+def test_second_pass_over_24_documents_hits_the_cache():
+    docs = [doc for doc in (random_document(random.Random(seed)) for seed in range(200)) if doc.view_models][:24]
+    view_models = [(doc, vm) for doc in docs for vm in doc.view_models.values()]
+    assert len(docs) == 24 and 2 * len(view_models) <= _INDEX_CACHE_SIZE
+
+    def one_pass() -> None:
+        for doc, vm in view_models:
+            for origin, view in vm.views.items():
+                if view.kind is FocusKind.QUALITY:
+                    influence_closure(doc, vm.name, origin)
+                    depends_closure(doc, vm.name, origin)
+
+    _closure_index.cache_clear()
+    one_pass()
+    first = _closure_index.cache_info()
+    one_pass()
+    second = _closure_index.cache_info()
+    assert first.misses > 0
+    assert second.misses == first.misses
+    assert second.hits > first.hits
+
+
+def test_closure_index_cache_stays_within_its_bound():
+    _closure_index.cache_clear()
+    for count in range(2, 2 + 2 * _INDEX_CACHE_SIZE):
+        doc = _view_graph([(f"View {i}", f"View {i + 1}") for i in range(count)])
+        influence_closure(doc, "VM", "View 0")
+        depends_closure(doc, "VM", f"View {count}")
+        assert _closure_index.cache_info().currsize <= _INDEX_CACHE_SIZE
+    assert _closure_index.cache_info().currsize == _INDEX_CACHE_SIZE
 
 
 # --- leaf attribute rollups -------------------------------------------------------
