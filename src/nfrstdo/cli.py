@@ -274,7 +274,11 @@ def cmd_lint_arch(args: argparse.Namespace) -> ExitCode:
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument tree, built once per process: ``main`` only reads it."""
-    parser = _ArgumentParser(prog="nfrsctl", description=__doc__)
+    parser = _ArgumentParser(
+        prog="nfrsctl",
+        description="Validate, export and query NFRsTDO .nfrs documents, and inspect the built-in schemas.",
+        epilog="exit codes: 0 success, 1 validation errors, 2 parse failure, 3 usage error",
+    )
     commands = parser.add_subparsers(dest="command")
 
     p = commands.add_parser("validate", help="parse and validate a .nfrs file")

@@ -127,6 +127,13 @@ _ESCAPE_RE = re.compile(r"\\(.)")
 _Record = tuple[str, str, int, int]
 
 
+def _printable(text: str) -> str:
+    """``text`` with each non-printable character, such as a zero-width space, written as its escape (``\\u200b``)."""
+    if text.isprintable():
+        return text
+    return "".join(c if c.isprintable() else c.encode("unicode_escape").decode("ascii") for c in text)
+
+
 def _describe(token: _Record) -> str:
     """How a parse error names the token it found."""
     kind, value = token[0], token[1]
@@ -134,8 +141,8 @@ def _describe(token: _Record) -> str:
         return "end of input"
     if kind == "string":
         text = value if len(value) <= 20 else value[:17] + "..."
-        return f'string "{text}"'
-    return f"'{value}'"
+        return f'string "{_printable(text)}"'
+    return f"'{_printable(value)}'"
 
 
 def _location(token: _Record) -> SourceLocation:
@@ -179,12 +186,12 @@ def _tokenize(text: str) -> list[_Record]:
         elif kind == "other":
             location = SourceLocation(line, start - line_start + 1)
             if value != '"':
-                error = ParseError(location, "a declaration", f"'{value}'")
+                error = ParseError(location, "a declaration", f"'{_printable(value)}'")
             else:
                 end = _OPEN_STRING_RE.match(text, start).end()
                 if text.startswith("\\", end):
                     error = ParseError(SourceLocation(line, end - line_start + 1), "a valid escape",
-                                       f"'\\{text[end + 1:end + 2]}'")
+                                       f"'\\{_printable(text[end + 1:end + 2])}'")
                 else:
                     error = ParseError(location, "closing '\"'", "end of line or input")
             raise ParseFailure([error])

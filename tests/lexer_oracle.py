@@ -3,7 +3,9 @@
 ``_tokenize`` is the lexer as it stood before the master-pattern rewrite,
 copied verbatim. It returns a list of ``_Token`` (from ``parser_oracle``, the
 token record of that time), or raises ``_LexError`` carrying the one
-``ParseError`` that the library raises inside a ``ParseFailure``.
+``ParseError`` that the library raises inside a ``ParseFailure``. One later
+change rides along: a ``found`` text writes each non-printable character as
+its escape (``parser_oracle._printable``), as the library's does.
 ``tests/test_lexer.py`` compares its tokens with the library's.
 """
 
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 from nfrstdo.diagnostics import SourceLocation
 from nfrstdo.textformat import ParseError
-from parser_oracle import _Token
+from parser_oracle import _Token, _printable
 
 _WORD_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _WORD_CHARS = _WORD_START | set("0123456789")
@@ -62,7 +64,7 @@ def _tokenize(text: str) -> list[_Token]:
                 if c == "\\":
                     if j + 1 >= n or text[j + 1] not in _UNESCAPES:
                         raise _LexError(
-                            ParseError(SourceLocation(line, col + (j - i)), "a valid escape", f"'\\{text[j + 1: j + 2]}'")
+                            ParseError(SourceLocation(line, col + (j - i)), "a valid escape", f"'\\{_printable(text[j + 1: j + 2])}'")
                         )
                     value.append(_UNESCAPES[text[j + 1]])
                     j += 2
@@ -85,7 +87,7 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token("punct", ch, start))
             i, col = i + 1, col + 1
             continue
-        raise _LexError(ParseError(start, "a declaration", f"'{ch}'"))
+        raise _LexError(ParseError(start, "a declaration", f"'{_printable(ch)}'"))
     # place EOF on the last line's end-of-line cursor, never past the input
     if col == 1 and line > 1:
         line -= 1

@@ -3,7 +3,9 @@
 ``_Token``, ``_tokenize``, ``_SyntaxError`` and ``_Parser`` are copied
 verbatim from ``textformat`` as they stood when every token was a frozen
 ``_Token`` holding a ``SourceLocation``, together with the constants they
-read. ``parse`` drives them as ``textformat.parse`` does. ``tests/test_parser.py``
+read. ``parse`` drives them as ``textformat.parse`` does. One later change
+rides along: a ``found`` text writes each non-printable character as its
+escape (``_printable``), as the library's does. ``tests/test_parser.py``
 compares the documents, source locations and errors they produce with the
 library's, and ``tests/lexer_oracle.py`` builds its tokens from this ``_Token``.
 """
@@ -59,6 +61,11 @@ _OPEN_STRING_RE = re.compile(_OPEN_STRING)
 _ESCAPE_RE = re.compile(r"\\(.)")
 
 
+def _printable(text: str) -> str:
+    """``text`` with each non-printable character written as ``repr`` writes it (``\\u200b``)."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+
+
 @dataclass(frozen=True, slots=True)
 class _Token:
     kind: str  # word, string, punct, eof
@@ -70,8 +77,8 @@ class _Token:
             return "end of input"
         if self.kind == "string":
             text = self.value if len(self.value) <= 20 else self.value[:17] + "..."
-            return f'string "{text}"'
-        return f"'{self.value}'"
+            return f'string "{_printable(text)}"'
+        return f"'{_printable(self.value)}'"
 
 
 def _unescape(match: re.Match) -> str:
@@ -100,12 +107,12 @@ def _tokenize(text: str) -> list[_Token]:
             location = SourceLocation(line - 1, line_start - text.rfind("\n", 0, line_start - 1) - 1)
         elif kind == "other":
             if value != '"':
-                error = ParseError(location, "a declaration", f"'{value}'")
+                error = ParseError(location, "a declaration", f"'{_printable(value)}'")
             else:
                 end = _OPEN_STRING_RE.match(text, start).end()
                 if text.startswith("\\", end):
                     error = ParseError(SourceLocation(line, end - line_start + 1), "a valid escape",
-                                       f"'\\{text[end + 1:end + 2]}'")
+                                       f"'\\{_printable(text[end + 1:end + 2])}'")
                 else:
                     error = ParseError(location, "closing '\"'", "end of line or input")
             raise ParseFailure([error])

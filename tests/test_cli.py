@@ -65,6 +65,19 @@ def test_leading_byte_order_mark_is_skipped(capsys, tmp_path, command, text):
         assert (code, out.replace(str(marked), str(plain)), err) == expected
 
 
+@pytest.mark.parametrize(("data", "column", "found"), [
+    ('category "A" {\u200b }\n'.encode("utf-8"), 15, r"'\u200b'"),
+    (codecs.BOM_UTF8 * 2 + b'category "A" { }\n', 1, r"'\ufeff'"),
+    (b'category "A" "tab\\there" { }\n', 14, r'string "tab\there"'),
+], ids=["zero-width-space", "second-byte-order-mark", "tab-in-string"])
+def test_parse_error_names_invisible_characters_by_escape(capsys, tmp_path, data, column, found):
+    bad = tmp_path / "bad.nfrs"
+    bad.write_bytes(data)
+    code, out, err = run(capsys, "validate", str(bad))
+    expected = "'{'" if found.startswith("string") else "a declaration"
+    assert (code, out, err) == (2, "", f"{bad}:1:{column}: error: expected {expected}, found {found}\n")
+
+
 def test_validate_reports_r001(capsys, tmp_path):
     bad = tmp_path / "bad.nfrs"
     bad.write_text('entity "JIRA" { belongs_to: "Nope" }\n', encoding="utf-8")
@@ -609,3 +622,14 @@ def test_console_entry_point_via_module():
     )
     assert result.returncode == 0
     assert result.stdout == "terms=15 properties=18 relationships=12\n"
+
+
+def test_help_is_a_short_user_facing_description(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["-h"])
+    out = capsys.readouterr().out
+    assert exit_info.value.code == 0
+    assert out.startswith("usage: nfrsctl ")
+    assert "``" not in out
+    assert "tmp" not in out and "temporary" not in out
+    assert "exit codes: 0 success, 1 validation errors, 2 parse failure, 3 usage error" in out
