@@ -129,8 +129,6 @@ _Record = tuple[str, str, int, int]
 
 def _printable(text: str) -> str:
     """``text`` with each non-printable character, such as a zero-width space, written as its escape (``\\u200b``)."""
-    if text.isprintable():
-        return text
     return "".join(c if c.isprintable() else c.encode("unicode_escape").decode("ascii") for c in text)
 
 
