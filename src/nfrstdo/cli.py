@@ -23,7 +23,7 @@ import sys
 from enum import IntEnum
 from functools import cache
 
-from .diagnostics import Diagnostic, render_json, render_text
+from .diagnostics import Diagnostic, Severity, SourceLocation, render_json, render_text
 from .model import Document
 from .textformat import ParseFailure, parse
 from .validator import ValidationMode, has_errors, validate
@@ -56,7 +56,17 @@ def _color_enabled() -> bool:
     return sys.stdout.isatty()
 
 
-def _read_text(path: str) -> str:
+def _parse_failed(path: str, errors: list[tuple[SourceLocation, str]], fmt: str) -> _Fail:
+    """Report (location, message) parse errors on stderr, and under ``--format json`` also on stdout as diagnostics."""
+    for loc, message in errors:
+        print(f"{path}:{loc.line}:{loc.column}: error: {message}", file=sys.stderr)
+    if fmt == "json":
+        diagnostics = [Diagnostic("parse", Severity.ERROR, message, None, loc) for loc, message in errors]
+        print(render_json(diagnostics, path, sort=False))
+    return _Fail(ExitCode.PARSE_FAILURE)
+
+
+def _read_text(path: str, fmt: str = "text") -> str:
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -70,18 +80,15 @@ def _read_text(path: str) -> str:
         # locate the first bad byte, counting lines as the parser does
         before = data[: exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         line, column = before.count("\n") + 1, len(before) - before.rfind("\n")
-        print(f"{path}:{line}:{column}: error: invalid UTF-8 byte 0x{data[exc.start]:02x}", file=sys.stderr)
-        raise _Fail(ExitCode.PARSE_FAILURE) from None
+        message = f"invalid UTF-8 byte 0x{data[exc.start]:02x}"
+        raise _parse_failed(path, [(SourceLocation(line, column), message)], fmt) from None
 
 
-def _load_document(path: str) -> Document:
+def _load_document(path: str, fmt: str = "text") -> Document:
     try:
-        return parse(_read_text(path))
+        return parse(_read_text(path, fmt))
     except ParseFailure as failure:
-        for error in failure.errors:
-            loc = error.location
-            print(f"{path}:{loc.line}:{loc.column}: error: {error.message}", file=sys.stderr)
-        raise _Fail(ExitCode.PARSE_FAILURE) from None
+        raise _parse_failed(path, [(e.location, e.message) for e in failure.errors], fmt) from None
 
 
 def _print_diagnostics(diagnostics: list[Diagnostic], path: str, fmt: str, stream=None) -> None:
@@ -136,7 +143,7 @@ def _write_output(payload: str, out: str | None) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> ExitCode:
-    doc = _load_document(args.file)
+    doc = _load_document(args.file, args.format)
     diagnostics = validate(doc, ValidationMode(args.mode))
     _print_diagnostics(diagnostics, args.file, args.format)
     if has_errors(diagnostics, strict=args.strict):
@@ -205,7 +212,7 @@ def _diff_lines(diff) -> list[str]:
 
 
 def _diff_object(diff) -> dict:
-    obj = {name: getattr(diff, name) for name in diff.__slots__}  # json writes the tuples as arrays
+    obj = {name: getattr(diff, name) for name in diff._fields}  # json writes the tuples as arrays
     obj["stereotype_changes"] = [
         {
             "change": c.change,

@@ -7,8 +7,71 @@ Rule codes follow two catalogs: ``R-###`` for instance-document rules and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from operator import attrgetter
+
+
+class factory(partial):
+    """A field default made anew for each record: ``nfrs: dict[str, NfrNode] = factory(dict)``."""
+
+    def __repr__(self) -> str:
+        return "<factory>"
+
+
+class _RecordType(type):
+    """Gives each record class ``__slots__``, ``_fields`` and an ``__init__`` built from its annotated fields."""
+
+    def __new__(mcls, name, bases, namespace):
+        fields = tuple(namespace.get("__annotations__", ()))
+        defaults = {f: namespace.pop(f) for f in fields if f in namespace}
+        namespace["__slots__"] = (*fields, *namespace.get("__slots__", ()))
+        cls = super().__new__(mcls, name, bases, namespace)
+        if fields:
+            cls._fields, cls._key = fields, attrgetter(*fields)
+            lines = [f"def __init__(self, {', '.join(f'{f}=_d[{f!r}]' if f in defaults else f for f in fields)}):"]
+            lines += [f" if {f} is _d[{f!r}]: {f} = {f}()" for f in fields if isinstance(defaults.get(f), factory)]
+            lines += [f" _set(self, {f!r}, {f})" for f in fields]
+            if hasattr(cls, "__post_init__"):
+                lines.append(" self.__post_init__()")
+            exec("\n".join(lines), {"_d": defaults, "_set": object.__setattr__}, made := {})
+            cls.__init__ = made["__init__"]
+        return cls
+
+
+class Record(metaclass=_RecordType):
+    """Base of the package's immutable records, declared as for ``dataclasses``: annotated fields, then defaults.
+
+    ``_fields`` names the fields in order. Records of one type compare and
+    hash as the tuple of their fields; a subclass that defines ``__eq__`` is
+    unhashable. ``replace`` copies a record with some fields changed.
+    """
+
+    def __eq__(self, other):
+        return self._key(self) == self._key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild by position, since __setattr__ refuses
+        return self.__class__, tuple([getattr(self, f) for f in self._fields])
+
+
+def replace(record, /, **changes):
+    """A copy of ``record`` with ``changes`` applied to its fields, like ``dataclasses.replace``."""
+    for name in record._fields:
+        if name not in changes:
+            changes[name] = getattr(record, name)
+    return record.__class__(**changes)
 
 
 class Severity(Enum):
@@ -16,8 +79,7 @@ class Severity(Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True, slots=True)
-class SourceLocation:
+class SourceLocation(Record):
     """1-based line/column position in an input file."""
 
     line: int
@@ -28,8 +90,7 @@ class SourceLocation:
             raise ValueError("line and column are 1-based")
 
 
-@dataclass(frozen=True, slots=True)
-class Diagnostic:
+class Diagnostic(Record):
     """One validation finding, identified by a stable rule code."""
 
     code: str
@@ -58,10 +119,10 @@ def render_text(diagnostic: Diagnostic, path: str, color: bool = False) -> str:
     return f"{prefix}: {severity} {diagnostic.code}: {diagnostic.message} [{diagnostic.subject}]"
 
 
-def render_json(diagnostics: list[Diagnostic], path: str) -> str:
-    """Render a sorted diagnostic array as one compact JSON document."""
+def render_json(diagnostics: list[Diagnostic], path: str, sort: bool = True) -> str:
+    """Render a diagnostic array, sorted unless ``sort`` is false, as one compact JSON document."""
     records = []
-    for d in sort_diagnostics(diagnostics):
+    for d in sort_diagnostics(diagnostics) if sort else diagnostics:
         records.append(
             {
                 "code": d.code,

@@ -14,10 +14,9 @@ from __future__ import annotations
 import functools
 import json
 from collections import Counter
-from dataclasses import dataclass, replace
 from enum import IntEnum
 
-from .diagnostics import Diagnostic, Severity, sort_diagnostics
+from .diagnostics import Diagnostic, Record, Severity, replace, sort_diagnostics
 
 UNBOUNDED = None  # max cardinality for "none or more" / "one or more"
 
@@ -60,8 +59,7 @@ class OntoLevel(IntEnum):
         raise ValueError(f"unknown level {label!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class ComponentRef:
+class ComponentRef(Record):
     """One ontology component (name, tier, version) in the architecture."""
 
     name: str
@@ -73,14 +71,12 @@ class ComponentRef:
             raise ValueError("component name must be non-empty")
 
 
-@dataclass(frozen=True, slots=True)
-class PropertyDef:
+class PropertyDef(Record):
     name: str
     definition: str
 
 
-@dataclass(frozen=True, slots=True)
-class StereotypeRef:
+class StereotypeRef(Record):
     """An enrichment tag: the higher-level term whose semantics a term carries.
 
     ``reused`` marks whole-term reuse from a peer component at the same tier,
@@ -92,8 +88,7 @@ class StereotypeRef:
     reused: bool = False
 
 
-@dataclass(frozen=True, slots=True)
-class TermDef:
+class TermDef(Record):
     name: str
     definition: str
     component: ComponentRef
@@ -104,8 +99,7 @@ class TermDef:
     properties: tuple[PropertyDef, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class RelationshipDef:
+class RelationshipDef(Record):
     """A non-taxonomic relationship with its target multiplicity per source.
 
     ``max_count`` of ``None`` means unbounded ("none or more" is (0, None),
@@ -128,8 +122,7 @@ class RelationshipDef:
         return (self.name, self.source_term, self.target_term)
 
 
-@dataclass(frozen=True, eq=False)
-class OntologySchema:
+class OntologySchema(Record):
     component: ComponentRef
     terms: dict[str, TermDef]
     relationships: tuple[RelationshipDef, ...]
@@ -145,15 +138,13 @@ class OntologySchema:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class StereotypeChange:
+class StereotypeChange(Record):
     term: str
     change: str  # "added" or "removed"
     stereotype: StereotypeRef
 
 
-@dataclass(frozen=True, slots=True)
-class SchemaDiff:
+class SchemaDiff(Record):
     added_terms: tuple[str, ...]
     removed_terms: tuple[str, ...]
     added_relationships: tuple[tuple[str, str, str], ...]
@@ -162,11 +153,10 @@ class SchemaDiff:
     stereotype_changes: tuple[StereotypeChange, ...]
 
     def is_empty(self) -> bool:
-        return not any(getattr(self, name) for name in self.__slots__)
+        return not any(getattr(self, name) for name in self._fields)
 
 
-@dataclass(frozen=True, slots=True)
-class ArchSpec:
+class ArchSpec(Record):
     """A declared component allocation plus enrichment/peer edges between them."""
 
     components: tuple[ComponentRef, ...]
@@ -561,56 +551,27 @@ def lint_architecture(spec: ArchSpec) -> list[Diagnostic]:
     diagnostics: list[Diagnostic] = []
     levels = {c.name: c.level for c in spec.components}
 
+    def error(code: str, message: str, subject: str) -> None:
+        diagnostics.append(Diagnostic(code, Severity.ERROR, message, subject))
+
     foundational = [c.name for c in spec.components if c.level is OntoLevel.FOUNDATIONAL]
     if foundational != ["ThingFO"]:
         found = ", ".join(sorted(foundational)) if foundational else "none"
-        diagnostics.append(
-            Diagnostic(
-                code="L-001",
-                severity=Severity.ERROR,
-                message=f"the foundational tier must contain exactly ThingFO (found: {found})",
-                subject="architecture",
-            )
-        )
+        error("L-001", f"the foundational tier must contain exactly ThingFO (found: {found})", "architecture")
 
     for consumer, supplier in spec.enrichment_edges:
         if levels[supplier] > levels[consumer]:
-            diagnostics.append(
-                Diagnostic(
-                    code="L-002",
-                    severity=Severity.ERROR,
-                    message=(
-                        f"enrichment must come from the same or a higher tier:"
-                        f" {supplier} ({levels[supplier].label}) cannot enrich"
-                        f" {consumer} ({levels[consumer].label})"
-                    ),
-                    subject=f"enriches:{consumer}<-{supplier}",
-                )
-            )
+            error("L-002", f"enrichment must come from the same or a higher tier: {supplier} "
+                  f"({levels[supplier].label}) cannot enrich {consumer} ({levels[consumer].label})",
+                  f"enriches:{consumer}<-{supplier}")
 
     for a, b in spec.peer_edges:
         subject = f"peer:{a}<->{b}"
         if levels[a] != levels[b]:
-            diagnostics.append(
-                Diagnostic(
-                    code="L-003",
-                    severity=Severity.ERROR,
-                    message=(
-                        f"peer components must share a tier: {a} is {levels[a].label},"
-                        f" {b} is {levels[b].label}"
-                    ),
-                    subject=subject,
-                )
-            )
+            error("L-003", f"peer components must share a tier: {a} is {levels[a].label}, {b} is {levels[b].label}",
+                  subject)
         elif levels[a] is OntoLevel.FOUNDATIONAL:
-            diagnostics.append(
-                Diagnostic(
-                    code="L-003",
-                    severity=Severity.ERROR,
-                    message="peer relationships are not allowed at the foundational tier",
-                    subject=subject,
-                )
-            )
+            error("L-003", "peer relationships are not allowed at the foundational tier", subject)
 
     return sort_diagnostics(diagnostics)
 

@@ -28,10 +28,9 @@ parser, the serializer and the exporters read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .diagnostics import SourceLocation
+from .diagnostics import Record, SourceLocation, factory, replace
 
 Edge = tuple[str, str]
 LocationKey = tuple  # ("category", name), ("nfr", model, name), ("edge", owner, kind, src, dst), ...
@@ -62,8 +61,7 @@ class FocusKind(Enum):
     COST = "cost"
 
 
-@dataclass(frozen=True, slots=True)
-class CategoryNode:
+class CategoryNode(Record):
     """An evaluable entity category; ``parent`` points at a broader category."""
 
     name: str
@@ -71,8 +69,7 @@ class CategoryNode:
     parent: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class EntityNode:
+class EntityNode(Record):
     """A concrete evaluable entity belonging to exactly one category."""
 
     name: str
@@ -80,15 +77,13 @@ class EntityNode:
     description: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class FunctionalRequirementNode:
+class FunctionalRequirementNode(Record):
     name: str
     statement: str
     requester: str
 
 
-@dataclass(frozen=True, slots=True)
-class NfrNode:
+class NfrNode(Record):
     """One non-functional requirement inside a model.
 
     Field presence follows the kind: attributes and characteristics carry a
@@ -117,7 +112,7 @@ class NfrNode:
             raise ValueError(f"focus kind must be set exactly when {self.name!r} is a focus")
 
 
-class _OwnerNode:
+class _OwnerNode(Record):
     """Model and view model equality: name, specification and members as values, edge lists as multisets."""
 
     def __eq__(self, other: object) -> bool:
@@ -130,7 +125,6 @@ class _OwnerNode:
                                   for k in kind.edges)
 
 
-@dataclass(frozen=True, eq=False)
 class NfrsModelNode(_OwnerNode):
     """An NFRs model: its NFR nodes plus every edge kind they participate in.
 
@@ -140,7 +134,7 @@ class NfrsModelNode(_OwnerNode):
 
     name: str
     specification: str | None = None
-    nfrs: dict[str, NfrNode] = field(default_factory=dict)
+    nfrs: dict[str, NfrNode] = factory(dict)
     subchar_edges: tuple[Edge, ...] = ()  # (parent characteristic, child characteristic)
     combines_attr_edges: tuple[Edge, ...] = ()
     combines_item_edges: tuple[Edge, ...] = ()
@@ -151,8 +145,7 @@ class NfrsModelNode(_OwnerNode):
     refers_to_category_edges: tuple[Edge, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class NfrViewNode:
+class NfrViewNode(Record):
     """An NFR view: one category, one (model, focus characteristic) reference."""
 
     name: str
@@ -162,11 +155,11 @@ class NfrViewNode:
     statement: str | None = None
 
 
-@dataclass(frozen=True, eq=False)
 class NfrsViewModelNode(_OwnerNode):
+    __slots__ = ("_closure_key",)  # not a field: the closure queries keep the edges hashed once here
     name: str
     specification: str | None = None
-    views: dict[str, NfrViewNode] = field(default_factory=dict)
+    views: dict[str, NfrViewNode] = factory(dict)
     influences_edges: tuple[Edge, ...] = ()
     depends_on_edges: tuple[Edge, ...] = ()
 
@@ -174,8 +167,7 @@ class NfrsViewModelNode(_OwnerNode):
 # --- the relationship table ----------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeKind:
+class EdgeKind(Record):
     """One stored edge list, with what every layer needs to know about it.
 
     ``source`` and ``target`` follow the relationship's reading direction: a
@@ -249,8 +241,8 @@ EDGE_KINDS = (
              _DEPENDS_ON, _DEPENDS_ON, "depends_on", "depends_on"),
 )
 
-MODEL_EDGE_KINDS = tuple(k for k in EDGE_KINDS if k.field in NfrsModelNode.__dataclass_fields__)
-VIEW_EDGE_KINDS = tuple(k for k in EDGE_KINDS if k.field in NfrsViewModelNode.__dataclass_fields__)
+MODEL_EDGE_KINDS = tuple(k for k in EDGE_KINDS if k.field in NfrsModelNode._fields)
+VIEW_EDGE_KINDS = tuple(k for k in EDGE_KINDS if k.field in NfrsViewModelNode._fields)
 
 
 def edge_kind(owner: type, keyword: str, target_kind: Enum | None = None) -> EdgeKind:
@@ -290,8 +282,7 @@ Node = CategoryNode | EntityNode | FunctionalRequirementNode | NfrsModelNode | N
 # --- the node table ------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class NodeField:
+class NodeField(Record):
     """One ``keyword: "text"`` line of a node block.
 
     A category reference (``parent``, ``belongs_to``) also names its DOT edge
@@ -305,8 +296,7 @@ class NodeField:
     turtle: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class NodeKind:
+class NodeKind(Record):
     """One ``Document`` collection, with what every layer needs to know about it."""
 
     keyword: str  # the .nfrs keyword, also the resolve kind, location-key kind and DOT/URN prefix
@@ -353,16 +343,15 @@ def article(words: str) -> str:
     return "an" if words[:1] in ("a", "e", "i", "o", "u") else "a"
 
 
-@dataclass(frozen=True, eq=False)
-class Document:
+class Document(Record):
     """One parsed workspace: all node collections plus source locations."""
 
-    categories: dict[str, CategoryNode] = field(default_factory=dict)
-    entities: dict[str, EntityNode] = field(default_factory=dict)
-    frs: dict[str, FunctionalRequirementNode] = field(default_factory=dict)
-    models: dict[str, NfrsModelNode] = field(default_factory=dict)
-    view_models: dict[str, NfrsViewModelNode] = field(default_factory=dict)
-    source_locations: dict[LocationKey, SourceLocation] = field(default_factory=dict)
+    categories: dict[str, CategoryNode] = factory(dict)
+    entities: dict[str, EntityNode] = factory(dict)
+    frs: dict[str, FunctionalRequirementNode] = factory(dict)
+    models: dict[str, NfrsModelNode] = factory(dict)
+    view_models: dict[str, NfrsViewModelNode] = factory(dict)
+    source_locations: dict[LocationKey, SourceLocation] = factory(dict)
 
     def __eq__(self, other: object) -> bool:
         # source locations are presentation metadata, not structure
@@ -426,9 +415,7 @@ def _append_edge(doc: Document, kind: NodeKind, owner_name: str, keyword: str, s
             raise EdgeKindError(edge_message(edge.target_message, target, target_kind))
     if source_kind not in edge.sources:
         raise EdgeKindError(edge_message(edge.source_message, source, source_kind))
-    # every field of an owner node is an init field, so rebuilding from vars() equals
-    # dataclasses.replace, without its per-field loop in Python
-    updated = kind.type(**{**vars(owner), edge.field: getattr(owner, edge.field) + (edge.stored(source, target),)})
+    updated = replace(owner, **{edge.field: getattr(owner, edge.field) + (edge.stored(source, target),)})
     return replace(doc, **{kind.collection: {**getattr(doc, kind.collection), owner_name: updated}})
 
 

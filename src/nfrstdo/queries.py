@@ -5,18 +5,18 @@ mapping coverage of statement items, and NFR-to-FR satisfaction traces. All
 functions are pure, leave the document untouched, and order their results
 deterministically (breadth-first with lexicographic ties for closures,
 lexicographic elsewhere). The closures walk an integer index of the view
-model's graph, cached by its edge tuples, so repeated queries on one document
-build it once per direction.
+model's graph, cached by its edge tuples (hashed once per view model), so
+repeated queries on one document build it once per direction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
-from .model import Document, Edge, FocusKind, NfrKind, NfrsViewModelNode
+from .diagnostics import Record
+from .model import Document, FocusKind, NfrKind, NfrsViewModelNode
 
 
 class QueryError(LookupError):
@@ -43,14 +43,12 @@ class NotAQualityView(QueryError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class ClosureResult:
+class ClosureResult(Record):
     origin: str
     reached: tuple[str, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class CoverageReport:
+class CoverageReport(Record):
     mapped: tuple[tuple[str, tuple[str, ...]], ...]
     unmapped: tuple[str, ...]
     ratio: Fraction
@@ -75,15 +73,33 @@ _INDEX_CACHE_SIZE = 128
 _Index = tuple[tuple[str, ...], dict[str, int], list[list[int]]]
 
 
+class _Edges(tuple):
+    """A view model's (influences, depends_on) edge tuples, hashed once: the ``_closure_index`` key."""
+
+    def __hash__(self) -> int:
+        return self.hash
+
+
+def _edges(vm: NfrsViewModelNode) -> _Edges:
+    """``vm``'s index key, kept in its private slot from the first call on, so that cache hits hash no edge."""
+    if (key := getattr(vm, "_closure_key", None)) is None:
+        key = _Edges((vm.influences_edges, vm.depends_on_edges))
+        key.hash = tuple.__hash__(key)
+        object.__setattr__(vm, "_closure_key", key)
+    return key
+
+
 @lru_cache(maxsize=_INDEX_CACHE_SIZE)
-def _closure_index(edges: tuple[Edge, ...], reversed_edges: tuple[Edge, ...] = ()) -> _Index:
-    """The graph of ``edges`` and the reversed ``reversed_edges``, as ints.
+def _closure_index(key: _Edges, depends: bool) -> _Index:
+    """The influences graph, or with ``depends`` the depends_on graph plus the reversed influences, as ints.
 
     Returns the sorted names of every endpoint, each name's position in them,
-    and each position's successor positions. Keyed by the edge tuples
+    and each position's successor positions. The key holds the edge tuples
     themselves, which are immutable, so an equal key always means the same
     graph. Callers must not mutate what it returns, which every later hit shares.
     """
+    influences, depends_on = key
+    edges, reversed_edges = (depends_on, influences) if depends else (influences, ())
     names = tuple(sorted({*chain.from_iterable(edges), *chain.from_iterable(reversed_edges)}))
     position = {name: i for i, name in enumerate(names)}
     successors: list[list[int]] = [[] for _ in names]
@@ -124,7 +140,7 @@ def influence_closure(doc: Document, view_model: str, origin: str, *, transitive
     The origin itself appears only when a cycle leads back to it.
     """
     vm = _quality_view_model(doc, view_model, origin)
-    return ClosureResult(origin=origin, reached=_walk(_closure_index(vm.influences_edges), origin, transitive))
+    return ClosureResult(origin=origin, reached=_walk(_closure_index(_edges(vm), False), origin, transitive))
 
 
 def depends_closure(doc: Document, view_model: str, origin: str, *, transitive: bool = True) -> ClosureResult:
@@ -134,8 +150,7 @@ def depends_closure(doc: Document, view_model: str, origin: str, *, transitive: 
     the explicit edges and the reversed influences edges, walked as they are.
     """
     vm = _quality_view_model(doc, view_model, origin)
-    index = _closure_index(vm.depends_on_edges, vm.influences_edges)
-    return ClosureResult(origin=origin, reached=_walk(index, origin, transitive))
+    return ClosureResult(origin=origin, reached=_walk(_closure_index(_edges(vm), True), origin, transitive))
 
 
 def leaf_attributes(doc: Document, model: str, characteristic: str) -> list[str]:

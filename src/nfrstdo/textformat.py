@@ -45,9 +45,8 @@ Grammar sketch (names and texts are double-quoted strings, ``#`` comments)::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .diagnostics import SourceLocation
+from .diagnostics import Record, SourceLocation
 from .model import (
     MODEL_EDGE_KINDS,
     NODE_KINDS,
@@ -81,8 +80,7 @@ _MODEL_EDGE_TARGETS = {"of": "a characteristic name", "<->": "an NFR name", "->"
 _MAX_ERRORS = 50
 
 
-@dataclass(frozen=True, slots=True)
-class ParseError:
+class ParseError(Record):
     location: SourceLocation
     expected: str
     found: str

@@ -13,10 +13,9 @@ always a subset of instance-mode errors.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import replace
 from enum import Enum
 
-from .diagnostics import Diagnostic, Severity, SourceLocation, sort_diagnostics
+from .diagnostics import Diagnostic, Severity, SourceLocation, replace, sort_diagnostics
 from .model import Document, FocusKind, NfrKind, NfrsModelNode, NfrsViewModelNode, edge_message, iter_edges
 
 

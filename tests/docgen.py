@@ -1,7 +1,7 @@
 """Seeded random document generation and independent oracles for the tests.
 
-The generator builds documents directly from the node dataclasses (never via
-the parser) so round-trip tests exercise serializer and parser against an
+The generator builds documents directly from the node record types (never
+via the parser) so round-trip tests exercise serializer and parser against an
 independently constructed value. References stay resolvable, which is the
 serializer's precondition; semantic validity (focus counts, quality-only
 edges) is deliberately not guaranteed.

@@ -135,6 +135,23 @@ def test_validate_json_empty_array_for_clean(capsys):
     assert json.loads(out) == []
 
 
+@pytest.mark.parametrize(("data", "errors"), [
+    (b'model "M" {\n  characteristic "x" : 7\n}\n', [(2, 24, "expected a declaration, found '7'")]),
+    (b'category "A" { }\r\ncat\xffegory\n', [(2, 4, "invalid UTF-8 byte 0xff")]),
+    (b'category "B" { y }\ncategory "A" { x }\n', [(1, 16, "expected '}', found 'y'"),
+                                                   (2, 16, "expected '}', found 'x'")]),
+], ids=["stray-character", "not-utf-8", "two-errors-in-source-order"])
+def test_validate_json_writes_parse_failures_as_diagnostics(capsys, tmp_path, data, errors):
+    bad = tmp_path / "bad.nfrs"
+    bad.write_bytes(data)
+    code, out, err = run(capsys, "validate", str(bad), "--format", "json")
+    assert code == 2
+    assert err == "".join(f"{bad}:{line}:{column}: error: {message}\n" for line, column, message in errors)
+    records = [{"code": "parse", "column": column, "file": str(bad), "line": line, "message": message,
+                "severity": "error", "subject": None} for line, column, message in errors]
+    assert out == json.dumps(records, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "validate", "/no/such/file.nfrs")
     assert code == 3

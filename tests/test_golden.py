@@ -30,7 +30,6 @@ import json
 import random
 import re
 import sys
-from dataclasses import fields, replace
 from pathlib import Path
 
 if __name__ == "__main__":
@@ -38,7 +37,7 @@ if __name__ == "__main__":
 
 from docgen import lexer_texts, mutated_texts, random_document
 from nfrstdo import validator
-from nfrstdo.diagnostics import render_json
+from nfrstdo.diagnostics import render_json, replace
 from nfrstdo.export import to_dot, to_json, to_turtle
 from nfrstdo.model import Document
 from nfrstdo.textformat import ParseFailure, parse, serialize
@@ -140,8 +139,8 @@ def _mutate_edges(pairs: tuple[tuple[str, str], ...]) -> tuple[tuple[str, str], 
 
 
 def _mutate_node(node):
-    return replace(node, **{f.name: _mutate_edges(getattr(node, f.name)) for f in fields(node)
-                            if f.name.endswith("_edges")})
+    return replace(node, **{name: _mutate_edges(getattr(node, name)) for name in node._fields
+                            if name.endswith("_edges")})
 
 
 def mutate(doc: Document) -> Document:

@@ -3,12 +3,12 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import fixture_path
+from nfrstdo.diagnostics import replace
 from nfrstdo.kernel import (
     ArchParseError,
     ArchSpec,

@@ -2,8 +2,6 @@ from __future__ import annotations
 
 import pytest
 
-from dataclasses import fields
-
 from nfrstdo.kernel import builtin_schema
 from nfrstdo.model import (
     EDGE_KINDS,
@@ -240,7 +238,7 @@ def test_edge_table_covers_every_edge_list():
     owners = [kind for kind in NODE_KINDS if kind.edges]
     assert [kind.type for kind in owners] == [NfrsModelNode, NfrsViewModelNode]
     for kind in owners:
-        edge_fields = [f.name for f in fields(kind.type) if f.name.endswith("_edges")]
+        edge_fields = [name for name in kind.type._fields if name.endswith("_edges")]
         assert sorted(edge_fields) == sorted(k.field for k in EDGE_KINDS if k.field in edge_fields)
         # an owner row holds exactly its type's edge lists, in table order
         assert kind.edges == tuple(k for k in EDGE_KINDS if k.field in edge_fields)
@@ -263,14 +261,14 @@ def test_edge_table_agrees_with_kernel_registry():
 
 
 def test_node_table_covers_every_collection_in_order():
-    collections = [f.name for f in fields(Document) if f.name != "source_locations"]
+    collections = [name for name in Document._fields if name != "source_locations"]
     assert [k.collection for k in NODE_KINDS] == collections
     for kind in NODE_KINDS:
         # members name the type's one dict field; name, fields, members and edges cover every attribute
-        dict_fields = [f.name for f in fields(kind.type) if f.type.startswith("dict[")]
+        dict_fields = [name for name in kind.type._fields if kind.type.__annotations__[name].startswith("dict[")]
         assert dict_fields == ([kind.members] if kind.members else [])
         covered = ["name", *(f.attribute for f in kind.fields), *dict_fields, *(k.field for k in kind.edges)]
-        assert sorted(covered) == sorted(f.name for f in fields(kind.type))
+        assert sorted(covered) == sorted(kind.type._fields)
 
 
 def test_node_table_turtle_types_are_kernel_terms():

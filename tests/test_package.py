@@ -23,8 +23,8 @@ VALIDATE_MODULES = {"nfrstdo", "nfrstdo.cli", "nfrstdo.diagnostics", "nfrstdo.mo
                     "nfrstdo.validator"}
 
 
-def loaded_modules(*argv: str) -> set[str]:
-    """The ``nfrstdo`` modules a fresh ``python -m nfrstdo ARGV`` imports, read from ``-X importtime``.
+def imported_modules(*argv: str) -> set[str]:
+    """The modules a fresh ``python -m nfrstdo ARGV`` imports, read from ``-X importtime``.
 
     ``-m`` runs ``nfrstdo/__main__.py`` as ``__main__``, which importtime does not list.
     """
@@ -37,8 +37,12 @@ def loaded_modules(*argv: str) -> set[str]:
         env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert result.returncode == 0, result.stderr[-500:]
-    names = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines() if line.startswith("import time:")}
-    return {name for name in names if name.split(".")[0] == "nfrstdo"}
+    return {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines() if line.startswith("import time:")}
+
+
+def loaded_modules(*argv: str) -> set[str]:
+    """The ``nfrstdo`` modules among ``imported_modules(*argv)``."""
+    return {name for name in imported_modules(*argv) if name.split(".")[0] == "nfrstdo"}
 
 
 def test_validate_loads_only_the_layers_it_runs():
@@ -48,6 +52,13 @@ def test_validate_loads_only_the_layers_it_runs():
 def test_export_adds_only_the_exporter(tmp_path):
     out = str(tmp_path / "out.ttl")
     assert loaded_modules("export", CHAIN, "turtle", "-o", out) == VALIDATE_MODULES | {"nfrstdo.export"}
+
+
+@pytest.mark.parametrize("command", ["validate", "export"])
+def test_start_up_imports_no_introspection_modules(command, tmp_path):
+    # dataclasses pulls in inspect, ast and dis; the records are built without them
+    argv = ["validate", CHAIN] if command == "validate" else ["export", CHAIN, "turtle", "-o", str(tmp_path / "o.ttl")]
+    assert imported_modules(*argv) & {"dataclasses", "inspect", "ast", "dis"} == set()
 
 
 def test_public_names_are_their_modules_objects():
@@ -77,7 +88,7 @@ def test_modules_import_only_the_standard_library():
                 imported.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
-    assert {"argparse", "dataclasses", "json", "re"} <= imported
+    assert {"argparse", "enum", "json", "re"} <= imported
     assert imported - sys.stdlib_module_names == set()
 
 
