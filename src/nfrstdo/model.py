@@ -156,7 +156,7 @@ class NfrViewNode(Record):
 
 
 class NfrsViewModelNode(_OwnerNode):
-    __slots__ = ("_closure_key",)  # not a field: the closure queries keep the edges hashed once here
+    __slots__ = ("_closure_keys",)  # not a field: the closure queries keep their hashed index keys here
     name: str
     specification: str | None = None
     views: dict[str, NfrViewNode] = factory(dict)

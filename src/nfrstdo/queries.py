@@ -74,32 +74,32 @@ _Index = tuple[tuple[str, ...], dict[str, int], list[list[int]]]
 
 
 class _Edges(tuple):
-    """A view model's (influences, depends_on) edge tuples, hashed once: the ``_closure_index`` key."""
+    """An (edges, reversed edges) pair of edge tuples, hashed once: a ``_closure_index`` key."""
 
     def __hash__(self) -> int:
         return self.hash
 
 
-def _edges(vm: NfrsViewModelNode) -> _Edges:
-    """``vm``'s index key, kept in its private slot from the first call on, so that cache hits hash no edge."""
-    if (key := getattr(vm, "_closure_key", None)) is None:
-        key = _Edges((vm.influences_edges, vm.depends_on_edges))
-        key.hash = tuple.__hash__(key)
-        object.__setattr__(vm, "_closure_key", key)
-    return key
+def _keys(vm: NfrsViewModelNode) -> tuple[_Edges, _Edges]:
+    """``vm``'s influences and depends_on index keys, kept in its private slot so that cache hits hash no edge."""
+    if (keys := getattr(vm, "_closure_keys", None)) is None:
+        keys = _Edges((vm.influences_edges, ())), _Edges((vm.depends_on_edges, vm.influences_edges))
+        for key in keys:
+            key.hash = tuple.__hash__(key)
+        object.__setattr__(vm, "_closure_keys", keys)
+    return keys
 
 
 @lru_cache(maxsize=_INDEX_CACHE_SIZE)
-def _closure_index(key: _Edges, depends: bool) -> _Index:
-    """The influences graph, or with ``depends`` the depends_on graph plus the reversed influences, as ints.
+def _closure_index(key: _Edges) -> _Index:
+    """The graph of ``key``'s edges and its reversed edges, as ints.
 
     Returns the sorted names of every endpoint, each name's position in them,
     and each position's successor positions. The key holds the edge tuples
     themselves, which are immutable, so an equal key always means the same
     graph. Callers must not mutate what it returns, which every later hit shares.
     """
-    influences, depends_on = key
-    edges, reversed_edges = (depends_on, influences) if depends else (influences, ())
+    edges, reversed_edges = key
     names = tuple(sorted({*chain.from_iterable(edges), *chain.from_iterable(reversed_edges)}))
     position = {name: i for i, name in enumerate(names)}
     successors: list[list[int]] = [[] for _ in names]
@@ -140,7 +140,7 @@ def influence_closure(doc: Document, view_model: str, origin: str, *, transitive
     The origin itself appears only when a cycle leads back to it.
     """
     vm = _quality_view_model(doc, view_model, origin)
-    return ClosureResult(origin=origin, reached=_walk(_closure_index(_edges(vm), False), origin, transitive))
+    return ClosureResult(origin=origin, reached=_walk(_closure_index(_keys(vm)[0]), origin, transitive))
 
 
 def depends_closure(doc: Document, view_model: str, origin: str, *, transitive: bool = True) -> ClosureResult:
@@ -150,7 +150,7 @@ def depends_closure(doc: Document, view_model: str, origin: str, *, transitive: 
     the explicit edges and the reversed influences edges, walked as they are.
     """
     vm = _quality_view_model(doc, view_model, origin)
-    return ClosureResult(origin=origin, reached=_walk(_closure_index(_edges(vm), True), origin, transitive))
+    return ClosureResult(origin=origin, reached=_walk(_closure_index(_keys(vm)[1]), origin, transitive))
 
 
 def leaf_attributes(doc: Document, model: str, characteristic: str) -> list[str]:
