@@ -62,7 +62,7 @@ def _parse_failed(path: str, errors: list[tuple[SourceLocation, str]], fmt: str)
         print(f"{path}:{loc.line}:{loc.column}: error: {message}", file=sys.stderr)
     if fmt == "json":
         diagnostics = [Diagnostic("parse", Severity.ERROR, message, None, loc) for loc, message in errors]
-        print(render_json(diagnostics, path, sort=False))
+        print(render_json(diagnostics, path))
     return _Fail(ExitCode.PARSE_FAILURE)
 
 

@@ -15,15 +15,14 @@ from operator import attrgetter
 class factory(partial):
     """A field default made anew for each record: ``nfrs: dict[str, NfrNode] = factory(dict)``."""
 
-    def __repr__(self) -> str:
-        return "<factory>"
-
 
 class _RecordType(type):
     """Gives each record class ``__slots__``, ``_fields`` and an ``__init__`` built from its annotated fields."""
 
     def __new__(mcls, name, bases, namespace):
         fields = tuple(namespace.get("__annotations__", ()))
+        if len(fields) == 1:  # attrgetter would return the bare value, so the hash would not be the tuple's
+            raise TypeError(f"record {name} needs two or more fields")
         defaults = {f: namespace.pop(f) for f in fields if f in namespace}
         namespace["__slots__"] = (*fields, *namespace.get("__slots__", ()))
         cls = super().__new__(mcls, name, bases, namespace)
@@ -119,10 +118,10 @@ def render_text(diagnostic: Diagnostic, path: str, color: bool = False) -> str:
     return f"{prefix}: {severity} {diagnostic.code}: {diagnostic.message} [{diagnostic.subject}]"
 
 
-def render_json(diagnostics: list[Diagnostic], path: str, sort: bool = True) -> str:
-    """Render a diagnostic array, sorted unless ``sort`` is false, as one compact JSON document."""
+def render_json(diagnostics: list[Diagnostic], path: str) -> str:
+    """Render a diagnostic array, in the order given, as one compact JSON document."""
     records = []
-    for d in sort_diagnostics(diagnostics) if sort else diagnostics:
+    for d in diagnostics:
         records.append(
             {
                 "code": d.code,

@@ -551,27 +551,56 @@ def lint_architecture(spec: ArchSpec) -> list[Diagnostic]:
     diagnostics: list[Diagnostic] = []
     levels = {c.name: c.level for c in spec.components}
 
-    def error(code: str, message: str, subject: str) -> None:
-        diagnostics.append(Diagnostic(code, Severity.ERROR, message, subject))
-
     foundational = [c.name for c in spec.components if c.level is OntoLevel.FOUNDATIONAL]
     if foundational != ["ThingFO"]:
         found = ", ".join(sorted(foundational)) if foundational else "none"
-        error("L-001", f"the foundational tier must contain exactly ThingFO (found: {found})", "architecture")
+        diagnostics.append(
+            Diagnostic(
+                code="L-001",
+                severity=Severity.ERROR,
+                message=f"the foundational tier must contain exactly ThingFO (found: {found})",
+                subject="architecture",
+            )
+        )
 
     for consumer, supplier in spec.enrichment_edges:
         if levels[supplier] > levels[consumer]:
-            error("L-002", f"enrichment must come from the same or a higher tier: {supplier} "
-                  f"({levels[supplier].label}) cannot enrich {consumer} ({levels[consumer].label})",
-                  f"enriches:{consumer}<-{supplier}")
+            diagnostics.append(
+                Diagnostic(
+                    code="L-002",
+                    severity=Severity.ERROR,
+                    message=(
+                        f"enrichment must come from the same or a higher tier:"
+                        f" {supplier} ({levels[supplier].label}) cannot enrich"
+                        f" {consumer} ({levels[consumer].label})"
+                    ),
+                    subject=f"enriches:{consumer}<-{supplier}",
+                )
+            )
 
     for a, b in spec.peer_edges:
         subject = f"peer:{a}<->{b}"
         if levels[a] != levels[b]:
-            error("L-003", f"peer components must share a tier: {a} is {levels[a].label}, {b} is {levels[b].label}",
-                  subject)
+            diagnostics.append(
+                Diagnostic(
+                    code="L-003",
+                    severity=Severity.ERROR,
+                    message=(
+                        f"peer components must share a tier: {a} is {levels[a].label},"
+                        f" {b} is {levels[b].label}"
+                    ),
+                    subject=subject,
+                )
+            )
         elif levels[a] is OntoLevel.FOUNDATIONAL:
-            error("L-003", "peer relationships are not allowed at the foundational tier", subject)
+            diagnostics.append(
+                Diagnostic(
+                    code="L-003",
+                    severity=Severity.ERROR,
+                    message="peer relationships are not allowed at the foundational tier",
+                    subject=subject,
+                )
+            )
 
     return sort_diagnostics(diagnostics)
 

@@ -80,14 +80,15 @@ class _Edges(tuple):
         return self.hash
 
 
-def _keys(vm: NfrsViewModelNode) -> tuple[_Edges, _Edges]:
-    """``vm``'s influences and depends_on index keys, kept in its private slot so that cache hits hash no edge."""
-    if (keys := getattr(vm, "_closure_keys", None)) is None:
-        keys = _Edges((vm.influences_edges, ())), _Edges((vm.depends_on_edges, vm.influences_edges))
-        for key in keys:
-            key.hash = tuple.__hash__(key)
+def _key(vm: NfrsViewModelNode, depends: bool) -> _Edges:
+    """``vm``'s depends_on or influences index key, built on first use and kept in its private slot."""
+    keys = getattr(vm, "_closure_keys", None) or [None, None]
+    if keys[depends] is None:
+        edges = (vm.depends_on_edges, vm.influences_edges) if depends else (vm.influences_edges, ())
+        key = keys[depends] = _Edges(edges)
+        key.hash = tuple.__hash__(key)
         object.__setattr__(vm, "_closure_keys", keys)
-    return keys
+    return keys[depends]
 
 
 @lru_cache(maxsize=_INDEX_CACHE_SIZE)
@@ -140,7 +141,7 @@ def influence_closure(doc: Document, view_model: str, origin: str, *, transitive
     The origin itself appears only when a cycle leads back to it.
     """
     vm = _quality_view_model(doc, view_model, origin)
-    return ClosureResult(origin=origin, reached=_walk(_closure_index(_keys(vm)[0]), origin, transitive))
+    return ClosureResult(origin=origin, reached=_walk(_closure_index(_key(vm, False)), origin, transitive))
 
 
 def depends_closure(doc: Document, view_model: str, origin: str, *, transitive: bool = True) -> ClosureResult:
@@ -150,7 +151,7 @@ def depends_closure(doc: Document, view_model: str, origin: str, *, transitive: 
     the explicit edges and the reversed influences edges, walked as they are.
     """
     vm = _quality_view_model(doc, view_model, origin)
-    return ClosureResult(origin=origin, reached=_walk(_closure_index(_keys(vm)[1]), origin, transitive))
+    return ClosureResult(origin=origin, reached=_walk(_closure_index(_key(vm, True)), origin, transitive))
 
 
 def leaf_attributes(doc: Document, model: str, characteristic: str) -> list[str]:

@@ -9,19 +9,23 @@ closure and coverage results: each record and its dataclass rebuild agree on
 directions with the record itself, a copy rebuilt by keyword, the previous
 record of its type and the previous record of any type. Per type, the
 constructor signatures and the ``__post_init__`` errors agree, and fields
-refuse assignment and deletion.
+refuse assignment and deletion. ``copy.copy``, ``copy.deepcopy`` and a
+``pickle`` round trip give back an equal record of the same type and ``repr``.
+A record type of one field is refused.
 """
 
 from __future__ import annotations
 
+import copy
 import inspect
+import pickle
 from dataclasses import fields
 
 import pytest
 
 from conftest import fixture_path, load_fixture
 from docgen import lexer_texts, mutated_texts
-from nfrstdo.diagnostics import SourceLocation
+from nfrstdo.diagnostics import Record, SourceLocation, factory
 from nfrstdo.kernel import (
     ArchSpec,
     ComponentRef,
@@ -115,8 +119,8 @@ def test_records_agree_with_their_dataclasses():
         assert repr(record) == repr(was)
         assert _hash(record) == _hash(was), repr(record)
         names = _field_names(record)
-        copy = type(record)(**{name: getattr(record, name) for name in names})
-        for other in (record, copy, by_type.get(type(record)), last):
+        rebuilt = type(record)(**{name: getattr(record, name) for name in names})
+        for other in (record, rebuilt, by_type.get(type(record)), last):
             if other is None:
                 continue
             other_was = old(other)
@@ -128,6 +132,9 @@ def test_records_agree_with_their_dataclasses():
                 setattr(record, name, getattr(record, name))
             with pytest.raises(AttributeError):
                 delattr(record, name)
+        for duplicate in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert type(duplicate) is type(record) and repr(duplicate) == repr(record)
+            assert duplicate == record and _hash(duplicate) == _hash(record)
         by_type[type(record)] = last = record
     assert set(by_type) == set(OLD)
     assert count > 14_000
@@ -136,11 +143,19 @@ def test_records_agree_with_their_dataclasses():
 @pytest.mark.parametrize("new", list(OLD), ids=lambda cls: cls.__name__)
 def test_constructor_signatures_agree(new):
     def parameters(cls):
-        # a default_factory shows as "<factory>" in both
-        return [(p.name, p.kind, "<factory>" if repr(p.default) == "<factory>" else p.default)
+        # a dataclass default_factory shows as "<factory>", a record's as factory(dict)
+        return [(p.name, p.kind, "<factory>" if isinstance(p.default, factory) or repr(p.default) == "<factory>"
+                 else p.default)
                 for p in inspect.signature(cls).parameters.values()]
 
     assert parameters(new) == parameters(OLD[new])
+
+
+def test_one_field_records_are_refused():
+    # attrgetter of one field returns the bare value, whose hash differs from the dataclass's (value,)
+    with pytest.raises(TypeError, match="two or more fields"):
+        class One(Record):
+            value: int
 
 
 def test_factory_defaults_are_fresh_per_record():
