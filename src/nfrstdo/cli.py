@@ -5,7 +5,9 @@ Input is read as UTF-8; one leading byte-order mark is skipped. Exit codes:
 failure (input that is not UTF-8 included), 3 usage error (an unreadable input
 or an unwritable ``-o`` file included). Query results and ``schema diff``
 share one printer: one line per item, or compact, key-sorted JSON under
-``--format json``. ``-o`` onto a new or regular file writes a sibling
+``--format json``. Under ``--format json``, parse failures and the validation
+errors that stop a query also go to stdout as one diagnostic array; stderr
+keeps the text. ``-o`` onto a new or regular file writes a sibling
 temporary file and renames it onto the target, so the target holds either the
 old or the whole new output; any other target (a symlink, a FIFO, a device) is
 written directly. Set ``NFRSCTL_NO_COLOR`` to disable ANSI styling of
@@ -66,7 +68,7 @@ def _parse_failed(path: str, errors: list[tuple[SourceLocation, str]], fmt: str)
     return _Fail(ExitCode.PARSE_FAILURE)
 
 
-def _read_text(path: str, fmt: str = "text") -> str:
+def _read_text(path: str, fmt: str) -> str:
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -84,7 +86,7 @@ def _read_text(path: str, fmt: str = "text") -> str:
         raise _parse_failed(path, [(SourceLocation(line, column), message)], fmt) from None
 
 
-def _load_document(path: str, fmt: str = "text") -> Document:
+def _load_document(path: str, fmt: str) -> Document:
     try:
         return parse(_read_text(path, fmt))
     except ParseFailure as failure:
@@ -154,7 +156,7 @@ def cmd_validate(args: argparse.Namespace) -> ExitCode:
 def cmd_export(args: argparse.Namespace) -> ExitCode:
     from . import export
 
-    doc = _load_document(args.file)
+    doc = _load_document(args.file, "text")
     referential = [d for d in validate(doc, ValidationMode.MODEL) if d.code == "R-REF"]
     if referential:
         _print_diagnostics(referential, args.file, "text", stream=sys.stderr)
@@ -225,11 +227,13 @@ def _diff_object(diff) -> dict:
     return obj
 
 
-def _validated_document(path: str) -> Document:
-    doc = _load_document(path)
+def _validated_document(path: str, fmt: str) -> Document:
+    doc = _load_document(path, fmt)
     diagnostics = validate(doc, ValidationMode.MODEL)
     if has_errors(diagnostics):
         _print_diagnostics(diagnostics, path, "text", stream=sys.stderr)
+        if fmt == "json":
+            _print_diagnostics(diagnostics, path, fmt)
         raise _Fail(ExitCode.VALIDATION_ERRORS)
     return doc
 
@@ -237,7 +241,7 @@ def _validated_document(path: str) -> Document:
 def cmd_query(args: argparse.Namespace) -> ExitCode:
     from . import queries
 
-    doc = _validated_document(args.file)
+    doc = _validated_document(args.file, args.format)
     command = args.query_command
     try:
         if command in ("influences", "depends"):
@@ -264,11 +268,15 @@ def cmd_query(args: argparse.Namespace) -> ExitCode:
 def cmd_lint_arch(args: argparse.Namespace) -> ExitCode:
     from . import kernel
 
-    text = _read_text(args.file)
+    text = _read_text(args.file, args.format)
     try:
         spec = kernel.parse_arch(text)
     except kernel.ArchParseError as exc:
         print(f"{args.file}: error: {exc}", file=sys.stderr)
+        if args.format == "json":
+            message = str(exc).removeprefix(f"line {exc.line_no}: ")
+            _print_diagnostics([Diagnostic("parse", Severity.ERROR, message, None, SourceLocation(exc.line_no, 1))],
+                               args.file, args.format)
         return ExitCode.PARSE_FAILURE
     diagnostics = kernel.lint_architecture(spec)
     _print_diagnostics(diagnostics, args.file, args.format)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .diagnostics import Record, SourceLocation, factory, replace
+from .diagnostics import Record, SourceLocation, factory
 
 Edge = tuple[str, str]
 LocationKey = tuple  # ("category", name), ("nfr", model, name), ("edge", owner, kind, src, dst), ...
@@ -363,13 +363,20 @@ class Document(Record):
         return not any(getattr(self, k.collection) for k in NODE_KINDS)
 
 
+def _copy_with(record: Record, field: str, value) -> Record:
+    """``replace(record, field=value)`` by position, through ``__init__``; a view model's ``_closure_keys`` is dropped."""
+    values = list(record._key(record))
+    values[record._fields.index(field)] = value
+    return record.__class__(*values)
+
+
 def add_node(doc: Document, node: Node) -> Document:
     """Return a new document containing ``node``; ``doc`` is unchanged."""
     kind = _KINDS_BY_TYPE[type(node)]
     collection = getattr(doc, kind.collection)
     if node.name in collection:
         raise DuplicateName(f"{kind.keyword.replace('_', ' ')} {node.name!r} already exists")
-    return replace(doc, **{kind.collection: {**collection, node.name: node}})
+    return _copy_with(doc, kind.collection, {**collection, node.name: node})
 
 
 def resolve(doc: Document, kind: str, name: str) -> Node:
@@ -393,7 +400,11 @@ def resolve(doc: Document, kind: str, name: str) -> Node:
 
 def _append_edge(doc: Document, kind: NodeKind, owner_name: str, keyword: str, source: str, target: str):
     """``doc`` with one more edge on ``kind``'s node ``owner_name``, rejecting bad keywords, endpoints and kinds."""
-    owner = resolve(doc, kind.keyword, owner_name)
+    owners = getattr(doc, kind.collection)
+    try:
+        owner = owners[owner_name]
+    except KeyError:
+        raise NotFound(f"no {kind.keyword} named {owner_name!r}") from None
     rows = _ROWS_BY_KEYWORD.get((kind.type, keyword))
     if rows is None:
         raise ValueError(f"unknown {kind.words} edge kind {keyword!r}")
@@ -415,8 +426,8 @@ def _append_edge(doc: Document, kind: NodeKind, owner_name: str, keyword: str, s
             raise EdgeKindError(edge_message(edge.target_message, target, target_kind))
     if source_kind not in edge.sources:
         raise EdgeKindError(edge_message(edge.source_message, source, source_kind))
-    updated = replace(owner, **{edge.field: getattr(owner, edge.field) + (edge.stored(source, target),)})
-    return replace(doc, **{kind.collection: {**getattr(doc, kind.collection), owner_name: updated}})
+    updated = _copy_with(owner, edge.field, getattr(owner, edge.field) + (edge.stored(source, target),))
+    return _copy_with(doc, kind.collection, {**owners, owner_name: updated})
 
 
 def add_model_edge(doc: Document, model_name: str, kind: str, source: str, target: str) -> Document:

@@ -567,6 +567,34 @@ def test_query_closure_direct_and_transitive_bytes(capsys, closure_doc, command,
         assert (code, out, err) == (0, "".join(f"{name}\n" for name in reached), "")
 
 
+_QUERIES = [
+    ("influences", "--view-model", "VM", "--from", "Q1"),
+    ("depends", "--view-model", "VM", "--from", "Q1", "--transitive"),
+    ("leaf-attributes", "--model", "M", "--characteristic", "C"),
+    ("coverage", "--model", "M"),
+    ("trace-fr", "--name", "F"),
+]
+
+
+@pytest.mark.parametrize("query", _QUERIES, ids=[q[0] for q in _QUERIES])
+def test_query_json_writes_failures_to_stdout_as_diagnostics(capsys, tmp_path, query):
+    command, *flags = query
+    unparsable, invalid = tmp_path / "unparsable.nfrs", tmp_path / "invalid.nfrs"
+    unparsable.write_text('category "B" { y }\ncategory "A" { x }\n', encoding="utf-8")
+    invalid.write_text('entity "JIRA" { belongs_to: "Nope" }\nentity "Wiki" { belongs_to: "Nope" }\n',
+                       encoding="utf-8")
+    outputs = {}
+    for path, code in ((unparsable, 2), (invalid, 1)):
+        # exit code and stderr as in text mode; stdout gets what validate --format json writes
+        text_code, text_out, text_err = run(capsys, "query", command, str(path), *flags)
+        assert (text_code, text_out) == (code, "") and text_err
+        _, validate_out, _ = run(capsys, "validate", str(path), "--format", "json")
+        assert run(capsys, "query", command, str(path), *flags, "--format", "json") == (code, validate_out, text_err)
+        outputs[code] = [(r["code"], r["line"], r["column"], r["subject"]) for r in json.loads(validate_out)]
+    assert outputs == {2: [("parse", 1, 16, None), ("parse", 2, 16, None)],
+                       1: [("R-001", 1, 1, "entity:JIRA"), ("R-001", 2, 1, "entity:Wiki")]}
+
+
 # --- lint-arch ------------------------------------------------------------------
 
 
@@ -606,6 +634,33 @@ def test_lint_arch_parse_failure(capsys, tmp_path):
     code, _, err = run(capsys, "lint-arch", str(arch))
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(("text", "line", "message"), [
+    ("component X level Bogus\n", 1, "unknown level 'Bogus'"),
+    ("component ThingFO level Foundational\n\npeer ThingFO\n", 3, "expected 'peer <A> <B>'"),
+    ("enriches A <- B\ncomponent A level Core\n", 1, "enrichment edge names undeclared component: A <- B"),
+], ids=["bad-level", "third-line", "undeclared-after-reading"])
+def test_lint_arch_json_writes_parse_failure_as_one_diagnostic(capsys, tmp_path, text, line, message):
+    arch = tmp_path / "broken.arch"
+    arch.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "lint-arch", str(arch))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{arch}: error: line {line}: ")
+    record = {"code": "parse", "column": 1, "file": str(arch), "line": line, "message": err.split(": ", 3)[3][:-1],
+              "severity": "error", "subject": None}
+    assert run(capsys, "lint-arch", str(arch), "--format", "json") == (
+        2, json.dumps([record], sort_keys=True, separators=(",", ":")) + "\n", err)
+    assert message in record["message"]
+
+
+def test_lint_arch_json_writes_undecodable_input_as_diagnostic(capsys, tmp_path):
+    arch = tmp_path / "broken.arch"
+    arch.write_bytes(b"component ThingFO level Foundational\ncomp\xffonent\n")
+    code, out, err = run(capsys, "lint-arch", str(arch), "--format", "json")
+    assert (code, err) == (2, f"{arch}:2:5: error: invalid UTF-8 byte 0xff\n")
+    assert json.loads(out) == [{"code": "parse", "column": 5, "file": str(arch), "line": 2,
+                                "message": "invalid UTF-8 byte 0xff", "severity": "error", "subject": None}]
 
 
 # --- global behavior --------------------------------------------------------------

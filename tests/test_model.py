@@ -1,7 +1,13 @@
 from __future__ import annotations
 
-import pytest
+import copy
+import random
 
+import builder_oracle
+import pytest
+from docgen import random_document
+
+from nfrstdo import model
 from nfrstdo.kernel import builtin_schema
 from nfrstdo.model import (
     EDGE_KINDS,
@@ -25,6 +31,8 @@ from nfrstdo.model import (
     iter_edges,
     resolve,
 )
+from nfrstdo.queries import depends_closure, influence_closure
+from nfrstdo.textformat import serialize
 
 
 def _model_with_nfrs() -> Document:
@@ -291,3 +299,167 @@ def test_unknown_edge_keywords_rejected():
         add_model_edge(_model_with_nfrs(), "M", "influences", "C1", "C2")
     with pytest.raises(ValueError):
         add_view_edge(_view_model_doc(), "VM", "combines", "Q1", "Q2")
+
+
+# --- the write path against its oracle ------------------------------------------------
+
+
+def _rebuild_calls(doc: Document) -> list[tuple[str, tuple]]:
+    """The ``add_*`` calls that rebuild ``doc``: every node, owners with empty edge lists, then every edge."""
+    calls = [("add_node", (node,)) for coll in (doc.categories, doc.entities, doc.frs) for node in coll.values()]
+    calls += [("add_node", (NfrsModelNode(m.name, m.specification, m.nfrs),)) for m in doc.models.values()]
+    calls += [("add_node", (NfrsViewModelNode(v.name, v.specification, v.views),)) for v in doc.view_models.values()]
+    for name, owner in [*doc.models.items(), *doc.view_models.items()]:
+        add = "add_model_edge" if name in doc.models else "add_view_edge"
+        calls += [(add, (name, kind.keyword, source, target)) for kind, source, target in iter_edges(owner)]
+    return calls
+
+
+def _planted_calls() -> list[tuple[str, tuple]]:
+    """Calls on a small workspace that take every branch of the write path, most of them failing."""
+    nfrs = {
+        "C1": NfrNode(kind=NfrKind.CHARACTERISTIC, name="C1", definition="d"),
+        "C2": NfrNode(kind=NfrKind.CHARACTERISTIC, name="C2", definition="d"),
+        "A1": NfrNode(kind=NfrKind.ATTRIBUTE, name="A1", definition="d"),
+        "S1": NfrNode(kind=NfrKind.STATEMENT_ITEM, name="S1", declaration="d"),
+    }
+    views = {
+        "Q1": NfrViewNode(name="Q1", kind=FocusKind.QUALITY, category="K", focus=("M", "C1")),
+        "Q2": NfrViewNode(name="Q2", kind=FocusKind.QUALITY, category="K", focus=("M", "C1")),
+        "Cost": NfrViewNode(name="Cost", kind=FocusKind.COST, category="K", focus=("M", "C1")),
+    }
+    nodes = [CategoryNode(name="K"), EntityNode(name="E", category="K"),
+             FunctionalRequirementNode(name="F", statement="s", requester="r"),
+             NfrsModelNode(name="M", nfrs=nfrs), NfrsViewModelNode(name="VM", views=views)]
+    model_edges = [
+        ("Nope", "combines", "C1", "A1"),  # unknown owner
+        ("M", "influences", "C1", "C2"),  # unknown keyword
+        ("M", "maps", "Nope", "A1"), ("M", "maps", "S1", "Nope"),  # missing source, missing target
+        ("M", "satisfies", "Nope", "F"),  # missing source of a collection edge
+        ("M", "satisfies", "C1", "Nope"), ("M", "refers_to_entity", "C1", "Nope"),
+        ("M", "refers_to_category", "C1", "Nope"),  # targets absent from their collection
+        ("M", "maps", "A1", "A1"), ("M", "maps", "S1", "C1"),  # wrong source kind, wrong target kind
+        ("M", "subcharacteristic", "A1", "C1"), ("M", "subcharacteristic", "C2", "A1"),
+        ("M", "combines", "C1", "A1"), ("M", "combines", "C1", "S1"),  # combines to an attribute, a statement item
+        ("M", "combines", "A1", "A1"), ("M", "combines", "S1", "S1"), ("M", "combines", "C1", "C2"),
+        ("M", "subcharacteristic", "C2", "C1"), ("M", "maps", "S1", "A1"), ("M", "relates", "A1", "C2"),
+        ("M", "satisfies", "C1", "F"), ("M", "refers_to_entity", "A1", "E"), ("M", "refers_to_category", "S1", "K"),
+        ("M", "combines", "C1", "A1"),  # a duplicate edge is stored again
+    ]
+    view_edges = [
+        ("Nope", "influences", "Q1", "Q2"), ("VM", "combines", "Q1", "Q2"), ("VM", "influences", "Nope", "Q2"),
+        ("VM", "depends_on", "Q1", "Nope"), ("VM", "influences", "Cost", "Q1"), ("VM", "depends_on", "Q1", "Cost"),
+        ("VM", "influences", "Q1", "Q2"), ("VM", "depends_on", "Q2", "Q1"), ("VM", "influences", "Q1", "Q1"),
+    ]
+    return ([("add_node", (node,)) for node in nodes] + [("add_model_edge", args) for args in model_edges]
+            + [("add_view_edge", args) for args in view_edges]
+            + [("add_node", (CategoryNode(name="K", description="again"),)), ("add_node", (NfrsModelNode(name="M"),)),
+               ("add_node", (NfrsViewModelNode(name="VM"),))])  # duplicate nodes
+
+
+def _outcome(add, doc: Document, args: tuple) -> tuple[Document, tuple | None]:
+    """The document after ``add(doc, *args)``, and the exception's type and message if it raised."""
+    try:
+        return add(doc, *args), None
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+        return doc, (type(exc), str(exc))
+
+
+def _write_path_mismatches(calls: list[tuple[str, tuple]]) -> tuple[list[tuple], int]:
+    """Each call whose outcome differs between the library and the oracle, and the number of calls that raised."""
+    new = old = Document()
+    mismatches, failed = [], 0
+    for name, args in calls:
+        new, new_error = _outcome(getattr(model, name), new, args)
+        old, old_error = _outcome(getattr(builder_oracle, name), old, args)
+        failed += new_error is not None
+        if new_error != old_error or new != old or serialize(new) != serialize(old) or repr(new) != repr(old):
+            mismatches.append((name, args, new_error, old_error))
+    return mismatches, failed
+
+
+def test_write_path_matches_oracle_on_generated_documents():
+    mismatches, calls, failed, rebuilt = [], 0, 0, 0
+    for seed in range(200):
+        doc = random_document(random.Random(seed))
+        script = _rebuild_calls(doc)
+        found, raised = _write_path_mismatches(script)
+        mismatches += [(seed, *m) for m in found]
+        calls, failed = calls + len(script), failed + raised
+        rebuilt += raised == 0
+    assert mismatches == []
+    # both outcomes are exercised: whole documents rebuilt, and edges the write path refuses
+    assert calls >= 2500 and failed >= 100 and rebuilt >= 100
+
+
+def test_write_path_matches_oracle_on_planted_calls():
+    calls = _planted_calls()
+    mismatches, failed = _write_path_mismatches(calls)
+    assert mismatches == []
+    assert failed == 24
+
+
+# --- copies -----------------------------------------------------------------------------
+
+
+def _parts(doc: Document) -> list:
+    """Every collection of ``doc``, each owner in them and each owner's edge tuples."""
+    parts = []
+    for kind in NODE_KINDS:
+        collection = getattr(doc, kind.collection)
+        parts.append(collection)
+        for owner in collection.values():
+            parts += [owner, *(getattr(owner, edge.field) for edge in kind.edges)]
+    return parts
+
+
+def test_writes_leave_the_input_document_untouched():
+    doc, checked = Document(), 0
+    for name, args in _planted_calls() + _rebuild_calls(random_document(random.Random(3))):
+        before, snapshot = _parts(doc), copy.deepcopy(doc)
+        updated, error = _outcome(getattr(model, name), doc, args)
+        after = _parts(doc)
+        assert len(after) == len(before) and all(a is b for a, b in zip(after, before)), (name, args)
+        assert doc == snapshot and repr(doc) == repr(snapshot) and serialize(doc) == serialize(snapshot)
+        if error is None:
+            assert updated is not doc
+            checked += 1
+        doc = updated
+    assert checked >= 20
+
+
+def test_each_write_copies_the_owner_and_the_document_once_through_init(monkeypatch):
+    doc = add_view_edge(_view_model_doc(), "VM", "influences", "Q1", "Q2")
+    doc = add_node(doc, NfrsModelNode(name="M", nfrs=_model_with_nfrs().models["M"].nfrs))
+    built = []
+    for cls in (Document, NfrsModelNode, NfrsViewModelNode):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built.append(_name)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    writes = [
+        (add_model_edge, ("M", "combines", "C1", "A1"), ["NfrsModelNode", "Document"]),
+        (add_view_edge, ("VM", "depends_on", "Q2", "Q1"), ["NfrsViewModelNode", "Document"]),
+        (add_node, (CategoryNode(name="K"),), ["Document"]),
+        (add_model_edge, ("M", "combines", "A1", "A1"), []),
+    ]
+    for add, args, expected in writes:
+        built.clear()
+        try:
+            doc = add(doc, *args)
+        except EdgeKindError:
+            pass
+        assert built == expected, add.__name__
+
+
+def test_view_edge_copy_drops_the_closure_keys():
+    doc = add_view_edge(_view_model_doc(), "VM", "influences", "Q1", "Q2")
+    assert influence_closure(doc, "VM", "Q2", transitive=False).reached == ()
+    assert depends_closure(doc, "VM", "Q1", transitive=False).reached == ()
+    assert hasattr(doc.view_models["VM"], "_closure_keys")
+    updated = add_view_edge(doc, "VM", "influences", "Q2", "Q1")
+    assert not hasattr(updated.view_models["VM"], "_closure_keys")
+    assert influence_closure(updated, "VM", "Q2", transitive=False).reached == ("Q1",)
+    assert depends_closure(updated, "VM", "Q1", transitive=False).reached == ("Q2",)
+    assert influence_closure(doc, "VM", "Q2", transitive=False).reached == ()  # the input keeps its own keys
