@@ -364,7 +364,7 @@ class Document(Record):
 
 
 def _copy_with(record: Record, field: str, value) -> Record:
-    """``replace(record, field=value)`` by position, through ``__init__``; a view model's ``_closure_keys`` is dropped."""
+    """``replace(record, field=value)`` by position, through ``__init__``; ``_closure_keys`` is not carried over."""
     values = list(record._key(record))
     values[record._fields.index(field)] = value
     return record.__class__(*values)

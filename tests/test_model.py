@@ -3,10 +3,10 @@ from __future__ import annotations
 import copy
 import random
 
-import builder_oracle
 import pytest
-from docgen import random_document
 
+import builder_oracle
+from docgen import random_document
 from nfrstdo import model
 from nfrstdo.kernel import builtin_schema
 from nfrstdo.model import (

@@ -50,7 +50,7 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
     """Summary lines for (parent result, change result) pairs over the given end-to-end metric declarations."""
-    lines = [f"{'metric':28} {'parent median [q1, q3]':34} {'change':>10} {'change %':>9} {'won':>7} {'beyond':>7}"]
+    lines = [f"{'metric':28} {'parent median [q1, q3]':40} {'change':>10} {'change %':>9} {'won':>7} {'beyond':>7}"]
     n = len(pairs)
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -65,7 +65,7 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
         beyond = sum(c < q1 if lower else c > q3 for _, c in runs)
         percent = f"{100 * (change - parent) / parent:+.1f}%" if parent else "n/a"
         spread = f"{parent:.6g} [{q1:.6g}, {q3:.6g}]"
-        lines.append(f"{name:28} {spread:34} {change:10.6g} {percent:>9} {f'{won}/{len(runs)}':>7} "
+        lines.append(f"{name:28} {spread:40} {change:10.6g} {percent:>9} {f'{won}/{len(runs)}':>7} "
                      f"{f'{beyond}/{len(runs)}':>7}")
     for side, index in (("parent", 0), ("change", 1)):
         failed = sum(pair[index]["failed"] for pair in pairs)
