@@ -27,7 +27,6 @@ snake_case; type local names take the term names with spaces as underscores.
 from __future__ import annotations
 
 import json
-from urllib.parse import quote as percent_encode
 
 from .model import (
     NODE_KINDS,
@@ -239,11 +238,18 @@ def to_dot(doc: Document) -> str:
 # --- Turtle ------------------------------------------------------------------------
 
 _PREFIX = "@prefix nfrstdo: <urn:nfrstdo:vocab:> ."
+# each byte, read as a Latin-1 character, to itself if RFC 3986 leaves it unreserved, else to its %XX escape
+_PERCENT = [chr(b) if chr(b).isascii() and (chr(b).isalnum() or chr(b) in "_.-~") else f"%{b:02X}" for b in range(256)]
+
+
+def _percent_encode(part: str) -> str:
+    """``urllib.parse.quote(part, safe='')``: the UTF-8 bytes of ``part``, each unreserved one kept, the rest %XX."""
+    return part.encode("utf-8").decode("latin-1").translate(_PERCENT)
 
 
 def _urn(ref: tuple[str, ...]) -> str:
     prefix, *parts = ref
-    return f"<urn:nfrstdo:{prefix}:{'/'.join(percent_encode(part, safe='') for part in parts)}>"
+    return f"<urn:nfrstdo:{prefix}:{'/'.join(_percent_encode(part) for part in parts)}>"
 
 
 def to_turtle(doc: Document) -> str:

@@ -617,7 +617,8 @@ def parse_arch(text: str) -> ArchSpec:
     peers: list[tuple[str, str]] = []
     edge_lines: list[tuple[int, tuple[str, str], str]] = []  # line, components named, error if undeclared
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # lines end at \r\n, \r or \n only, as in the .nfrs lexer; str.splitlines would also break at \f, \x85, U+2028, ...
+    for line_no, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

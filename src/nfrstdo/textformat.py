@@ -11,10 +11,11 @@ Both directions read the blocks from ``model.NODE_KINDS``: a kind's fields in
 table order, then, for a model or a view model, its NFRs or views and its edge
 statements in ``EDGE_KINDS`` order.
 
-The lexer turns the text into flat ``(kind, value, line, column)`` tuples.
-The parser walks them by index and builds a ``SourceLocation`` only where it
-keeps one: for a declaration or an edge in ``Document.source_locations``, and
-for a ``ParseError``.
+The lexer turns the text, its line breaks made ``\\n``, into flat ``(kind,
+value, offset)`` tuples. The parser walks them by index. Only where it keeps a
+location (a declaration or an edge in ``Document.source_locations``, or a
+``ParseError``) does it turn an offset into a line and column, by a bisect
+over the offsets where lines start.
 
 Grammar sketch (names and texts are double-quoted strings, ``#`` comments)::
 
@@ -45,6 +46,7 @@ Grammar sketch (names and texts are double-quoted strings, ``#`` comments)::
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 
 from .diagnostics import Record, SourceLocation
 from .model import (
@@ -66,14 +68,15 @@ from .model import (
 )
 
 _DECLARATION = f"a declaration ({', '.join(NODE_KINDS_BY_KEYWORD)})"
-_NFR_KEYWORDS = {"characteristic": NfrKind.CHARACTERISTIC, "attribute": NfrKind.ATTRIBUTE,
-                 "statement_item": NfrKind.STATEMENT_ITEM}
+_NFR_KEYWORDS = {k.value: k for k in NfrKind}
+_FOCUS_KINDS = {k.value: k for k in FocusKind}
 _MODEL_EDGE_ARROWS = {k.keyword: k.arrow for k in MODEL_EDGE_KINDS}
+_VIEW_EDGE_KINDS = {k.keyword: k for k in VIEW_EDGE_KINDS}
 # error recovery resumes at EOF or at one of these (kind, value) tokens: a declaration at the top level, and
 # a member, an edge or the closing brace inside a model or a view model
 _TOP_LEVEL_STOPS = frozenset(("word", k) for k in NODE_KINDS_BY_KEYWORD)
 _MODEL_STOPS = frozenset([("punct", "}"), *(("word", k) for k in (*_NFR_KEYWORDS, *_MODEL_EDGE_ARROWS))])
-_VIEW_MODEL_STOPS = frozenset([("punct", "}"), ("word", "view"), *(("word", k.keyword) for k in VIEW_EDGE_KINDS)])
+_VIEW_MODEL_STOPS = frozenset([("punct", "}"), ("word", "view"), *(("word", k) for k in _VIEW_EDGE_KINDS)])
 # what the second name of a model edge is expected to be, by syntax
 _MODEL_EDGE_TARGETS = {"of": "a characteristic name", "<->": "an NFR name", "->": "a target name"}
 
@@ -109,20 +112,19 @@ _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 # A string up to, not including, its closing quote: anything but a quote, a
 # backslash or a line break, and the five escapes.
 _OPEN_STRING = r'"[^"\\\n]*(?:\\[\\"ntr][^"\\\n]*)*'
-# One token per match: blanks, then a complete string, punctuation, a word, a
-# line break, the end of input (tried before a comment, so that a trailing
-# comment does not move the EOF column), a comment, or any other character,
-# which is a lexical error.
+# One token per match: blanks and line breaks, then a complete string (group 1), punctuation (2), a word (3),
+# the end of input (4; tried before a comment, so that a trailing comment does not move it), a comment (no
+# group), or any other character (5), which is a lexical error.
 _TOKEN_RE = re.compile(
-    rf'[ \t]*(?:(?P<string>{_OPEN_STRING}")|(?P<punct><->|->|[{{}}:.])|(?P<word>[A-Za-z_][A-Za-z0-9_]*)'
-    r"|(?P<newline>\n)|(?P<eof>)(?:#[^\n]*)?\Z|(?P<comment>#[^\n]*)|(?P<other>.))"
+    rf'[ \t\n]*(?:({_OPEN_STRING}")|(<->|->|[{{}}:.])|([A-Za-z_][A-Za-z0-9_]*)|()(?:#[^\n]*)?\Z|#[^\n]*|(.))'
 )
+_KINDS = (None, "string", "punct", "word", "eof")  # token kind by group number
 _OPEN_STRING_RE = re.compile(_OPEN_STRING)
 _ESCAPE_RE = re.compile(r"\\(.)")
 
-# A token is a flat (kind, value, line, column) record; kind is word, string,
-# punct or eof, and a string's value is unescaped.
-_Record = tuple[str, str, int, int]
+# A token is a flat (kind, value, offset) record: kind is word, string, punct or eof, a string's value is
+# unescaped, and offset is where the token starts in the text with its line breaks made "\n".
+_Record = tuple[str, str, int]
 
 
 def _printable(text: str) -> str:
@@ -141,12 +143,15 @@ def _describe(token: _Record) -> str:
     return f"'{_printable(value)}'"
 
 
-def _location(token: _Record) -> SourceLocation:
-    return SourceLocation(token[2], token[3])
+def _line_starts(text: str) -> list[int]:
+    """The offset of each line's first character in ``text``, whose line breaks are all ``\\n``."""
+    return [0, *(match.end() for match in re.finditer("\n", text))]
 
 
-def _error_at(token: _Record, expected: str) -> ParseError:
-    return ParseError(_location(token), expected, _describe(token))
+def _locate(starts: list[int], offset: int) -> SourceLocation:
+    """The line and column of ``offset``, given the ``_line_starts`` of its text."""
+    line = bisect_right(starts, offset)
+    return SourceLocation(line, offset - starts[line - 1] + 1)
 
 
 def _unescape(match: re.Match) -> str:
@@ -154,57 +159,44 @@ def _unescape(match: re.Match) -> str:
 
 
 def _tokenize(text: str) -> list[_Record]:
-    """The tokens of ``text``, ending with EOF; raises ParseFailure with the first lexical error."""
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    """The tokens of ``text`` (``\\n`` line breaks only) up to EOF; raises ParseFailure at the first lexical error."""
     tokens: list[_Record] = []
     append = tokens.append
-    line, line_start = 1, 0
     for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "newline":
-            line, line_start = line + 1, match.end()
+        group = match.lastindex
+        if group is None:  # a comment
             continue
-        if kind == "comment":
-            continue
-        start = match.start(kind)
-        value = match[kind]
-        if kind == "string":
-            value = value[1:-1]
+        start = match.start(group)
+        if group == 1:
+            value = match[1][1:-1]
             if "\\" in value:
                 value = _ESCAPE_RE.sub(_unescape, value)
-        elif kind == "eof":
-            if start == line_start and line > 1:
-                # place EOF on the last line's end-of-line cursor, never past the input
-                append((kind, value, line - 1, line_start - text.rfind("\n", 0, line_start - 1) - 1))
-            else:
-                append((kind, value, line, start - line_start + 1))
+            append(("string", value, start))
+        elif group < 4:
+            append((_KINDS[group], match[group], start))
+        elif group == 4:
+            # place EOF on the last line's end-of-line cursor, never past the input
+            append(("eof", "", start - 1 if start and text[start - 1] == "\n" else start))
             break
-        elif kind == "other":
-            location = SourceLocation(line, start - line_start + 1)
+        else:
+            value = match[5]
             if value != '"':
-                error = ParseError(location, "a declaration", f"'{_printable(value)}'")
+                expected, found = "a declaration", f"'{_printable(value)}'"
             else:
                 end = _OPEN_STRING_RE.match(text, start).end()
                 if text.startswith("\\", end):
-                    error = ParseError(SourceLocation(line, end - line_start + 1), "a valid escape",
-                                       f"'\\{_printable(text[end + 1:end + 2])}'")
+                    start, expected, found = end, "a valid escape", f"'\\{_printable(text[end + 1:end + 2])}'"
                 else:
-                    error = ParseError(location, "closing '\"'", "end of line or input")
-            raise ParseFailure([error])
-        append((kind, value, line, start - line_start + 1))
+                    expected, found = "closing '\"'", "end of line or input"
+            raise ParseFailure([ParseError(_locate(_line_starts(text), start), expected, found)])
     return tokens
 
 
 def quote(value: str) -> str:
     """Render a string in the format's double-quoted, backslash-escaped form, which is also a Turtle literal."""
     # backslash first; chained replaces beat str.translate several times over on names that need no escape
-    escaped = (
-        value.replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-        .replace("\r", "\\r")
-        .replace("\t", "\\t")
-    )
+    escaped = value.replace("\\", "\\\\").replace('"', '\\"')
+    escaped = escaped.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
     return f'"{escaped}"'
 
 
@@ -217,8 +209,9 @@ class _SyntaxError(Exception):
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Record]) -> None:
-        self.tokens = tokens
+    def __init__(self, text: str) -> None:
+        self.tokens = _tokenize(text)
+        self.starts = _line_starts(text)
         self.pos = 0
         self.errors: list[ParseError] = []
         self.collections: dict[str, dict] = {k.collection: {} for k in NODE_KINDS}
@@ -236,8 +229,11 @@ class _Parser:
         t = self.tokens[self.pos]
         return t[1] == value and t[0] == "punct"
 
+    def error_at(self, token: _Record, expected: str) -> ParseError:
+        return ParseError(_locate(self.starts, token[2]), expected, _describe(token))
+
     def fail(self, expected: str) -> None:
-        raise _SyntaxError(_error_at(self.tokens[self.pos], expected))
+        raise _SyntaxError(self.error_at(self.tokens[self.pos], expected))
 
     def expect_punct(self, value: str) -> None:
         t = self.tokens[self.pos]
@@ -258,7 +254,7 @@ class _Parser:
             self.fail(expected)
         self.pos += 1
         if not t[1]:
-            raise _SyntaxError(ParseError(_location(t), "a non-empty name", "an empty string"))
+            raise _SyntaxError(ParseError(_locate(self.starts, t[2]), "a non-empty name", "an empty string"))
         return t[1]
 
     def field_value(self, keyword: str) -> str:
@@ -271,9 +267,7 @@ class _Parser:
         return t[1]
 
     def opt_field(self, keyword: str) -> str | None:
-        if self.at_word(keyword):
-            return self.field_value(keyword)
-        return None
+        return self.field_value(keyword) if self.at_word(keyword) else None
 
     def record_error(self, error: ParseError) -> None:
         if len(self.errors) < _MAX_ERRORS:
@@ -283,10 +277,11 @@ class _Parser:
         """The ``quality`` or ``cost`` after a ``focus`` or ``kind`` field keyword."""
         self.expect_punct(":")
         t = self.tokens[self.pos]
-        if t[0] != "word" or t[1] not in ("quality", "cost"):
+        kind = _FOCUS_KINDS.get(t[1]) if t[0] == "word" else None
+        if kind is None:
             self.fail("'quality' or 'cost'")
         self.pos += 1
-        return FocusKind(t[1])
+        return kind
 
     # error recovery
 
@@ -325,7 +320,7 @@ class _Parser:
                 return
             kind = NODE_KINDS_BY_KEYWORD.get(t[1]) if t[0] == "word" else None
             if kind is None:
-                self.record_error(_error_at(t, _DECLARATION))
+                self.record_error(self.error_at(t, _DECLARATION))
                 self.pos += 1
                 self.sync(_TOP_LEVEL_STOPS)
                 continue
@@ -343,10 +338,10 @@ class _Parser:
     def declare(self, collection: dict, key: tuple, node, token: _Record, expected: str) -> None:
         """Store ``node``, at the location of the ``token`` that opens it, unless its name is taken."""
         if node.name in collection:
-            self.record_error(ParseError(_location(token), expected, f"duplicate {node.name!r}"))
+            self.record_error(ParseError(_locate(self.starts, token[2]), expected, f"duplicate {node.name!r}"))
             return
         collection[node.name] = node
-        self.locations[key] = _location(token)
+        self.locations[key] = _locate(self.starts, token[2])
 
     def parse_fields(self, kind: NodeKind, name: str):
         """The rest of a node block: its fields in table order, an owner's members and edges, then '}'."""
@@ -392,7 +387,7 @@ class _Parser:
             t = self.tokens[self.pos]
             if t[0] == "word" and t[1] in _NFR_KEYWORDS:
                 if seen_edge:
-                    self.record_error(_error_at(t, "a model edge or '}' (NFR declarations precede edges)"))
+                    self.record_error(self.error_at(t, "a model edge or '}' (NFR declarations precede edges)"))
                 self.pos += 1
                 try:
                     self.parse_nfr(_NFR_KEYWORDS[t[1]], t, name, nfrs)
@@ -414,7 +409,7 @@ class _Parser:
                 self.fail("'}'")
             else:
                 expected = "a model edge or '}'" if seen_edge else "an NFR declaration, a model edge, or '}'"
-                self.record_error(_error_at(t, expected))
+                self.record_error(self.error_at(t, expected))
                 self.pos += 1
                 self.sync(_MODEL_STOPS)
 
@@ -424,7 +419,7 @@ class _Parser:
             kind = edge_kind(NfrsModelNode, keyword, None if nfr is None else nfr.kind)
             edge = kind.stored(source, target)
             stored[kind.field].append(edge)
-            self.locations[("edge", name, keyword, *edge)] = _location(token)
+            self.locations[("edge", name, keyword, *edge)] = _locate(self.starts, token[2])
         return {"nfrs": nfrs, **{f: tuple(e) for f, e in stored.items()}}
 
     def parse_edge(self, arrow: str, source_what: str, target_what: str) -> tuple[str, str]:
@@ -464,14 +459,14 @@ class _Parser:
             if t[0] == "eof":
                 self.fail("'}'")
             if t[:2] not in _VIEW_MODEL_STOPS:  # the loop has stopped at '}' already
-                self.record_error(_error_at(t, "a view, an edge, or '}'"))
+                self.record_error(self.error_at(t, "a view, an edge, or '}'"))
                 self.pos += 1
                 self.sync(_VIEW_MODEL_STOPS)
                 continue
             keyword = t[1]
             if keyword == "view":
                 if stage != "view":
-                    self.record_error(_error_at(t, "an edge or '}' (views precede edges)"))
+                    self.record_error(self.error_at(t, "an edge or '}' (views precede edges)"))
                 self.pos += 1
                 try:
                     self.parse_view(t, name, views)
@@ -481,13 +476,13 @@ class _Parser:
                 continue
             if keyword == "influences":
                 if stage == "depends_on":
-                    self.record_error(_error_at(t, "'depends_on' or '}' (influences precede depends_on)"))
+                    self.record_error(self.error_at(t, "'depends_on' or '}' (influences precede depends_on)"))
                 else:
                     stage = "influences"
             else:
                 stage = "depends_on"
             self.pos += 1
-            kind = edge_kind(NfrsViewModelNode, keyword)
+            kind = _VIEW_EDGE_KINDS[keyword]
             try:
                 source, target = self.parse_edge(kind.arrow, "a view name", "a view name")
             except _SyntaxError as exc:
@@ -495,7 +490,7 @@ class _Parser:
                 self.sync(_VIEW_MODEL_STOPS)
                 continue
             edges[kind.field].append((source, target))
-            self.locations[("edge", name, keyword, source, target)] = _location(t)
+            self.locations[("edge", name, keyword, source, target)] = _locate(self.starts, t[2])
         return {"views": views, **{f: tuple(e) for f, e in edges.items()}}
 
 
@@ -505,7 +500,7 @@ def parse(text: str) -> Document:
     Raises ParseFailure carrying every collected ParseError; the document is
     produced only when the input is error-free.
     """
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text.replace("\r\n", "\n").replace("\r", "\n"))
     parser.parse_document()
     if parser.errors:
         raise ParseFailure(parser.errors)

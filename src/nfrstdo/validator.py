@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from enum import Enum
 
-from .diagnostics import Diagnostic, Severity, SourceLocation, replace, sort_diagnostics
+from .diagnostics import Diagnostic, Severity, replace, sort_diagnostics
 from .model import Document, FocusKind, NfrKind, NfrsModelNode, NfrsViewModelNode, edge_message, iter_edges
 
 
@@ -47,9 +47,7 @@ class _Sink:
         self.diagnostics: list[Diagnostic] = []
 
     def add(self, code: str, severity: Severity, message: str, subject: str, loc_key: tuple | None) -> None:
-        location: SourceLocation | None = None
-        if loc_key is not None:
-            location = self.doc.source_locations.get(loc_key)
+        location = self.doc.source_locations.get(loc_key)  # None for a None key
         self.diagnostics.append(Diagnostic(code, severity, message, subject, location))
 
     def error(self, code: str, message: str, subject: str, loc_key: tuple | None) -> None:
@@ -243,17 +241,22 @@ def _check_view_model(doc: Document, vm: NfrsViewModelNode, mode: ValidationMode
             )
 
     contradicting = {("depends_on", *edge) for edge in depends_contradictions(vm)}
+    views = vm.views
     for kind, source, target in iter_edges(vm):
+        source_view, target_view = views.get(source), views.get(target)
+        if (source_view is not None and target_view is not None and source_view.kind in kind.sources
+                and target_view.kind in kind.targets and (kind.keyword, source, target) not in contradicting):
+            continue  # nothing to report, so no subject and no location key are built
         subject = f"view_model:{v}/{kind.keyword}:{source}->{target}"
         key = ("edge", v, kind.keyword, source, target)
-        missing = [name for name in dict.fromkeys((source, target)) if name not in vm.views]
+        missing = [name for name in dict.fromkeys((source, target)) if name not in views]
         for name in missing:
             sink.error("R-REF", f"unknown view {name!r} in view model {v!r}", subject, key)
         if missing:
             continue
         # one diagnostic names every endpoint of the wrong kind
         wrong = sorted({name for name, allowed in ((source, kind.sources), (target, kind.targets))
-                        if vm.views[name].kind not in allowed})
+                        if views[name].kind not in allowed})
         if wrong:
             sink.error(kind.code, edge_message(kind.target_message, ", ".join(wrong)), subject, key)
         elif (kind.keyword, source, target) in contradicting:

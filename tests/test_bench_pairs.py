@@ -51,3 +51,44 @@ def test_summary_of_canned_pairs():
     assert lines[3].split() == ["query_p75_us", "missing"]
     assert lines[4] == "failed_ops parent: 0 of 5000 operations; 5/5 runs correct"
     assert lines[5] == "failed_ops change: 2 of 5000 operations; 4/5 runs correct"
+
+
+PER_LAYER = [
+    {"name": "textformat.parse_s", "unit": "s", "better": "lower"},
+    {"name": "validator.validate_instance_s", "unit": "s", "better": "lower"},
+    {"name": "validator.validate_instance_calls", "unit": "count", "better": "higher"},
+]
+
+
+def _traced_line(parse: float, validate: float, calls: int) -> str:
+    """A ``--trace 1`` run's output: its per-layer rows, the failed_ops row, the split report and the result."""
+    result = {"correct": True, "attempted": 24, "failed": 0,
+              "metrics": {"textformat.parse_s": {"value": parse, "unit": "s"},
+                          "validator.validate_instance_s": {"value": validate, "unit": "s"},
+                          "validator.validate_instance_calls": {"value": calls, "unit": "count"}}}
+    return (f"textformat.parse_s  {parse}  s  median, n={calls}\nfailed_ops  0  ratio\n"
+            f"view-network: parse leads\n{json.dumps(result)}\n")
+
+
+def test_traced_runs_pass_trace_1():
+    args = bench_pairs.run_args(["python3", "perfbench/run.py"], "view-network", 7, 30, True)
+    assert args[-2:] == ["--trace", "1"]
+    assert bench_pairs.run_args(["python3", "perfbench/run.py"], "view-network", 7, 30, False)[-2:] == ["--trace", "0"]
+
+
+def test_summary_of_canned_traced_pairs():
+    parent = [_traced_line(p, v, 9) for p, v in ((0.030, 0.0080), (0.028, 0.0079), (0.032, 0.0084), (0.029, 0.0081))]
+    change = [_traced_line(p, v, 9) for p, v in ((0.026, 0.0042), (0.027, 0.0040), (0.025, 0.0039), (0.030, 0.0041))]
+    pairs = [(bench_pairs.result_of(p), bench_pairs.result_of(c)) for p, c in zip(parent, change)]
+    lines = bench_pairs.summarize(pairs, PER_LAYER)
+    # the name column widens to the longest name, so every row still splits into its fields
+    assert lines[0].index("parent") == len("validator.validate_instance_calls") + 1
+    # parse: parent median 0.0295 [0.02875, 0.0305]; change median 0.0265, -10.2%; 3 pairs won; 3 below q1
+    assert lines[1].split() == ["textformat.parse_s", "0.0295", "[0.02875,", "0.0305]", "0.0265", "-10.2%", "3/4",
+                                "3/4"]
+    # validate: parent median 0.00805 [0.007975, 0.008175]; change median 0.00405, -49.7%; all won and below q1
+    assert lines[2].split() == ["validator.validate_instance_s", "0.00805", "[0.007975,", "0.008175]", "0.00405",
+                                "-49.7%", "4/4", "4/4"]
+    # a count that does not change wins no pair
+    assert lines[3].split() == ["validator.validate_instance_calls", "9", "[9,", "9]", "9", "+0.0%", "0/4", "0/4"]
+    assert lines[4] == "failed_ops parent: 0 of 96 operations; 4/4 runs correct"

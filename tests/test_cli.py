@@ -640,7 +640,13 @@ def test_lint_arch_parse_failure(capsys, tmp_path):
     ("component X level Bogus\n", 1, "unknown level 'Bogus'"),
     ("component ThingFO level Foundational\n\npeer ThingFO\n", 3, "expected 'peer <A> <B>'"),
     ("enriches A <- B\ncomponent A level Core\n", 1, "enrichment edge names undeclared component: A <- B"),
-], ids=["bad-level", "third-line", "undeclared-after-reading"])
+    # only \r\n, \r and \n end a line; other characters str.splitlines breaks at do not
+    ("component ThingFO level Foundational\x0c# note\nbogus x\n", 2, "unknown directive 'bogus'"),
+    ("component ThingFO level Foundational\n\u2028bogus x\n", 2, "unknown directive 'bogus'"),
+    ("\x1c\x1d\x1e\x85\u2029\x0b\nbogus x\n", 2, "unknown directive 'bogus'"),
+    ("\r\n\r\n\rbogus x", 4, "unknown directive 'bogus'"),
+], ids=["bad-level", "third-line", "undeclared-after-reading", "form-feed", "line-separator", "other-separators",
+        "crlf-and-cr"])
 def test_lint_arch_json_writes_parse_failure_as_one_diagnostic(capsys, tmp_path, text, line, message):
     arch = tmp_path / "broken.arch"
     arch.write_text(text, encoding="utf-8")

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import json
 import random
+from urllib.parse import quote
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import load_fixture
 from docgen import random_document
-from nfrstdo.export import to_dot, to_json, to_turtle
+from nfrstdo.export import _percent_encode, to_dot, to_json, to_turtle
 from nfrstdo.model import Document
 from nfrstdo.textformat import parse, serialize
 
@@ -128,6 +130,29 @@ def test_turtle_percent_encoding_and_literal_escaping():
     turtle = to_turtle(doc)
     assert "<urn:nfrstdo:category:A%2FB>" in turtle
     assert 'nfrstdo:description "line\\nbreak \\"q\\""' in turtle
+
+
+def _random_text(rng: random.Random) -> str:
+    """Up to 12 characters from ASCII (``%``, ``/`` and NUL included), Latin-1, other BMP and astral planes."""
+    pools = ("%/\0 -.~_", "abcXYZ019", "\x7f\x80\xa0\xe9\xff", "\u0100\u20ac\u200b\ufffd\uffff",
+             "\U0001f600\U00010000\U0010ffff")
+    return "".join(rng.choice(rng.choice(pools)) if rng.random() < 0.7 else chr(rng.randrange(0xD800))
+                   for _ in range(rng.randrange(13)))
+
+
+def test_percent_encoding_matches_urllib_quote():
+    rng = random.Random(7)
+    texts = ["", "%", "/", "\0", "A/B%2F", *(_random_text(rng) for _ in range(3000))]
+    assert [_percent_encode(t) for t in texts] == [quote(t, safe="") for t in texts]
+
+
+@pytest.mark.parametrize("text", ["\ud800", "a\udfffb", "\U0001f600\udc00"])
+def test_percent_encoding_refuses_a_lone_surrogate_as_urllib_quote_does(text):
+    with pytest.raises(UnicodeEncodeError) as expected:
+        quote(text, safe="")
+    with pytest.raises(UnicodeEncodeError) as raised:
+        _percent_encode(text)
+    assert str(raised.value) == str(expected.value)
 
 
 @settings(max_examples=40, deadline=None)

@@ -23,15 +23,15 @@ VALIDATE_MODULES = {"nfrstdo", "nfrstdo.cli", "nfrstdo.diagnostics", "nfrstdo.mo
                     "nfrstdo.validator"}
 
 
-def imported_modules(*argv: str) -> set[str]:
-    """The modules a fresh ``python -m nfrstdo ARGV`` imports, read from ``-X importtime``.
+def imported_modules(*argv: str, flags: tuple[str, ...] = ()) -> set[str]:
+    """The modules a fresh ``python FLAGS -m nfrstdo ARGV`` imports, read from ``-X importtime``.
 
     ``-m`` runs ``nfrstdo/__main__.py`` as ``__main__``, which importtime does not list.
     """
     package_root = str(Path(nfrstdo.__file__).resolve().parent.parent)
     pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "nfrstdo", *argv],
+        [sys.executable, *flags, "-X", "importtime", "-m", "nfrstdo", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": pythonpath},
@@ -59,6 +59,14 @@ def test_start_up_imports_no_introspection_modules(command, tmp_path):
     # dataclasses pulls in inspect, ast and dis; the records are built without them
     argv = ["validate", CHAIN] if command == "validate" else ["export", CHAIN, "turtle", "-o", str(tmp_path / "o.ttl")]
     assert imported_modules(*argv) & {"dataclasses", "inspect", "ast", "dis"} == set()
+
+
+def test_turtle_export_imports_no_urllib(tmp_path):
+    # without site (-S), since a .pth file that site runs may import urllib itself
+    argv = ["export", CHAIN, "turtle", "-o", str(tmp_path / "o.ttl")]
+    modules = imported_modules(*argv, flags=("-S",))
+    assert "nfrstdo.export" in modules
+    assert {name for name in modules if name.split(".")[0] == "urllib"} == set()
 
 
 def test_public_names_are_their_modules_objects():

@@ -5,11 +5,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import validator_oracle
 from cycle_oracle import _cycle_groups as oracle_cycle_groups
 from docgen import random_document
 from nfrstdo.diagnostics import Severity
 from nfrstdo.model import Document, FocusKind, NfrKind, NfrNode, NfrsModelNode, NfrsViewModelNode, NfrViewNode
-from nfrstdo.textformat import parse
+from nfrstdo.textformat import parse, serialize
 from nfrstdo.validator import ValidationMode, _cycle_groups, derive_depends_on, depends_contradictions, validate
 
 QUALITY_FOCUS_MODEL = 'model "M" { characteristic "F" { definition: "d" focus: quality } }\n'
@@ -410,3 +411,86 @@ def test_attribute_endpoint_messages_take_an():
         ("R-003", "this combines edge must target a statement item; 'A' is an attribute"),
         ("R-008", "maps edges start at a statement item; 'A' is an attribute"),
     }
+
+
+# --- differential: the view-model checks against validator_oracle ---------------------------------------------
+
+PLANTED_VIEW_MODEL = CATEGORY + QUALITY_FOCUS_MODEL + """view_model "VM" {
+  view "Q1" { kind: quality category: "C" focus: "M" . "F" }
+  view "Q2" { kind: quality category: "C" focus: "M" . "F" }
+  view "Q3" { kind: quality category: "C" focus: "M" . "F" }
+  view "K1" { kind: cost category: "C" focus: "M" . "F" }
+  view "K2" { kind: cost category: "C" focus: "M" . "F" }
+  influences "Q1" -> "Q2"
+  influences "Q2" -> "Q3"
+  influences "Q3" -> "Q1"
+  influences "Q1" -> "Ghost"
+  influences "Ghost" -> "Q1"
+  influences "Ghost" -> "Ghost"
+  influences "Nope" -> "Ghost"
+  influences "K1" -> "Q1"
+  influences "Q1" -> "K1"
+  influences "K1" -> "K2"
+  influences "K1" -> "K1"
+  depends_on "Q2" -> "Q1"
+  depends_on "Q1" -> "Q2"
+  depends_on "Q3" -> "Q3"
+  depends_on "K2" -> "Q1"
+  depends_on "Q1" -> "K2"
+  depends_on "Q1" -> "K1"
+  depends_on "K2" -> "K1"
+  depends_on "Ghost" -> "Q1"
+  depends_on "Q1" -> "Nope"
+  depends_on "Ghost" -> "Ghost"
+}
+"""
+
+
+def _random_view_model_text(rng: random.Random) -> str:
+    """One view model of quality and cost views whose edges also name unknown views, mirror or contradict."""
+    views = {f"V{i}": rng.choice(("quality", "cost")) for i in range(rng.randrange(1, 7))}
+    names = [*views, "Ghost", "Nope"]
+    influences = [(rng.choice(names), rng.choice(names)) for _ in range(rng.randrange(9))]
+    depends_on = []
+    for _ in range(rng.randrange(7)):
+        if influences and rng.random() < 0.5:
+            source, target = rng.choice(influences)
+            depends_on.append((target, source))  # the mirror of an influences edge
+        else:
+            depends_on.append((rng.choice(names), rng.choice(names)))
+    lines = [f'  view "{n}" {{ kind: {k} category: "C" focus: "M" . "F" }}' for n, k in views.items()]
+    lines += [f'  influences "{a}" -> "{b}"' for a, b in influences]
+    lines += [f'  depends_on "{a}" -> "{b}"' for a, b in depends_on]
+    return CATEGORY + QUALITY_FOCUS_MODEL + 'view_model "VM" {\n' + "\n".join(lines) + "\n}\n"
+
+
+def _differential_documents() -> list[tuple[str, Document]]:
+    documents = [("planted", parse(PLANTED_VIEW_MODEL))]
+    for seed in range(200):
+        doc = random_document(random.Random(seed))
+        # the parsed copy carries source locations, so the diagnostics' locations are compared too
+        documents += [(f"seed {seed}", doc), (f"seed {seed} parsed", parse(serialize(doc))),
+                      (f"view model {seed}", parse(_random_view_model_text(random.Random(seed))))]
+    return documents
+
+
+def test_validate_matches_view_model_oracle():
+    codes: set[str] = set()
+    for label, doc in _differential_documents():
+        for mode in ValidationMode:
+            expected = validator_oracle.validate(doc, mode)
+            assert validate(doc, mode) == expected, f"{label}, {mode.value} mode"
+            codes.update(d.code for d in expected if d.subject.startswith("view_model:"))
+    assert codes >= {"R-REF", "R-005", "R-006", "R-006b", "R-016"}
+
+
+def test_planted_view_model_reports_every_planted_edge():
+    diagnostics = validate(parse(PLANTED_VIEW_MODEL), ValidationMode.INSTANCE)
+    edges = {(d.code, d.subject.rsplit("/", 1)[1]) for d in diagnostics if "->" in d.subject}
+    assert edges >= {
+        ("R-REF", "influences:Q1->Ghost"), ("R-REF", "influences:Ghost->Ghost"), ("R-REF", "influences:Nope->Ghost"),
+        ("R-006", "influences:K1->Q1"), ("R-006", "influences:Q1->K1"), ("R-006", "influences:K1->K1"),
+        ("R-006b", "depends_on:Q1->Q2"), ("R-006b", "depends_on:Q3->Q3"), ("R-005", "depends_on:K2->Q1"),
+        ("R-005", "depends_on:Q1->K1"), ("R-REF", "depends_on:Ghost->Q1"), ("R-REF", "depends_on:Q1->Nope"),
+    }
+    assert all(d.location is not None for d in diagnostics if "->" in d.subject and "cycle" not in d.subject)

@@ -2,7 +2,7 @@
 
 Run from the root of a checkout::
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload nfr-catalog --pairs 10
+    python3 tools/bench_pairs.py PARENT CHANGE --workload nfr-catalog --pairs 10 [--trace]
 
 Each revision is unpacked with ``git archive`` into its own temporary
 directory, and ``perfbench/run.py --trace 0`` runs there, as the command in
@@ -13,8 +13,10 @@ gives, for each end-to-end metric of ``BENCHMARK.json``: the parent's median
 and quartiles, the change's median, the change in percent, the pairs the
 change won, and how many of the change's runs lie beyond the parent's better
 quartile (below the first for a lower-is-better metric, above the third
-otherwise); and each side's failed operations. Nothing is fetched and no
-``perfbench/`` file is written.
+otherwise); and each side's failed operations. With ``--trace`` the runs are
+``--trace 1`` runs, and the summary covers the ``per_layer`` metrics of
+``BENCHMARK.json`` instead, such as ``textformat.parse_s``. Nothing is
+fetched and no ``perfbench/`` file is written.
 """
 
 from __future__ import annotations
@@ -50,14 +52,16 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
     """Summary lines for (parent result, change result) pairs over the given end-to-end metric declarations."""
-    lines = [f"{'metric':28} {'parent median [q1, q3]':40} {'change':>10} {'change %':>9} {'won':>7} {'beyond':>7}"]
+    width = max(28, *(len(metric["name"]) for metric in metrics))
+    lines = [f"{'metric':{width}} {'parent median [q1, q3]':40} {'change':>10} {'change %':>9} {'won':>7} "
+             f"{'beyond':>7}"]
     n = len(pairs)
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
         runs = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for p, c in pairs
                 if name in p["metrics"] and name in c["metrics"]]
         if not runs:
-            lines.append(f"{name:28} missing")
+            lines.append(f"{name:{width}} missing")
             continue
         q1, parent, q3 = quartiles([p for p, _ in runs])
         change = statistics.median(c for _, c in runs)
@@ -65,7 +69,7 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
         beyond = sum(c < q1 if lower else c > q3 for _, c in runs)
         percent = f"{100 * (change - parent) / parent:+.1f}%" if parent else "n/a"
         spread = f"{parent:.6g} [{q1:.6g}, {q3:.6g}]"
-        lines.append(f"{name:28} {spread:40} {change:10.6g} {percent:>9} {f'{won}/{len(runs)}':>7} "
+        lines.append(f"{name:{width}} {spread:40} {change:10.6g} {percent:>9} {f'{won}/{len(runs)}':>7} "
                      f"{f'{beyond}/{len(runs)}':>7}")
     for side, index in (("parent", 0), ("change", 1)):
         failed = sum(pair[index]["failed"] for pair in pairs)
@@ -86,8 +90,14 @@ def unpack(revision: str, directory: Path) -> str:
     return short
 
 
-def run_once(command: list[str], directory: Path, workload: str, seed: int, seconds: float) -> dict:
-    args = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+def run_args(command: list[str], workload: str, seed: int, seconds: float, trace: bool) -> list[str]:
+    """The benchmark command line of one run."""
+    return [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+            "--trace", str(int(trace))]
+
+
+def run_once(command: list[str], directory: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
+    args = run_args(command, workload, seed, seconds, trace)
     done = subprocess.run(args, cwd=directory, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"bench_pairs: {' '.join(args)} in {directory} exited {done.returncode}:\n{done.stderr}")
@@ -102,6 +112,7 @@ def main() -> int:
     parser.add_argument("--workload", required=True, choices=[w["name"] for w in benchmark["workloads"]])
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair (default 1)")
+    parser.add_argument("--trace", action="store_true", help="run --trace 1 and summarise the per-layer metrics")
     args = parser.parse_args()
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
@@ -113,12 +124,12 @@ def main() -> int:
             results = {}
             for side in order:
                 results[side] = run_once(benchmark["command"], trees[side], args.workload, seed,
-                                         benchmark["run_seconds"])
+                                         benchmark["run_seconds"], args.trace)
                 print(f"pair {i + 1} seed {seed} {side} {names[side]}: {json.dumps(results[side])}", flush=True)
             pairs.append((results["parent"], results["change"]))
     print(f"{args.workload}: parent {names['parent']} vs change {names['change']}, {len(pairs)} pairs, "
-          f"--seconds {benchmark['run_seconds']:g}")
-    print("\n".join(summarize(pairs, benchmark["end_to_end"])))
+          f"--seconds {benchmark['run_seconds']:g}, --trace {int(args.trace)}")
+    print("\n".join(summarize(pairs, benchmark["per_layer" if args.trace else "end_to_end"])))
     return 0
 
 
