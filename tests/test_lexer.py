@@ -5,7 +5,7 @@ serializations and 2,000 seeded mutations of those texts (inserted quotes,
 bad escapes, stray characters, line breaks, deletions, truncations). Each
 input must give the same tokens as ``(kind, value, line, column)`` records,
 EOF included, or the same error. The library's tokens carry an offset into
-the text with its line breaks made ``\n``; the test counts the line breaks
+the text with its line breaks made ``\\n``; the test counts the line breaks
 before it to get the line and column.
 """
 
