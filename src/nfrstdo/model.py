@@ -156,7 +156,7 @@ class NfrViewNode(Record):
 
 
 class NfrsViewModelNode(_OwnerNode):
-    __slots__ = ("_closure_keys",)  # not a field: the closure queries keep their hashed index keys here
+    __slots__ = ("_closure_indexes",)  # not a field: the closure queries keep their built indexes here
     name: str
     specification: str | None = None
     views: dict[str, NfrViewNode] = factory(dict)
@@ -364,7 +364,7 @@ class Document(Record):
 
 
 def _copy_with(record: Record, field: str, value) -> Record:
-    """``replace(record, field=value)`` by position, through ``__init__``; ``_closure_keys`` is not carried over."""
+    """``replace(record, field=value)`` by position, through ``__init__``; ``_closure_indexes`` is not carried over."""
     values = list(record._key(record))
     values[record._fields.index(field)] = value
     return record.__class__(*values)

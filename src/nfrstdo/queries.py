@@ -5,14 +5,13 @@ mapping coverage of statement items, and NFR-to-FR satisfaction traces. All
 functions are pure, leave the document untouched, and order their results
 deterministically (breadth-first with lexicographic ties for closures,
 lexicographic elsewhere). The closures walk an integer index of the view
-model's graph, cached by its edge tuples (hashed once per view model), so
-repeated queries on one document build it once per direction.
+model's graph, kept on the view model itself, so repeated queries on one
+document build it once per direction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 
 from .diagnostics import Record
@@ -66,41 +65,15 @@ def _quality_view_model(doc: Document, view_model: str, origin: str) -> NfrsView
     return vm
 
 
-# Two entries per view model (one per direction) for a few dozen documents, so a caller that
-# cycles through them never evicts an index it is about to reuse.
-_INDEX_CACHE_SIZE = 128
-
 _Index = tuple[tuple[str, ...], dict[str, int], list[list[int]]]
 
 
-class _Edges(tuple):
-    """An (edges, reversed edges) pair of edge tuples, hashed once: a ``_closure_index`` key."""
-
-    def __hash__(self) -> int:
-        return self.hash
-
-
-def _key(vm: NfrsViewModelNode, depends: bool) -> _Edges:
-    """``vm``'s depends_on or influences index key, built on first use and kept in its private slot."""
-    keys = getattr(vm, "_closure_keys", None) or [None, None]
-    if keys[depends] is None:
-        edges = (vm.depends_on_edges, vm.influences_edges) if depends else (vm.influences_edges, ())
-        key = keys[depends] = _Edges(edges)
-        key.hash = tuple.__hash__(key)
-        object.__setattr__(vm, "_closure_keys", keys)
-    return keys[depends]
-
-
-@lru_cache(maxsize=_INDEX_CACHE_SIZE)
-def _closure_index(key: _Edges) -> _Index:
-    """The graph of ``key``'s edges and its reversed edges, as ints.
+def _closure_index(edges: tuple, reversed_edges: tuple) -> _Index:
+    """The graph of ``edges`` and of ``reversed_edges`` reversed, as ints.
 
     Returns the sorted names of every endpoint, each name's position in them,
-    and each position's successor positions. The key holds the edge tuples
-    themselves, which are immutable, so an equal key always means the same
-    graph. Callers must not mutate what it returns, which every later hit shares.
+    and each position's successor positions.
     """
-    edges, reversed_edges = key
     names = tuple(sorted({*chain.from_iterable(edges), *chain.from_iterable(reversed_edges)}))
     position = {name: i for i, name in enumerate(names)}
     successors: list[list[int]] = [[] for _ in names]
@@ -109,6 +82,20 @@ def _closure_index(key: _Edges) -> _Index:
     for a, b in reversed_edges:
         successors[position[b]].append(position[a])
     return names, position, successors
+
+
+def _index(vm: NfrsViewModelNode, depends: bool) -> _Index:
+    """``vm``'s depends_on or influences index, built on its first query and kept in its private slot.
+
+    A view model is immutable, so a kept index never goes stale; every later
+    query shares it, so callers must not mutate it.
+    """
+    indexes = getattr(vm, "_closure_indexes", None) or [None, None]
+    if indexes[depends] is None:
+        edges = (vm.depends_on_edges, vm.influences_edges) if depends else (vm.influences_edges, ())
+        indexes[depends] = _closure_index(*edges)
+        object.__setattr__(vm, "_closure_indexes", indexes)
+    return indexes[depends]
 
 
 def _walk(index: _Index, origin: str, transitive: bool) -> tuple[str, ...]:
@@ -141,7 +128,7 @@ def influence_closure(doc: Document, view_model: str, origin: str, *, transitive
     The origin itself appears only when a cycle leads back to it.
     """
     vm = _quality_view_model(doc, view_model, origin)
-    return ClosureResult(origin=origin, reached=_walk(_closure_index(_key(vm, False)), origin, transitive))
+    return ClosureResult(origin=origin, reached=_walk(_index(vm, False), origin, transitive))
 
 
 def depends_closure(doc: Document, view_model: str, origin: str, *, transitive: bool = True) -> ClosureResult:
@@ -151,7 +138,7 @@ def depends_closure(doc: Document, view_model: str, origin: str, *, transitive: 
     the explicit edges and the reversed influences edges, walked as they are.
     """
     vm = _quality_view_model(doc, view_model, origin)
-    return ClosureResult(origin=origin, reached=_walk(_closure_index(_key(vm, True)), origin, transitive))
+    return ClosureResult(origin=origin, reached=_walk(_index(vm, True), origin, transitive))
 
 
 def leaf_attributes(doc: Document, model: str, characteristic: str) -> list[str]:

@@ -111,17 +111,19 @@ def _cycle_groups(edges: list[tuple[str, str]]) -> list[list[str]]:
 
 def _check_model(doc: Document, model: NfrsModelNode, mode: ValidationMode, sink: _Sink) -> None:
     m = model.name
-
-    def kind_of(name: str) -> NfrKind | None:
-        nfr = model.nfrs.get(name)
-        return None if nfr is None else nfr.kind
+    kinds = {name: nfr.kind for name, nfr in model.nfrs.items()}
 
     # endpoint kinds of every edge, as the relationship table allows them
     for kind, source, target in iter_edges(model):
+        source_kind, target_kind = kinds.get(source), kinds.get(target)
+        self_pair = kind.arrow == "<->" and target == source
+        clean_target = (target in getattr(doc, kind.collection) if kind.collection is not None
+                        else target_kind in kind.targets and not self_pair)
+        if source_kind in kind.sources and clean_target:
+            continue  # nothing to report, so no subject and no location key are built
         separator = f" {kind.arrow} " if kind.arrow == "of" else kind.arrow
         subject = f"model:{m}/{kind.keyword}:{source}{separator}{target}"
         key = ("edge", m, kind.keyword, *kind.stored(source, target))
-        source_kind = kind_of(source)
         if source_kind is None:
             sink.error("R-REF", f"unknown NFR {source!r} in model {m!r}", subject, key)
         elif source_kind not in kind.sources:
@@ -129,16 +131,14 @@ def _check_model(doc: Document, model: NfrsModelNode, mode: ValidationMode, sink
         if kind.collection is not None:
             if target not in getattr(doc, kind.collection):
                 sink.error(kind.code, edge_message(kind.target_message, target), subject, key)
-        elif kind.arrow == "<->" and target == source:
+        elif self_pair:
             # a self-pair of the symmetric relationship has a single endpoint
             if source_kind is not None:
                 sink.warning("R-011", f"NFR {source!r} relates with itself", subject, key)
-        else:
-            target_kind = kind_of(target)
-            if target_kind is None:
-                sink.error("R-REF", f"unknown NFR {target!r} in model {m!r}", subject, key)
-            elif target_kind not in kind.targets:
-                sink.error(kind.code, edge_message(kind.target_message, target, target_kind), subject, key)
+        elif target_kind is None:
+            sink.error("R-REF", f"unknown NFR {target!r} in model {m!r}", subject, key)
+        elif target_kind not in kind.targets:
+            sink.error(kind.code, edge_message(kind.target_message, target, target_kind), subject, key)
 
     # sub-characteristic hierarchy over the edges whose endpoints are both characteristics
     characteristics = {n for n, nfr in model.nfrs.items() if nfr.kind is NfrKind.CHARACTERISTIC}

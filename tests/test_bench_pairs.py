@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -92,3 +93,13 @@ def test_summary_of_canned_traced_pairs():
     # a count that does not change wins no pair
     assert lines[3].split() == ["validator.validate_instance_calls", "9", "[9,", "9]", "9", "+0.0%", "0/4", "0/4"]
     assert lines[4] == "failed_ops parent: 0 of 96 operations; 4/4 runs correct"
+
+
+def test_a_run_without_a_result_line_names_the_command_and_its_output(tmp_path):
+    command = [sys.executable, "-c", "import sys; print('not json'); print('warned', file=sys.stderr)"]
+    with pytest.raises(SystemExit) as raised:
+        bench_pairs.run_once(command, tmp_path, "small-docs", 3, 1, False)
+    message = str(raised.value)
+    assert message.startswith(f"bench_pairs: {' '.join(command)} --workload small-docs --seed 3")
+    assert f"in {tmp_path} printed no result" in message
+    assert "not json" in message and "warned" in message

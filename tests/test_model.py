@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import pickle
 import random
 
 import pytest
@@ -453,13 +454,26 @@ def test_each_write_copies_the_owner_and_the_document_once_through_init(monkeypa
         assert built == expected, add.__name__
 
 
-def test_view_edge_copy_drops_the_closure_keys():
+def test_view_edge_copy_drops_the_closure_indexes():
     doc = add_view_edge(_view_model_doc(), "VM", "influences", "Q1", "Q2")
     assert influence_closure(doc, "VM", "Q2", transitive=False).reached == ()
     assert depends_closure(doc, "VM", "Q1", transitive=False).reached == ()
-    assert hasattr(doc.view_models["VM"], "_closure_keys")
+    assert hasattr(doc.view_models["VM"], "_closure_indexes")
     updated = add_view_edge(doc, "VM", "influences", "Q2", "Q1")
-    assert not hasattr(updated.view_models["VM"], "_closure_keys")
+    assert not hasattr(updated.view_models["VM"], "_closure_indexes")
     assert influence_closure(updated, "VM", "Q2", transitive=False).reached == ("Q1",)
     assert depends_closure(updated, "VM", "Q1", transitive=False).reached == ("Q2",)
-    assert influence_closure(doc, "VM", "Q2", transitive=False).reached == ()  # the input keeps its own keys
+    assert influence_closure(doc, "VM", "Q2", transitive=False).reached == ()  # the input keeps its own indexes
+
+
+def test_copies_and_pickles_drop_the_closure_indexes():
+    doc = add_view_edge(_view_model_doc(), "VM", "influences", "Q1", "Q2")
+    doc = add_view_edge(doc, "VM", "influences", "Q2", "Q1")
+    vm = doc.view_models["VM"]
+    closures = [influence_closure(doc, "VM", "Q1"), depends_closure(doc, "VM", "Q1")]
+    assert all(index is not None for index in vm._closure_indexes)
+    for copied in (copy.copy(vm), copy.deepcopy(vm), pickle.loads(pickle.dumps(vm))):
+        assert copied == vm and copied is not vm
+        assert not hasattr(copied, "_closure_indexes")
+        copied_doc = add_node(Document(), copied)
+        assert [influence_closure(copied_doc, "VM", "Q1"), depends_closure(copied_doc, "VM", "Q1")] == closures

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from closure_oracle import _bfs_closure
 from docgen import oracle_leaf_attributes, oracle_reachable, random_document
+from nfrstdo import queries
 from nfrstdo.model import (
     Document,
     FocusKind,
@@ -34,8 +35,6 @@ from nfrstdo.queries import (
     leaf_attributes,
     mapping_coverage,
     trace_satisfies,
-    _closure_index,
-    _INDEX_CACHE_SIZE,
 )
 from nfrstdo.validator import derive_depends_on
 
@@ -223,29 +222,40 @@ def test_closures_match_string_set_oracle_on_a_400_view_cyclic_network():
     assert checked == 4 * 400
 
 
-# --- the closure index cache -------------------------------------------------------
+# --- the closure index kept on each view model ---------------------------------------
 
 
-def test_closure_queries_build_each_direction_index_once():
+@pytest.fixture
+def builds(monkeypatch) -> list[tuple]:
+    """The (edges, reversed edges) of every closure index built while the test runs."""
+    built: list[tuple] = []
+    build = queries._closure_index
+
+    def counted(edges, reversed_edges):
+        built.append((edges, reversed_edges))
+        return build(edges, reversed_edges)
+
+    monkeypatch.setattr(queries, "_closure_index", counted)
+    return built
+
+
+def test_closure_queries_build_each_direction_index_once(builds):
     doc = _cyclic_network(3, 60)
-    origins = sorted(doc.view_models["VM"].views)
-    _closure_index.cache_clear()
+    vm = doc.view_models["VM"]
+    origins = sorted(vm.views)
     for i in range(50):
         influence_closure(doc, "VM", origins[i % len(origins)])
         depends_closure(doc, "VM", origins[-1 - i % len(origins)], transitive=i % 2 == 0)
-    info = _closure_index.cache_info()
-    assert (info.misses, info.hits) == (2, 98)
+    assert builds == [(vm.influences_edges, ()), (vm.depends_on_edges, vm.influences_edges)]
 
 
-def test_equal_but_distinct_edge_tuples_give_equal_results():
+def test_equal_but_distinct_edge_tuples_give_equal_results(builds):
     edges = [("View A", "View B"), ("View B", "View C"), ("View C", "View A")]
     first, second = _view_graph(edges), _view_graph(list(edges))
     assert first.view_models["VM"].influences_edges is not second.view_models["VM"].influences_edges
-    _closure_index.cache_clear()
     for origin in ("View A", "View B", "View C"):
         assert influence_closure(first, "VM", origin) == influence_closure(second, "VM", origin)
         assert depends_closure(first, "VM", origin) == depends_closure(second, "VM", origin)
-    assert _closure_index.cache_info().misses == 2
 
 
 def test_edge_added_to_a_view_model_changes_the_closure():
@@ -258,10 +268,10 @@ def test_edge_added_to_a_view_model_changes_the_closure():
     assert influence_closure(doc, "VM", "View A").reached == ("View B",)
 
 
-def test_second_pass_over_24_documents_hits_the_cache():
+def test_second_pass_over_24_documents_hits_the_cache(builds):
     docs = [doc for doc in (random_document(random.Random(seed)) for seed in range(200)) if doc.view_models][:24]
     view_models = [(doc, vm) for doc in docs for vm in doc.view_models.values()]
-    assert len(docs) == 24 and 2 * len(view_models) <= _INDEX_CACHE_SIZE
+    assert len(docs) == 24
 
     def one_pass() -> None:
         for doc, vm in view_models:
@@ -270,24 +280,11 @@ def test_second_pass_over_24_documents_hits_the_cache():
                     influence_closure(doc, vm.name, origin)
                     depends_closure(doc, vm.name, origin)
 
-    _closure_index.cache_clear()
     one_pass()
-    first = _closure_index.cache_info()
+    first = len(builds)
     one_pass()
-    second = _closure_index.cache_info()
-    assert first.misses > 0
-    assert second.misses == first.misses
-    assert second.hits > first.hits
-
-
-def test_closure_index_cache_stays_within_its_bound():
-    _closure_index.cache_clear()
-    for count in range(2, 2 + 2 * _INDEX_CACHE_SIZE):
-        doc = _view_graph([(f"View {i}", f"View {i + 1}") for i in range(count)])
-        influence_closure(doc, "VM", "View 0")
-        depends_closure(doc, "VM", f"View {count}")
-        assert _closure_index.cache_info().currsize <= _INDEX_CACHE_SIZE
-    assert _closure_index.cache_info().currsize == _INDEX_CACHE_SIZE
+    assert 0 < first <= 2 * len(view_models)
+    assert len(builds) == first
 
 
 # --- leaf attribute rollups -------------------------------------------------------

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 import validator_oracle
 from cycle_oracle import _cycle_groups as oracle_cycle_groups
 from docgen import random_document
-from nfrstdo.diagnostics import Severity
-from nfrstdo.model import Document, FocusKind, NfrKind, NfrNode, NfrsModelNode, NfrsViewModelNode, NfrViewNode
+from nfrstdo.diagnostics import Severity, replace
+from nfrstdo.model import (
+    MODEL_EDGE_KINDS, Document, FocusKind, NfrKind, NfrNode, NfrsModelNode, NfrsViewModelNode, NfrViewNode,
+)
 from nfrstdo.textformat import parse, serialize
 from nfrstdo.validator import ValidationMode, _cycle_groups, derive_depends_on, depends_contradictions, validate
 
@@ -494,3 +499,46 @@ def test_planted_view_model_reports_every_planted_edge():
         ("R-005", "depends_on:Q1->K1"), ("R-REF", "depends_on:Ghost->Q1"), ("R-REF", "depends_on:Q1->Nope"),
     }
     assert all(d.location is not None for d in diagnostics if "->" in d.subject and "cycle" not in d.subject)
+
+
+# --- differential: the model checks against validator_oracle ---------------------------------------------------
+
+_GEN_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+_gen_spec = importlib.util.spec_from_file_location("perfbench_gen", _GEN_PATH)
+perfbench_gen = sys.modules["perfbench_gen"] = importlib.util.module_from_spec(_gen_spec)  # dataclasses looks it up
+_gen_spec.loader.exec_module(perfbench_gen)
+
+
+def _redrawn_model_edges(doc: Document, rng: random.Random) -> Document:
+    """``doc`` with each model edge list redrawn from its NFRs, its target collection and an unknown name."""
+    models = {}
+    for name, model in doc.models.items():
+        changes = {}
+        for kind in MODEL_EDGE_KINDS:
+            names = [*model.nfrs, "Ghost", *(getattr(doc, kind.collection) if kind.collection else ())]
+            changes[kind.field] = tuple((rng.choice(names), rng.choice(names)) for _ in range(rng.randrange(5)))
+        models[name] = replace(model, **changes)
+    return replace(doc, models=models)
+
+
+def test_model_checks_match_the_oracle_on_generated_documents():
+    codes: set[str] = set()
+    for seed in range(1500):
+        doc = random_document(random.Random(seed))
+        redrawn = _redrawn_model_edges(doc, random.Random(seed))
+        # a parsed copy carries source locations, so the diagnostics' locations are compared too
+        documents = [doc, redrawn, parse(serialize(redrawn))] if seed < 200 else [doc, redrawn]
+        for mode in ValidationMode:
+            for document in documents:
+                expected = validator_oracle.validate(document, mode)
+                assert validate(document, mode) == expected, f"seed {seed}, {mode.value} mode"
+                codes.update(d.code for d in expected if d.subject.startswith("model:"))
+    assert codes >= {"R-REF", "R-002", "R-003", "R-008", "R-009", "R-010", "R-011", "R-012", "R-013", "R-017"}
+
+
+@pytest.mark.parametrize("seed, target", [(1, 20_000), (2, 50_000), (3, 200_000)])
+def test_model_checks_match_the_oracle_on_catalog_documents(seed, target):
+    doc = parse(perfbench_gen.catalog_doc(seed, target).text)  # parsed, so locations are compared too
+    assert sum(len(model.nfrs) for model in doc.models.values()) > target // 1_000
+    for mode in ValidationMode:
+        assert validate(doc, mode) == validator_oracle.validate(doc, mode), f"{mode.value} mode"

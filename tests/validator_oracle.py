@@ -1,18 +1,19 @@
-"""The view-model checks as they stood before the edge loop built an edge's subject only when reporting it.
+"""The model and view-model checks as they stood before their edge loops built an edge's subject only when reporting it.
 
-``_Sink``, ``_check_view_model`` and ``validate`` are copied verbatim from
-that version: every view edge gets its subject string, its location key, its
-missing-endpoint list and its wrong-kind set, reported or not. ``validate``
-runs the library's entity and model checks, which did not change, with this
-``_check_view_model``. ``tests/test_validator.py`` compares the diagnostic
-lists of the two.
+``_Sink``, ``_check_model``, ``_check_view_model`` and ``validate`` are
+copied verbatim from those versions: every model edge gets its subject
+string, its location key and its ``kind.stored`` pair, and every view edge
+its subject, location key, missing-endpoint list and wrong-kind set, reported
+or not. ``validate`` runs the entity check, which did not change, with these
+two. ``tests/test_validator.py`` compares the diagnostic lists of the library
+and of this copy.
 """
 
 from __future__ import annotations
 
 from nfrstdo.diagnostics import Diagnostic, Severity, SourceLocation, sort_diagnostics
-from nfrstdo.model import Document, FocusKind, NfrsViewModelNode, edge_message, iter_edges
-from nfrstdo.validator import ValidationMode, _check_model, _cycle_groups, depends_contradictions
+from nfrstdo.model import Document, FocusKind, NfrKind, NfrsModelNode, NfrsViewModelNode, edge_message, iter_edges
+from nfrstdo.validator import ValidationMode, _cycle_groups, depends_contradictions
 
 
 class _Sink:
@@ -31,6 +32,90 @@ class _Sink:
 
     def warning(self, code: str, message: str, subject: str, loc_key: tuple | None) -> None:
         self.add(code, Severity.WARNING, message, subject, loc_key)
+
+
+def _check_model(doc: Document, model: NfrsModelNode, mode: ValidationMode, sink: _Sink) -> None:
+    m = model.name
+
+    def kind_of(name: str) -> NfrKind | None:
+        nfr = model.nfrs.get(name)
+        return None if nfr is None else nfr.kind
+
+    # endpoint kinds of every edge, as the relationship table allows them
+    for kind, source, target in iter_edges(model):
+        separator = f" {kind.arrow} " if kind.arrow == "of" else kind.arrow
+        subject = f"model:{m}/{kind.keyword}:{source}{separator}{target}"
+        key = ("edge", m, kind.keyword, *kind.stored(source, target))
+        source_kind = kind_of(source)
+        if source_kind is None:
+            sink.error("R-REF", f"unknown NFR {source!r} in model {m!r}", subject, key)
+        elif source_kind not in kind.sources:
+            sink.error(kind.code, edge_message(kind.source_message, source, source_kind), subject, key)
+        if kind.collection is not None:
+            if target not in getattr(doc, kind.collection):
+                sink.error(kind.code, edge_message(kind.target_message, target), subject, key)
+        elif kind.arrow == "<->" and target == source:
+            # a self-pair of the symmetric relationship has a single endpoint
+            if source_kind is not None:
+                sink.warning("R-011", f"NFR {source!r} relates with itself", subject, key)
+        else:
+            target_kind = kind_of(target)
+            if target_kind is None:
+                sink.error("R-REF", f"unknown NFR {target!r} in model {m!r}", subject, key)
+            elif target_kind not in kind.targets:
+                sink.error(kind.code, edge_message(kind.target_message, target, target_kind), subject, key)
+
+    # sub-characteristic hierarchy over the edges whose endpoints are both characteristics
+    characteristics = {n for n, nfr in model.nfrs.items() if nfr.kind is NfrKind.CHARACTERISTIC}
+    valid_subchar = [(p, c) for p, c in model.subchar_edges if p in characteristics and c in characteristics]
+    parents: dict[str, list[str]] = {}
+    for parent, child in valid_subchar:
+        parents.setdefault(child, []).append(parent)
+    for child, parent_list in sorted(parents.items()):
+        if len(set(parent_list)) > 1:
+            sink.error(
+                "R-013",
+                f"characteristic {child!r} has {len(set(parent_list))} parents; the hierarchy is a forest",
+                f"model:{m}/nfr:{child}",
+                ("nfr", m, child),
+            )
+    for group in _cycle_groups([(child, parent) for parent, child in valid_subchar]):
+        sink.error(
+            "R-013",
+            "sub-characteristic hierarchy contains a cycle: " + " -> ".join(group),
+            f"model:{m}/subcharacteristic-cycle:{' -> '.join(group)}",
+            None,
+        )
+
+    foci = sorted(n.name for n in model.nfrs.values() if n.is_focus)
+    if len(foci) > 1:
+        sink.error(
+            "R-013",
+            f"model declares {len(foci)} evaluation foci ({', '.join(foci)}); at most one is allowed",
+            f"model:{m}",
+            ("model", m),
+        )
+    for focus in foci:
+        if focus in parents:
+            sink.error(
+                "R-013",
+                f"evaluation focus {focus!r} has a parent; the focus is the root of the model",
+                f"model:{m}/nfr:{focus}",
+                ("nfr", m, focus),
+            )
+
+    # every NFR names at least one concrete entity
+    with_entity = {source for source, _ in model.refers_to_entity_edges}
+    severity = Severity.ERROR if mode is ValidationMode.INSTANCE else Severity.WARNING
+    for name in sorted(model.nfrs):
+        if name not in with_entity:
+            sink.add(
+                "R-009",
+                severity,
+                f"NFR {name!r} refers to no evaluable entity; at least one is required",
+                f"model:{m}/nfr:{name}",
+                ("nfr", m, name),
+            )
 
 
 def _check_view_model(doc: Document, vm: NfrsViewModelNode, mode: ValidationMode, sink: _Sink) -> None:

@@ -101,7 +101,11 @@ def run_once(command: list[str], directory: Path, workload: str, seed: int, seco
     done = subprocess.run(args, cwd=directory, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"bench_pairs: {' '.join(args)} in {directory} exited {done.returncode}:\n{done.stderr}")
-    return result_of(done.stdout)
+    try:
+        return result_of(done.stdout)
+    except ValueError as error:
+        raise SystemExit(f"bench_pairs: {' '.join(args)} in {directory} printed no result ({error}):\n"
+                         f"stdout ends:\n{done.stdout[-2000:]}\nstderr ends:\n{done.stderr[-2000:]}") from None
 
 
 def main() -> int:
