@@ -249,7 +249,7 @@ def test_closure_queries_build_each_direction_index_once(builds):
     assert builds == [(vm.influences_edges, ()), (vm.depends_on_edges, vm.influences_edges)]
 
 
-def test_equal_but_distinct_edge_tuples_give_equal_results(builds):
+def test_equal_but_distinct_edge_tuples_give_equal_results():
     edges = [("View A", "View B"), ("View B", "View C"), ("View C", "View A")]
     first, second = _view_graph(edges), _view_graph(list(edges))
     assert first.view_models["VM"].influences_edges is not second.view_models["VM"].influences_edges
