@@ -12,8 +12,14 @@ table order, then, for a model or a view model, its NFRs or views and its edge
 statements in ``EDGE_KINDS`` order.
 
 The lexer turns the text, its line breaks made ``\\n``, into flat ``(kind,
-value, offset)`` tuples. The parser walks them by index. Only where it keeps a
-location (a declaration or an edge in ``Document.source_locations``, or a
+value, offset)`` tuples. A whole edge statement or view block with no comment
+and no escape inside is one statement token: the word token of its keyword,
+with the names and texts after it as a fourth item, which the model and view
+model loops take in one step. Any other statement, such as one with an empty
+name or a wrong arrow, comes as plain tokens and is parsed one token at a
+time, so its error locations and messages are those of the plain path. The
+parser walks the tokens by index. Only where it keeps a location (a
+declaration or an edge in ``Document.source_locations``, or a
 ``ParseError``) does it turn an offset into a line and column, by a bisect
 over the offsets where lines start.
 
@@ -50,6 +56,7 @@ from bisect import bisect_right
 
 from .diagnostics import Record, SourceLocation
 from .model import (
+    EDGE_KINDS,
     MODEL_EDGE_KINDS,
     NODE_KINDS,
     NODE_KINDS_BY_KEYWORD,
@@ -112,19 +119,39 @@ _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 # A string up to, not including, its closing quote: anything but a quote, a
 # backslash or a line break, and the five escapes.
 _OPEN_STRING = r'"[^"\\\n]*(?:\\[\\"ntr][^"\\\n]*)*'
-# One token per match: blanks and line breaks, then a complete string (group 1), punctuation (2), a word (3),
-# the end of input (4; tried before a comment, so that a trailing comment does not move it), a comment (no
-# group), or any other character (5), which is a lexical error.
+_S = "[ \t\n]*"
+
+
+def _keywords(arrow: str) -> str:
+    """The edge keywords written with ``arrow``, as alternatives of a pattern."""
+    return "|".join(dict.fromkeys(k.keyword for k in EDGE_KINDS if k.arrow == arrow))
+
+
+# One token per match, dispatched on the name of its outermost group. The statement branches come first: a
+# whole edge statement (edge), with the arrow of its keyword, or a whole view block (view), each with no escape
+# in its strings, so that a value is the text between its quotes. Anything else, such as a statement with an
+# escape, a comment, an empty name or a field out of place, takes the plain branches: blanks and line breaks,
+# then a complete string, punctuation, a word, the end of input (eof; tried before a comment, so that a
+# trailing comment does not move it), a comment (no group), or any other character, a lexical error (other).
 _TOKEN_RE = re.compile(
-    rf'[ \t\n]*(?:({_OPEN_STRING}")|(<->|->|[{{}}:.])|([A-Za-z_][A-Za-z0-9_]*)|()(?:#[^\n]*)?\Z|#[^\n]*|(.))'
+    rf'{_S}(?:(?P<edge>(?P<keyword>(?P<of>{_keywords("of")})|(?P<sym>{_keywords("<->")})|{_keywords("->")})'
+    rf'{_S}"(?P<source>[^"\\\n]+)"{_S}(?(of)of|(?(sym)<->|->)){_S}"(?P<target>[^"\\\n]+)")'
+    rf'|(?P<view>view{_S}"(?P<name>[^"\\\n]+)"{_S}\{{{_S}kind{_S}:{_S}'
+    rf'(?P<kind>{"|".join(_FOCUS_KINDS)})(?![A-Za-z0-9_]){_S}category{_S}:{_S}"(?P<category>[^"\\\n]*)"{_S}'
+    rf'focus{_S}:{_S}"(?P<model>[^"\\\n]+)"{_S}\.{_S}"(?P<characteristic>[^"\\\n]+)"{_S}'
+    rf'(?:statement{_S}:{_S}"(?P<statement>[^"\\\n]*)"{_S})?\}})'
+    rf'|(?P<string>{_OPEN_STRING}")|(?P<punct><->|->|[{{}}:.])|(?P<word>[A-Za-z_][A-Za-z0-9_]*)'
+    rf'|(?P<eof>)(?:#[^\n]*)?\Z|#[^\n]*|(?P<other>.))'
 )
-_KINDS = (None, "string", "punct", "word", "eof")  # token kind by group number
 _OPEN_STRING_RE = re.compile(_OPEN_STRING)
 _ESCAPE_RE = re.compile(r"\\(.)")
 
 # A token is a flat (kind, value, offset) record: kind is word, string, punct or eof, a string's value is
-# unescaped, and offset is where the token starts in the text with its line breaks made "\n".
-_Record = tuple[str, str, int]
+# unescaped, and offset is where the token starts in the text with its line breaks made "\n". A statement
+# token is a word token, its keyword, with a fourth item: the fields the parser would read from the plain
+# tokens after it, (source, target) for an edge and (name, kind, category, model, characteristic, statement)
+# for a view, with statement None when the block has none.
+_Record = tuple
 
 
 def _printable(text: str) -> str:
@@ -163,23 +190,28 @@ def _tokenize(text: str) -> list[_Record]:
     tokens: list[_Record] = []
     append = tokens.append
     for match in _TOKEN_RE.finditer(text):
-        group = match.lastindex
+        group = match.lastgroup
         if group is None:  # a comment
             continue
         start = match.start(group)
-        if group == 1:
-            value = match[1][1:-1]
+        if group == "string":
+            value = match[group][1:-1]
             if "\\" in value:
                 value = _ESCAPE_RE.sub(_unescape, value)
             append(("string", value, start))
-        elif group < 4:
-            append((_KINDS[group], match[group], start))
-        elif group == 4:
+        elif group == "word" or group == "punct":
+            append((group, match[group], start))
+        elif group == "edge":
+            append(("word", match["keyword"], start, match.group("source", "target")))
+        elif group == "view":
+            append(("word", "view", start,
+                    match.group("name", "kind", "category", "model", "characteristic", "statement")))
+        elif group == "eof":
             # place EOF on the last line's end-of-line cursor, never past the input
             append(("eof", "", start - 1 if start and text[start - 1] == "\n" else start))
             break
         else:
-            value = match[5]
+            value = match[group]
             if value != '"':
                 expected, found = "a declaration", f"'{_printable(value)}'"
             else:
@@ -399,7 +431,8 @@ class _Parser:
                 self.pos += 1
                 arrow = _MODEL_EDGE_ARROWS[t[1]]
                 try:
-                    source, target = self.parse_edge(arrow, "an NFR name", _MODEL_EDGE_TARGETS[arrow])
+                    source, target = t[3] if len(t) == 4 else self.parse_edge(arrow, "an NFR name",
+                                                                               _MODEL_EDGE_TARGETS[arrow])
                 except _SyntaxError as exc:
                     self.record_error(exc.error)
                     self.sync(_MODEL_STOPS)
@@ -431,11 +464,12 @@ class _Parser:
             self.expect_punct(arrow)
         return source, self.expect_name(target_what)
 
-    def parse_view(self, token: _Record, vm_name: str, views: dict[str, NfrViewNode]) -> None:
+    def parse_view(self) -> tuple:
+        """The fields of a view block after its keyword, as a view statement token carries them."""
         name = self.expect_name("a view name")
         self.expect_punct("{")
         self.expect_word("kind", "field '{}'")
-        kind = self.focus_kind()
+        kind = self.focus_kind().value
         category = self.field_value("category")
         self.expect_word("focus", "field '{}'")
         self.expect_punct(":")
@@ -444,14 +478,13 @@ class _Parser:
         focus_char = self.expect_name("a characteristic name")
         statement = self.opt_field("statement")
         self.expect_punct("}")
-        node = NfrViewNode(name=name, kind=kind, category=category, focus=(focus_model, focus_char),
-                           statement=statement)
-        self.declare(views, ("view", vm_name, name), node, token, f"a unique view name in {vm_name!r}")
+        return name, kind, category, focus_model, focus_char, statement
 
     def parse_view_model(self, name: str) -> dict:
         """The views and edge lists of view model ``name``, as its attributes; stops at the closing '}'."""
         views: dict[str, NfrViewNode] = {}
         edges: dict[str, list[tuple[str, str]]] = {k.field: [] for k in VIEW_EDGE_KINDS}
+        unique = f"a unique view name in {name!r}"
 
         stage = "view"  # views, then influences, then depends_on
         while not self.at_punct("}"):
@@ -469,10 +502,13 @@ class _Parser:
                     self.record_error(self.error_at(t, "an edge or '}' (views precede edges)"))
                 self.pos += 1
                 try:
-                    self.parse_view(t, name, views)
+                    view, kind, category, model, char, statement = t[3] if len(t) == 4 else self.parse_view()
                 except _SyntaxError as exc:
                     self.record_error(exc.error)
                     self.skip_block_rest()
+                else:
+                    self.declare(views, ("view", name, view),
+                                 NfrViewNode(view, _FOCUS_KINDS[kind], category, (model, char), statement), t, unique)
                 continue
             if keyword == "influences":
                 if stage == "depends_on":
@@ -484,7 +520,7 @@ class _Parser:
             self.pos += 1
             kind = _VIEW_EDGE_KINDS[keyword]
             try:
-                source, target = self.parse_edge(kind.arrow, "a view name", "a view name")
+                source, target = t[3] if len(t) == 4 else self.parse_edge(kind.arrow, "a view name", "a view name")
             except _SyntaxError as exc:
                 self.record_error(exc.error)
                 self.sync(_VIEW_MODEL_STOPS)

@@ -286,6 +286,15 @@ def validate(doc: Document, mode: ValidationMode = ValidationMode.MODEL) -> list
     runs render identically.
     """
     sink = _Sink(doc)
+    categories = doc.categories
+    for name in sorted(categories):
+        parent = categories[name].parent
+        if parent is not None and parent not in categories:
+            sink.error("R-018", f"category has unknown parent {parent!r}; a parent must be a category",
+                       f"category:{name}", ("category", name))
+    for group in _cycle_groups([(name, c.parent) for name, c in categories.items() if c.parent in categories]):
+        sink.error("R-018", "category hierarchy contains a cycle: " + " -> ".join(group),
+                   f"category-cycle:{' -> '.join(group)}", None)
     for name in sorted(doc.entities):
         entity = doc.entities[name]
         if entity.category not in doc.categories:

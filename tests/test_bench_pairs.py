@@ -1,10 +1,14 @@
-"""The summary step of ``tools/bench_pairs.py``, on canned perfbench result lines; no benchmark runs here."""
+"""``tools/bench_pairs.py`` on canned perfbench result lines and canned child commands; no benchmark runs here."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import signal
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -103,3 +107,55 @@ def test_a_run_without_a_result_line_names_the_command_and_its_output(tmp_path):
     assert message.startswith(f"bench_pairs: {' '.join(command)} --workload small-docs --seed 3")
     assert f"in {tmp_path} printed no result" in message
     assert "not json" in message and "warned" in message
+
+
+# The canned benchmark of the SIGTERM test: it starts a grandchild, as perfbench starts nfrsctl, writes both
+# process ids to the file named by BENCH_PIDS, and sleeps.
+SLEEPER = ("import os, subprocess, sys, time; "
+           "child = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(120)']); "
+           "open(os.environ['BENCH_PIDS'], 'w').write(f'{os.getpid()} {child.pid}'); time.sleep(120)")
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie waiting to be reaped is not)."""
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state != "Z"
+
+
+def test_sigterm_ends_the_run_with_its_processes_and_removes_the_trees(tmp_path):
+    repo, tmp, pids = tmp_path / "repo", tmp_path / "tmp", tmp_path / "pids"
+    (repo / "tools").mkdir(parents=True)
+    tmp.mkdir()
+    (repo / "tools" / "bench_pairs.py").write_bytes(_PATH.read_bytes())
+    (repo / "BENCHMARK.json").write_text(json.dumps({
+        "command": [sys.executable, "-c", SLEEPER], "run_seconds": 1,
+        "workloads": [{"name": "sleep"}], "end_to_end": [], "per_layer": []}))
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "canned"]):
+        subprocess.run([*git, *args], check=True, capture_output=True)
+
+    env = {**os.environ, "TMPDIR": str(tmp), "BENCH_PIDS": str(pids)}
+    runner = subprocess.Popen([sys.executable, str(repo / "tools" / "bench_pairs.py"), "HEAD", "HEAD",
+                               "--workload", "sleep", "--pairs", "1"], env=env, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not (pids.exists() and len(pids.read_text().split()) == 2):
+            assert runner.poll() is None and time.monotonic() < deadline, "the canned run never started"
+            time.sleep(0.05)
+        started = [int(pid) for pid in pids.read_text().split()]
+        assert [p.name for p in tmp.iterdir()][0].startswith("bench_pairs-")
+        runner.send_signal(signal.SIGTERM)
+        _, stderr = runner.communicate(timeout=60)
+    finally:
+        if runner.poll() is None:
+            runner.kill()
+            runner.wait()
+    assert runner.returncode == 1 and "stopped by signal 15" in stderr
+    assert list(tmp.iterdir()) == []
+    deadline = time.monotonic() + 10
+    while any(_running(pid) for pid in started) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(_running(pid) for pid in started)

@@ -4,8 +4,8 @@
 ``to_dot``, ``to_turtle`` and the JSON rendering of ``validate`` in both modes
 for a fixed document set: the ``.nfrs`` fixtures, 200 seeded random documents,
 the same 200 with every edge list reversed and partly dangling, a few
-hand-written documents for the node-level rules and the kind spellings in
-messages, and those with the two ``combines`` lists swapped (a mix-up only a
+hand-written documents for the node-level rules, the kind spellings in
+messages and the category hierarchy, and those with the two ``combines`` lists swapped (a mix-up only a
 document built in code can hold). It also holds, in chunks of 100, the
 sha256 of what ``parse`` makes of 2,000 seeded mutations of the fixtures and
 of the random documents' serializations: every ``ParseError`` (line, column,
@@ -121,6 +121,17 @@ model "M" {
   maps "S" -> "A"
 }
 """,
+    "category_hierarchy": """\
+category "Top" { }
+category "Lost" { parent: "Nope" }
+category "Self" { parent: "Self" }
+category "A" { parent: "B" }
+category "B" { parent: "A" }
+entity "E" { belongs_to: "A" }
+view_model "VM" {
+  view "V" { kind: quality category: "Self" focus: "M" . "C" }
+}
+""",
 }
 
 
@@ -223,7 +234,7 @@ def test_parse_outcomes_match_golden():
     assert not changed, f"parse outcomes changed in the chunks of mutations starting at {changed}"
 
 
-RULE_CODES = {f"R-{i:03d}" for i in range(1, 18)} | {"R-006b", "R-REF"}
+RULE_CODES = {f"R-{i:03d}" for i in range(1, 19)} | {"R-006b", "R-REF"}
 
 
 def test_rule_code_catalog_is_complete():

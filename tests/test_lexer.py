@@ -6,18 +6,31 @@ bad escapes, stray characters, line breaks, deletions, truncations). Each
 input must give the same tokens as ``(kind, value, line, column)`` records,
 EOF included, or the same error. The library's tokens carry an offset into
 the text with its line breaks made ``\\n``; the test counts the line breaks
-before it to get the line and column.
+before it to get the line and column. A statement token, one whole edge
+statement or view block, is expanded to the plain tokens it stands for, each
+found at its place in the text after the blanks before it, so every token is
+compared.
+
+A guard test checks that the statement tokens do occur: every edge statement
+and view block of a ``random_document`` serialization whose strings need no
+escape is one statement token, and no other statement is.
 """
 
 from __future__ import annotations
 
 import functools
+import random
+import re
+from collections import Counter
 
 import lexer_oracle
-from docgen import lexer_texts, mutated_texts
-from nfrstdo.textformat import ParseError, ParseFailure, _tokenize
+from docgen import lexer_texts, mutated_texts, random_document
+from nfrstdo.model import EDGE_KINDS, iter_edges
+from nfrstdo.textformat import ParseError, ParseFailure, _tokenize, quote, serialize
 
 MUTATIONS = 2000
+ARROWS = {k.keyword: k.arrow for k in EDGE_KINDS}
+BLANKS = re.compile("[ \t\n]*")
 
 
 @functools.lru_cache(maxsize=1)
@@ -31,11 +44,42 @@ def oracle_records(text: str) -> list[tuple]:
     return [(t.kind, t.value, t.location.line, t.location.column) for t in lexer_oracle._tokenize(text)]
 
 
+def statement_text(token: tuple) -> list[str]:
+    """The source text of each plain token that a statement token stands for, in order."""
+    keyword, fields = token[1], token[3]
+    if keyword != "view":
+        source, target = fields
+        return [keyword, f'"{source}"', ARROWS[keyword], f'"{target}"']
+    name, kind, category, model, characteristic, statement = fields
+    tail = [] if statement is None else ["statement", ":", f'"{statement}"']
+    return ["view", f'"{name}"', "{", "kind", ":", kind, "category", ":", f'"{category}"', "focus", ":",
+            f'"{model}"', ".", f'"{characteristic}"', *tail, "}"]
+
+
+def plain_tokens(text: str, tokens: list[tuple]) -> list[tuple]:
+    """``tokens`` as ``(kind, value, offset)`` tokens, each statement token expanded."""
+    plain = []
+    for token in tokens:
+        if len(token) == 3:
+            plain.append(token)
+            continue
+        offset = token[2]
+        for piece in statement_text(token):
+            offset = BLANKS.match(text, offset).end()
+            assert text.startswith(piece, offset), (token, piece, text[offset:offset + 40])
+            if piece.startswith('"'):
+                plain.append(("string", piece[1:-1], offset))
+            else:
+                plain.append(("word" if piece[0].isalpha() else "punct", piece, offset))
+            offset += len(piece)
+    return plain
+
+
 def library_records(text: str) -> list[tuple]:
     """The library's tokens as ``(kind, value, line, column)`` records."""
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     return [(kind, value, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
-            for kind, value, offset in _tokenize(text)]
+            for kind, value, offset in plain_tokens(text, _tokenize(text))]
 
 
 def lex(tokenize, text: str) -> list:
@@ -54,3 +98,24 @@ def test_tokens_and_errors_match_oracle():
     assert reached == {"closing '\"'", "a valid escape", "a declaration"}
     mismatched = [text for text, want in zip(inputs(), expected) if lex(library_records, text) != want]
     assert not mismatched, f"{len(mismatched)} of {len(expected)} differ, first: {mismatched[0]!r}"
+
+
+def escape_free(*strings: str | None) -> bool:
+    return all(s is None or "\\" not in quote(s) for s in strings)
+
+
+def test_escape_free_statements_lex_as_one_token():
+    found = 0
+    for seed in range(50):
+        doc = random_document(random.Random(seed))
+        expected = Counter()
+        for owner in (*doc.models.values(), *doc.view_models.values()):
+            expected.update((k.keyword, (source, target)) for k, source, target in iter_edges(owner)
+                            if escape_free(source, target))
+        for vm in doc.view_models.values():
+            expected.update(("view", (v.name, v.kind.value, v.category, *v.focus, v.statement))
+                            for v in vm.views.values() if escape_free(v.name, v.category, *v.focus, v.statement))
+        statements = Counter((t[1], t[3]) for t in _tokenize(serialize(doc)) if len(t) == 4)
+        assert statements == expected, seed
+        found += sum(expected.values())
+    assert found > 150

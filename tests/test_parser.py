@@ -2,8 +2,10 @@
 
 Both parsers run on the ``.nfrs`` fixtures, 200 ``random_document``
 serializations, 2,000 seeded mutations of those texts (seeds other than the
-golden parse hashes use) and a few hand-written inputs for error recovery and
-the error cap. Each input must give an equal document with equal source
+golden parse hashes use), a few hand-written inputs for error recovery and
+the error cap, and near misses of the lexer's statement tokens: a wrong
+arrow, an empty name, a comment, escape or line break inside, or a
+statement where it does not belong. Each input must give an equal document with equal source
 locations, or the same ``ParseFailure``: the same errors, in the same order,
 and the same message.
 """
@@ -31,11 +33,38 @@ RECOVERY = (
     '  "twenty-one characters" }\n',
 )
 
+_MODEL = 'model "M" {\n  characteristic "C" { definition: "d" }\n  attribute "A" { definition: "d" }\n'
+_VIEWS = 'view_model "VM" {\n  view "V" { kind: quality category: "X" focus: "M" . "C" }\n'
+# statements that only just miss the lexer's one-token statement branches, or sit where they do not belong
+NEAR_MISSES = (
+    _VIEWS + '  view "W" { kind: qualitycategory: "X" focus: "M" . "C" }\n}\n',
+    _VIEWS + '  view "W" { kind: cost category: "" focus: "M" . "C" statement: "" }\n}\n',
+    _MODEL + '  combines "" -> "A"\n  maps "C" -> ""\n}\n',
+    _VIEWS + '  view "" { kind: cost category: "X" focus: "M" . "C" }\n  influences "V" -> ""\n}\n',
+    _VIEWS + '  view "W" { kind: cost category: "X" focus: "" . "C" }\n  view "Y" { kind: cost category: "X" '
+    'focus: "M" . "" }\n}\n',
+    _MODEL + '  subcharacteristic "A" -> "C"\n  relates "C" -> "A"\n  relates "C" <-> "A"\n}\n',
+    _VIEWS + '  influences "V" <-> "V"\n  influences "V" of "V"\n  depends_on "V" -> "V"\n}\n',
+    _MODEL + '  subcharacteristic "A" of "C"\n  subcharacteristic "A" ofx "C"\n}\n',
+    _VIEWS + '  view "W" { kind: cost # a comment\n category: "X" focus: "M" . "C" }\n'
+    '  view "Y" {\r\n kind: cost category: "X" focus: "M"\r.\r\n"C" }\n'
+    '  influences "V" # a comment\n -> "W"\n  influences "W"\r\n->\r"Y"\n}\n',
+    _MODEL + '  combines "C" # a comment\n -> "A"\n  relates "C"\r\n<->\r"A"\n}\n',
+    'view "V" { kind: cost category: "X" focus: "M" . "C" }\ninfluences "V" -> "W"\n'
+    + _MODEL + '  view "V" { kind: cost category: "X" focus: "M" . "C" }\n  influences "V" -> "W"\n}\n'
+    + _VIEWS + '  combines "V" -> "V"\n  subcharacteristic "V" of "V"\n  influences "V" -> "V"\n}\n',
+    _VIEWS + '  view "V" { kind: cost category: "X" focus: "M" . "C" }\n'
+    '  view "V" { kind: quality category: "Y" focus: "N" . "D" statement: "s" }\n}\n',
+    _VIEWS + '  view "V\\"q" { kind: cost category: "X\\\\" focus: "M\\t" . "C" statement: "a\\nb" }\n'
+    '  influences "V" -> "V\\"q"\n  depends_on "V\\"q" -> "V"\n}\n' + _MODEL + '  combines "C\\\\" -> "A"\n}\n',
+    _VIEWS + '  view"W"{kind:cost category:"X"focus:"M"."C"statement:"s"}influences"V"->"W"depends_on"W"->"V"}\n',
+)
+
 
 @functools.lru_cache(maxsize=1)
 def inputs() -> tuple[str, ...]:
     bases = lexer_texts()
-    return (*bases, *mutated_texts(bases, MUTATIONS, FIRST_SEED), *RECOVERY)
+    return (*bases, *mutated_texts(bases, MUTATIONS, FIRST_SEED), *RECOVERY, *NEAR_MISSES)
 
 
 def outcome(parse_text, text: str) -> tuple:

@@ -133,6 +133,7 @@ RULE_MUTATIONS = {
         '  subcharacteristic "A" of "C1"\n}\n',
         ValidationMode.MODEL,
     ),
+    "R-018": ('category "C" { parent: "Nope" }\n', ValidationMode.MODEL),
 }
 
 
@@ -147,6 +148,21 @@ def test_rule_mutation_is_exclusive(code):
     produced = [d.code for d in diagnostics]
     assert code in produced
     assert error_codes(diagnostics) <= {code}
+
+
+def test_r018_reports_unknown_parents_and_each_category_cycle():
+    doc = parse('category "Top" { }\ncategory "Lost" { parent: "Nope" }\ncategory "Self" { parent: "Self" }\n'
+                'category "A" { parent: "B" }\ncategory "B" { parent: "C" }\ncategory "C" { parent: "A" }\n'
+                'category "Sub" { parent: "Top" }\ncategory "Below" { parent: "A" }\n')
+    for mode in ValidationMode:
+        assert [(d.code, d.severity, d.message, d.subject, d.location and (d.location.line, d.location.column))
+                for d in validate(doc, mode)] == [
+            ("R-018", Severity.ERROR, "category hierarchy contains a cycle: A -> B -> C",
+             "category-cycle:A -> B -> C", None),
+            ("R-018", Severity.ERROR, "category hierarchy contains a cycle: Self", "category-cycle:Self", None),
+            ("R-018", Severity.ERROR, "category has unknown parent 'Nope'; a parent must be a category",
+             "category:Lost", (2, 1)),
+        ]
 
 
 def test_chain_fixture_has_zero_diagnostics(chain_doc):

@@ -16,7 +16,9 @@ quartile (below the first for a lower-is-better metric, above the third
 otherwise); and each side's failed operations. With ``--trace`` the runs are
 ``--trace 1`` runs, and the summary covers the ``per_layer`` metrics of
 ``BENCHMARK.json`` instead, such as ``textformat.parse_s``. Nothing is
-fetched and no ``perfbench/`` file is written.
+fetched and no ``perfbench/`` file is written. On SIGTERM or Ctrl-C the
+running benchmark, with every process it started, is killed and the
+temporary directory is removed.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -98,14 +102,27 @@ def run_args(command: list[str], workload: str, seed: int, seconds: float, trace
 
 def run_once(command: list[str], directory: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
     args = run_args(command, workload, seed, seconds, trace)
-    done = subprocess.run(args, cwd=directory, capture_output=True, text=True)
-    if done.returncode != 0:
-        raise SystemExit(f"bench_pairs: {' '.join(args)} in {directory} exited {done.returncode}:\n{done.stderr}")
+    # in a process group of its own, so that the run and every process it started can be ended together
+    with subprocess.Popen(args, cwd=directory, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          start_new_session=True) as run:
+        try:
+            stdout, stderr = run.communicate()
+        finally:
+            if run.returncode is None:  # interrupted: end the whole group before the pipes are closed
+                os.killpg(run.pid, signal.SIGKILL)
+                run.wait()
+    if run.returncode != 0:
+        raise SystemExit(f"bench_pairs: {' '.join(args)} in {directory} exited {run.returncode}:\n{stderr}")
     try:
-        return result_of(done.stdout)
+        return result_of(stdout)
     except ValueError as error:
         raise SystemExit(f"bench_pairs: {' '.join(args)} in {directory} printed no result ({error}):\n"
-                         f"stdout ends:\n{done.stdout[-2000:]}\nstderr ends:\n{done.stderr[-2000:]}") from None
+                         f"stdout ends:\n{stdout[-2000:]}\nstderr ends:\n{stderr[-2000:]}") from None
+
+
+def stop(signum: int, frame) -> None:
+    """Turn a termination signal into an exception, so that the running pair ends and its trees are removed."""
+    raise SystemExit(f"bench_pairs: stopped by signal {signum}")
 
 
 def main() -> int:
@@ -118,6 +135,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair (default 1)")
     parser.add_argument("--trace", action="store_true", help="run --trace 1 and summarise the per-layer metrics")
     args = parser.parse_args()
+    signal.signal(signal.SIGTERM, stop)
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in ("parent", "change")}
