@@ -3,13 +3,15 @@
 Ordering rules are fixed (keys sorted, collections name-sorted, edge lists
 lexicographic), so exporting the same document twice yields identical bytes.
 
-JSON mirrors the ``model.NODE_KINDS`` rows: each node's name and fields
-and, for a model or a view model, its NFRs or views and each stored edge list
-under its ``EDGE_KINDS`` JSON key. DOT and Turtle draw one graph: ``_graph``
-walks the document and hands each node (shape, types, literals) and each
-edge (relationship, predicate) once to a callback, and ``to_dot`` and
-``to_turtle`` are only those callbacks, formatting one line or triple per
-record. Both sort their lines, so the walk's order does not matter.
+JSON mirrors the ``model`` tables: each node's name and fields and, for a
+model or a view model, its NFRs or views and each stored edge list under its
+``EDGE_KINDS`` JSON key; ``_json_fields`` writes the fields of every block.
+DOT and Turtle draw one graph: ``_graph`` walks the document and hands each
+node (shape, types, literals) and each edge (relationship, predicate) once to
+a callback, and ``to_dot`` and ``to_turtle`` are only those callbacks,
+formatting one line or triple per record. Both sort their lines, so the
+walk's order does not matter. ``_literals`` reads every block's text fields:
+a category reference is an edge, any other field a literal.
 
 Nodes are named by refs, ``(prefix, *name parts)``: a kind's keyword and a
 name, or, for an NFR or a view, the kind and the owner's name before its
@@ -29,13 +31,14 @@ from __future__ import annotations
 import json
 
 from .model import (
+    NFR_FIELDS,
     NODE_KINDS,
+    VIEW_FIELDS,
     Document,
     NfrKind,
-    NfrNode,
     NfrsModelNode,
     NfrsViewModelNode,
-    NfrViewNode,
+    NodeField,
     iter_edges,
 )
 from .textformat import quote
@@ -46,36 +49,25 @@ _COLLECTION_KINDS = {k.collection: k.keyword for k in NODE_KINDS}
 # --- canonical JSON -------------------------------------------------------------
 
 
-def _nfr_json(nfr: NfrNode) -> dict:
-    obj: dict = {"kind": nfr.kind.value, "name": nfr.name}
-    if nfr.definition is not None:
-        obj["definition"] = nfr.definition
-    if nfr.declaration is not None:
-        obj["declaration"] = nfr.declaration
-    if nfr.statement is not None:
-        obj["statement"] = nfr.statement
-    if nfr.is_focus and nfr.focus_kind is not None:
-        obj["focus"] = nfr.focus_kind.value
-    return obj
+def _json_fields(record: dict, fields: tuple[NodeField, ...], node) -> dict:
+    """``record`` with each set or required field of ``node`` added: a kind field's value under its keyword,
+    any other under its attribute, a pair as a list."""
+    for f in fields:
+        value = getattr(node, f.attribute)
+        if value is None:
+            if f.optional:
+                continue
+        elif f.syntax == "kind":
+            record[f.keyword] = value.value
+            continue
+        elif f.syntax == "pair":
+            value = list(value)
+        record[f.attribute] = value
+    return record
 
 
 def _pairs(edges: tuple[tuple[str, str], ...]) -> list[list[str]]:
     return [list(pair) for pair in sorted(edges)]
-
-
-def _view_json(view: NfrViewNode) -> dict:
-    obj: dict = {
-        "category": view.category,
-        "focus": list(view.focus),
-        "kind": view.kind.value,
-        "name": view.name,
-    }
-    if view.statement is not None:
-        obj["statement"] = view.statement
-    return obj
-
-
-_MEMBER_JSON = {"nfrs": _nfr_json, "views": _view_json}
 
 
 def to_json(doc: Document) -> str:
@@ -85,11 +77,15 @@ def to_json(doc: Document) -> str:
         nodes = getattr(doc, kind.collection)
         for name in sorted(nodes):
             node = nodes[name]
-            record = {"name": name, **{f.attribute: v for f, v in kind.present(node)}}
+            record = _json_fields({"name": name}, kind.fields, node)
             if kind.members:
                 members = getattr(node, kind.members)
-                member_json = _MEMBER_JSON[kind.members]
-                record[kind.members] = [member_json(members[n]) for n in sorted(members)]
+                if kind.members == "nfrs":
+                    record["nfrs"] = [_json_fields({"kind": nfr.kind.value, "name": nfr.name}, NFR_FIELDS[nfr.kind],
+                                                   nfr) for nfr in map(members.__getitem__, sorted(members))]
+                else:
+                    record["views"] = [_json_fields({"name": view.name}, VIEW_FIELDS, view)
+                                       for view in map(members.__getitem__, sorted(members))]
                 record.update((k.json_key, _pairs(getattr(node, k.field))) for k in kind.edges)
             obj[kind.collection].append(record)
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
@@ -128,6 +124,19 @@ def _nfr_ref(model: NfrsModelNode | None, model_name: str, name: str) -> tuple[s
     return ("nfr" if nfr is None else nfr.kind.value, model_name, name)
 
 
+def _literals(ref: tuple[str, ...], fields: tuple[NodeField, ...], item, edge) -> list[tuple[str, str | None]]:
+    """The literal text fields of ``item`` as (predicate, value or None); each category reference goes to ``edge``."""
+    literals = []
+    for f in fields:
+        if f.syntax == "text":
+            value = getattr(item, f.attribute)
+            if f.turtle is None:
+                literals.append((f.keyword, value))
+            elif value is not None or not f.optional:
+                edge(ref, f.dot_label, ("category", value), f.turtle, False)
+    return literals
+
+
 def _owner_edges(owner: NfrsModelNode | NfrsViewModelNode, refs: _Memo, edge) -> None:
     """Pass each edge of ``owner``'s lists to ``edge``; ``refs`` maps a name to the ref of its NFR or view."""
     for kind, source, target in iter_edges(owner):
@@ -151,13 +160,7 @@ def _graph(doc: Document, node, edge) -> None:
     for kind in NODE_KINDS:
         for name, item in getattr(doc, kind.collection).items():
             ref = (kind.keyword, name)
-            literals = []
-            for f, value in kind.present(item):
-                if f.turtle:
-                    edge(ref, f.dot_label, ("category", value), f.turtle, False)
-                else:
-                    literals.append((f.keyword, value))
-            node(ref, _NODE_SHAPES[kind.keyword], (kind.turtle,), literals)
+            node(ref, _NODE_SHAPES[kind.keyword], (kind.turtle,), _literals(ref, kind.fields, item, edge))
     for model_name, model in doc.models.items():
         nfr_refs = _Memo(lambda name: _nfr_ref(model, model_name, name))
         for name, nfr in model.nfrs.items():
@@ -166,18 +169,14 @@ def _graph(doc: Document, node, edge) -> None:
             if nfr.is_focus:
                 types.append(f"{nfr.focus_kind.value.capitalize()}_Focus")
                 edge(ref, "is represented by", ("model", model_name), "is_represented_by", False)
-            literals = (("definition", nfr.definition), ("declaration", nfr.declaration),
-                        ("statement", nfr.statement))
-            node(ref, _NODE_SHAPES[nfr.kind], types, literals)
+            node(ref, _NODE_SHAPES[nfr.kind], types, _literals(ref, NFR_FIELDS[nfr.kind], nfr, edge))
         _owner_edges(model, nfr_refs, edge)
     for vm_name, vm in doc.view_models.items():
         view_refs = _Memo(lambda name: ("view", vm_name, name))
         for name, view in vm.views.items():
             ref = view_refs[name]
             view_type = f"{view.kind.value.capitalize()}_View"
-            node(ref, _NODE_SHAPES["view"], (view_type,), (("statement", view.statement),))
-            category_ref = ("category", view.category)
-            edge(ref, "deals with universals", category_ref, "deals_with_universals", False)
+            node(ref, _NODE_SHAPES["view"], (view_type,), _literals(ref, VIEW_FIELDS, view, edge))
             focus_model, focus_name = view.focus
             focus_ref = _nfr_ref(doc.models.get(focus_model), focus_model, focus_name)
             edge(ref, "focus", focus_ref, "has_focus", False)

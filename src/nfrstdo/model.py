@@ -22,8 +22,10 @@ each with its ``.nfrs`` keyword (also the ``resolve`` kind and the DOT/URN
 prefix), node type, words for parse messages and Turtle type, and its block
 fields in order; the model and view model rows also name the attribute that
 holds their NFRs or views and the ``EDGE_KINDS`` rows of their edge lists.
-``add_node``, ``resolve``, equality, ``iter_edges``, edge insertion, the
-parser, the serializer and the exporters read it.
+``NFR_FIELDS`` (per ``NfrKind``) and ``VIEW_FIELDS`` give the NFR and view
+blocks' fields the same way. ``add_node``, ``resolve``, equality,
+``iter_edges``, edge insertion, the parser, the serializer and the exporters
+read these tables, so each block's field layout is decided here alone.
 """
 
 from __future__ import annotations
@@ -283,17 +285,22 @@ Node = CategoryNode | EntityNode | FunctionalRequirementNode | NfrsModelNode | N
 
 
 class NodeField(Record):
-    """One ``keyword: "text"`` line of a node block.
+    """One ``keyword: value`` line of a node, NFR or view block.
 
-    A category reference (``parent``, ``belongs_to``) also names its DOT edge
-    label and Turtle predicate; every other field exports as a literal.
+    ``syntax`` says how the value is written: ``text`` a quoted string,
+    ``kind`` the word ``quality`` or ``cost`` (a ``FocusKind``), ``pair`` two
+    quoted names joined by a dot (``"M" . "C"``). A category reference
+    (``parent``, ``belongs_to``, a view's ``category``) also names its DOT
+    edge label and Turtle predicate; every other text field exports as a
+    literal.
     """
 
     keyword: str
-    attribute: str  # the node attribute, also the JSON key
+    attribute: str  # the node attribute, also the JSON key of every field but a kind field, keyed by its keyword
     optional: bool = False
     dot_label: str | None = None
     turtle: str | None = None
+    syntax: str = "text"
 
 
 class NodeKind(Record):
@@ -308,16 +315,25 @@ class NodeKind(Record):
     members: str | None = None  # the attribute holding an owner's NFRs or views by name
     edges: tuple[EdgeKind, ...] = ()  # an owner's edge lists, in table order
 
-    def present(self, node: Node):
-        """Yield (field, value) for each field of ``node`` that is set or required."""
-        for f in self.fields:
-            value = getattr(node, f.attribute)
-            if value is not None or not f.optional:
-                yield f, value
-
 
 _DESCRIPTION = NodeField("description", "description", optional=True)
 _SPECIFICATION = (NodeField("specification", "specification", optional=True),)
+_STATEMENT = NodeField("statement", "statement", optional=True)
+_DEFINITION = NodeField("definition", "definition")
+
+# The fields of each NFR block, after its kind keyword and name, in order.
+NFR_FIELDS = {
+    NfrKind.ATTRIBUTE: (_DEFINITION, _STATEMENT),
+    NfrKind.CHARACTERISTIC: (_DEFINITION, _STATEMENT, NodeField("focus", "focus_kind", True, syntax="kind")),
+    NfrKind.STATEMENT_ITEM: (NodeField("declaration", "declaration"), _STATEMENT),
+}
+# The fields of a view block, in the order the lexer's view statement token reads them.
+VIEW_FIELDS = (
+    NodeField("kind", "kind", syntax="kind"),
+    NodeField("category", "category", False, "deals with universals", "deals_with_universals"),
+    NodeField("focus", "focus", syntax="pair"),
+    _STATEMENT,
+)
 
 # One row per Document collection, in canonical serialization order.
 NODE_KINDS = (

@@ -7,9 +7,11 @@ validator's concern. Serialization is canonical, so two documents that are
 structurally equal serialize to identical bytes regardless of how they were
 built.
 
-Both directions read the blocks from ``model.NODE_KINDS``: a kind's fields in
-table order, then, for a model or a view model, its NFRs or views and its edge
-statements in ``EDGE_KINDS`` order.
+Both directions read the blocks from the ``model`` tables: a kind's
+``NODE_KINDS`` fields in order, then, for a model or a view model, its NFRs
+or views with their ``NFR_FIELDS`` or ``VIEW_FIELDS``, and its edge
+statements in ``EDGE_KINDS`` order. One field reader (``field_value``) and
+one block writer (``_block``) handle every block, each field in its syntax.
 
 The lexer turns the text, its line breaks made ``\\n``, into flat ``(kind,
 value, offset)`` tuples. A whole edge statement or view block with no comment
@@ -58,9 +60,11 @@ from .diagnostics import Record, SourceLocation
 from .model import (
     EDGE_KINDS,
     MODEL_EDGE_KINDS,
+    NFR_FIELDS,
     NODE_KINDS,
     NODE_KINDS_BY_KEYWORD,
     VIEW_EDGE_KINDS,
+    VIEW_FIELDS,
     Document,
     FocusKind,
     NfrKind,
@@ -68,6 +72,7 @@ from .model import (
     NfrsModelNode,
     NfrsViewModelNode,
     NfrViewNode,
+    NodeField,
     NodeKind,
     article,
     edge_kind,
@@ -76,6 +81,12 @@ from .model import (
 
 _DECLARATION = f"a declaration ({', '.join(NODE_KINDS_BY_KEYWORD)})"
 _NFR_KEYWORDS = {k.value: k for k in NfrKind}
+# what the name after each declaration or NFR keyword is expected to be
+_NAMES = {**{k.keyword: f"{article(k.words)} {k.words} name" for k in NODE_KINDS},
+          **{k.value: f"{article(k.value)} {k.value.replace('_', ' ')} name" for k in NfrKind}}
+# what a duplicate name was expected to be, by the kind of its location key; filled in from the key's owner
+_UNIQUE = {**{k.keyword: f"a unique {k.words} name" for k in NODE_KINDS},
+           "nfr": "a unique NFR name in model {!r}", "view": "a unique view name in {!r}"}
 _FOCUS_KINDS = {k.value: k for k in FocusKind}
 _MODEL_EDGE_ARROWS = {k.keyword: k.arrow for k in MODEL_EDGE_KINDS}
 _VIEW_EDGE_KINDS = {k.keyword: k for k in VIEW_EDGE_KINDS}
@@ -289,31 +300,44 @@ class _Parser:
             raise _SyntaxError(ParseError(_locate(self.starts, t[2]), "a non-empty name", "an empty string"))
         return t[1]
 
-    def field_value(self, keyword: str) -> str:
-        self.expect_word(keyword, "field '{}'")
+    def field_value(self, f: NodeField):
+        """The value of the field line ``f``, read in its syntax."""
+        self.expect_word(f.keyword, "field '{}'")
         self.expect_punct(":")
+        if f.syntax == "pair":
+            model = self.expect_name("a model name")
+            self.expect_punct(".")
+            return model, self.expect_name("a characteristic name")
         t = self.tokens[self.pos]
-        if t[0] != "string":
-            self.fail(f"text for field '{keyword}'")
+        if f.syntax == "kind":
+            value = _FOCUS_KINDS.get(t[1]) if t[0] == "word" else None
+            if value is None:
+                self.fail("'quality' or 'cost'")
+        elif t[0] == "string":
+            value = t[1]
+        else:
+            self.fail(f"text for field '{f.keyword}'")
         self.pos += 1
-        return t[1]
+        return value
 
-    def opt_field(self, keyword: str) -> str | None:
-        return self.field_value(keyword) if self.at_word(keyword) else None
+    def block_fields(self, fields: tuple[NodeField, ...]) -> dict:
+        """The values of a block's ``fields`` by attribute, in order; an absent optional field reads None."""
+        values = {}
+        for f in fields:
+            values[f.attribute] = None if f.optional and not self.at_word(f.keyword) else self.field_value(f)
+        return values
+
+    def member_block(self, expected: str, fields: tuple[NodeField, ...]) -> tuple[str, dict]:
+        """The name and field values of an NFR or view block after its keyword, through its closing '}'."""
+        name = self.expect_name(expected)
+        self.expect_punct("{")
+        values = self.block_fields(fields)
+        self.expect_punct("}")
+        return name, values
 
     def record_error(self, error: ParseError) -> None:
         if len(self.errors) < _MAX_ERRORS:
             self.errors.append(error)
-
-    def focus_kind(self) -> FocusKind:
-        """The ``quality`` or ``cost`` after a ``focus`` or ``kind`` field keyword."""
-        self.expect_punct(":")
-        t = self.tokens[self.pos]
-        kind = _FOCUS_KINDS.get(t[1]) if t[0] == "word" else None
-        if kind is None:
-            self.fail("'quality' or 'cost'")
-        self.pos += 1
-        return kind
 
     # error recovery
 
@@ -358,18 +382,18 @@ class _Parser:
                 continue
             self.pos += 1
             try:
-                name = self.expect_name(f"{article(kind.words)} {kind.words} name")
+                name = self.expect_name(_NAMES[t[1]])
                 self.expect_punct("{")
                 node = self.parse_fields(kind, name)
-                self.declare(self.collections[kind.collection], (t[1], name), node, t,
-                             f"a unique {kind.words} name")
+                self.declare(self.collections[kind.collection], (t[1], name), node, t)
             except _SyntaxError as exc:
                 self.record_error(exc.error)
                 self.sync(_TOP_LEVEL_STOPS)
 
-    def declare(self, collection: dict, key: tuple, node, token: _Record, expected: str) -> None:
-        """Store ``node``, at the location of the ``token`` that opens it, unless its name is taken."""
+    def declare(self, collection: dict, key: tuple, node, token: _Record) -> None:
+        """Store ``node`` under location ``key``, at the ``token`` that opens it, unless its name is taken."""
         if node.name in collection:
+            expected = _UNIQUE[key[0]].format(*key[1:-1])
             self.record_error(ParseError(_locate(self.starts, token[2]), expected, f"duplicate {node.name!r}"))
             return
         collection[node.name] = node
@@ -377,42 +401,21 @@ class _Parser:
 
     def parse_fields(self, kind: NodeKind, name: str):
         """The rest of a node block: its fields in table order, an owner's members and edges, then '}'."""
-        values = {f.attribute: self.opt_field(f.keyword) if f.optional else self.field_value(f.keyword)
-                  for f in kind.fields}
+        values = self.block_fields(kind.fields)
         if kind.members:
             values.update(getattr(self, f"parse_{kind.keyword}")(name))
         self.expect_punct("}")
         return kind.type(name=name, **values)
 
     def parse_nfr(self, kind: NfrKind, token: _Record, model_name: str, nfrs: dict[str, NfrNode]) -> None:
-        name = self.expect_name(f"{article(kind.value)} {kind.value.replace('_', ' ')} name")
-        self.expect_punct("{")
-        definition = declaration = None
-        if kind is NfrKind.STATEMENT_ITEM:
-            declaration = self.field_value("declaration")
-        else:
-            definition = self.field_value("definition")
-        statement = self.opt_field("statement")
-        focus_kind = None
-        if kind is NfrKind.CHARACTERISTIC and self.at_word("focus"):
-            self.pos += 1
-            focus_kind = self.focus_kind()
-        self.expect_punct("}")
-        node = NfrNode(
-            kind=kind,
-            name=name,
-            statement=statement,
-            definition=definition,
-            declaration=declaration,
-            is_focus=focus_kind is not None,
-            focus_kind=focus_kind,
-        )
-        self.declare(nfrs, ("nfr", model_name, name), node, token, f"a unique NFR name in model {model_name!r}")
+        name, values = self.member_block(_NAMES[token[1]], NFR_FIELDS[kind])
+        node = NfrNode(kind, name, is_focus=values.get("focus_kind") is not None, **values)
+        self.declare(nfrs, ("nfr", model_name, name), node, token)
 
     def parse_model(self, name: str) -> dict:
         """The NFRs and edge lists of model ``name``, as its attributes; stops at the closing '}'."""
         nfrs: dict[str, NfrNode] = {}
-        edges: list[tuple[str, str, str, _Record]] = []  # keyword, source, target, keyword token
+        edges: dict[str, list[tuple[str, str]]] = {k.field: [] for k in MODEL_EDGE_KINDS}
 
         seen_edge = False
         while not self.at_punct("}"):
@@ -437,7 +440,12 @@ class _Parser:
                     self.record_error(exc.error)
                     self.sync(_MODEL_STOPS)
                 else:
-                    edges.append((t[1], source, target, t))
+                    # an NFR after an edge is an error, so every target NFR of a model that parses is known here
+                    nfr = nfrs.get(target)
+                    kind = edge_kind(NfrsModelNode, t[1], None if nfr is None else nfr.kind)
+                    edge = kind.stored(source, target)
+                    edges[kind.field].append(edge)
+                    self.locations[("edge", name, t[1], *edge)] = _locate(self.starts, t[2])
             elif t[0] == "eof":
                 self.fail("'}'")
             else:
@@ -445,15 +453,7 @@ class _Parser:
                 self.record_error(self.error_at(t, expected))
                 self.pos += 1
                 self.sync(_MODEL_STOPS)
-
-        stored: dict[str, list[tuple[str, str]]] = {k.field: [] for k in MODEL_EDGE_KINDS}
-        for keyword, source, target, token in edges:
-            nfr = nfrs.get(target)
-            kind = edge_kind(NfrsModelNode, keyword, None if nfr is None else nfr.kind)
-            edge = kind.stored(source, target)
-            stored[kind.field].append(edge)
-            self.locations[("edge", name, keyword, *edge)] = _locate(self.starts, token[2])
-        return {"nfrs": nfrs, **{f: tuple(e) for f, e in stored.items()}}
+        return {"nfrs": nfrs, **{f: tuple(e) for f, e in edges.items()}}
 
     def parse_edge(self, arrow: str, source_what: str, target_what: str) -> tuple[str, str]:
         """The two names of an edge statement after its keyword, in the order written."""
@@ -464,27 +464,10 @@ class _Parser:
             self.expect_punct(arrow)
         return source, self.expect_name(target_what)
 
-    def parse_view(self) -> tuple:
-        """The fields of a view block after its keyword, as a view statement token carries them."""
-        name = self.expect_name("a view name")
-        self.expect_punct("{")
-        self.expect_word("kind", "field '{}'")
-        kind = self.focus_kind().value
-        category = self.field_value("category")
-        self.expect_word("focus", "field '{}'")
-        self.expect_punct(":")
-        focus_model = self.expect_name("a model name")
-        self.expect_punct(".")
-        focus_char = self.expect_name("a characteristic name")
-        statement = self.opt_field("statement")
-        self.expect_punct("}")
-        return name, kind, category, focus_model, focus_char, statement
-
     def parse_view_model(self, name: str) -> dict:
         """The views and edge lists of view model ``name``, as its attributes; stops at the closing '}'."""
         views: dict[str, NfrViewNode] = {}
         edges: dict[str, list[tuple[str, str]]] = {k.field: [] for k in VIEW_EDGE_KINDS}
-        unique = f"a unique view name in {name!r}"
 
         stage = "view"  # views, then influences, then depends_on
         while not self.at_punct("}"):
@@ -502,13 +485,17 @@ class _Parser:
                     self.record_error(self.error_at(t, "an edge or '}' (views precede edges)"))
                 self.pos += 1
                 try:
-                    view, kind, category, model, char, statement = t[3] if len(t) == 4 else self.parse_view()
+                    if len(t) == 4:
+                        view, kind, category, model, char, statement = t[3]
+                        node = NfrViewNode(view, _FOCUS_KINDS[kind], category, (model, char), statement)
+                    else:
+                        view, values = self.member_block("a view name", VIEW_FIELDS)
+                        node = NfrViewNode(view, **values)
                 except _SyntaxError as exc:
                     self.record_error(exc.error)
                     self.skip_block_rest()
                 else:
-                    self.declare(views, ("view", name, view),
-                                 NfrViewNode(view, _FOCUS_KINDS[kind], category, (model, char), statement), t, unique)
+                    self.declare(views, ("view", name, view), node, t)
                 continue
             if keyword == "influences":
                 if stage == "depends_on":
@@ -546,36 +533,23 @@ def parse(text: str) -> Document:
 # --- serializer ----------------------------------------------------------------
 
 
-def _field_line(indent: str, keyword: str, value: str | None) -> list[str]:
-    if value is None:
-        return []
-    return [f"{indent}{keyword}: {quote(value)}"]
-
-
-def _nfr_block(nfr: NfrNode) -> list[str]:
-    lines = [f'  {nfr.kind.value} {quote(nfr.name)} {{']
-    if nfr.kind is NfrKind.STATEMENT_ITEM:
-        lines += _field_line("    ", "declaration", nfr.declaration)
-    else:
-        lines += _field_line("    ", "definition", nfr.definition)
-    lines += _field_line("    ", "statement", nfr.statement)
-    if nfr.is_focus and nfr.focus_kind is not None:
-        lines.append(f"    focus: {nfr.focus_kind.value}")
-    lines.append("  }")
-    return lines
-
-
-def _view_block(view: NfrViewNode) -> list[str]:
-    lines = [f"  view {quote(view.name)} {{"]
-    lines.append(f"    kind: {view.kind.value}")
-    lines.append(f"    category: {quote(view.category)}")
-    lines.append(f"    focus: {quote(view.focus[0])} . {quote(view.focus[1])}")
-    lines += _field_line("    ", "statement", view.statement)
-    lines.append("  }")
-    return lines
-
-
-_MEMBER_BLOCKS = {"nfrs": _nfr_block, "views": _view_block}
+def _block(lines: list[str], indent: str, keyword: str, name: str, fields: tuple[NodeField, ...], node,
+           body=()) -> None:
+    """Append ``node``'s block to ``lines``: ``keyword "name" {``, each set field in its syntax, ``body``, ``}``."""
+    lines.append(f"{indent}{keyword} {quote(name)} {{")
+    for f in fields:
+        value = getattr(node, f.attribute)
+        if value is None:
+            continue
+        if f.syntax == "text":
+            value = quote(value)
+        elif f.syntax == "kind":
+            value = value.value
+        else:
+            value = f"{quote(value[0])} . {quote(value[1])}"
+        lines.append(f"{indent}  {f.keyword}: {value}")
+    lines += body
+    lines.append(indent + "}")
 
 
 def _edge_lines(node: NfrsModelNode | NfrsViewModelNode) -> list[str]:
@@ -601,16 +575,17 @@ def serialize(doc: Document) -> str:
         nodes = getattr(doc, kind.collection)
         for name in sorted(nodes):
             node = nodes[name]
-            lines = [f"{kind.keyword} {quote(name)} {{"]
-            for f, value in kind.present(node):
-                lines += _field_line("  ", f.keyword, value)
+            body: list[str] = []
             if kind.members:
                 members = getattr(node, kind.members)
-                block = _MEMBER_BLOCKS[kind.members]
-                for member in sorted(members):
-                    lines += block(members[member])
-                lines += _edge_lines(node)
-            lines.append("}")
+                for member in map(members.__getitem__, sorted(members)):
+                    if kind.members == "nfrs":
+                        _block(body, "  ", member.kind.value, member.name, NFR_FIELDS[member.kind], member)
+                    else:
+                        _block(body, "  ", "view", member.name, VIEW_FIELDS, member)
+                body += _edge_lines(node)
+            lines: list[str] = []
+            _block(lines, "", kind.keyword, name, kind.fields, node, body)
             blocks.append("\n".join(lines))
     if not blocks:
         return ""

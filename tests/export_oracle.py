@@ -23,6 +23,14 @@ from nfrstdo.model import (
 # node kind of the ids and URNs of edge targets that live in a Document collection
 _COLLECTION_KINDS = {k.collection: k.keyword for k in NODE_KINDS}
 
+
+def _present(kind, node):
+    """Yield (field, value) for each field of ``node`` that is set or required (the old ``NodeKind.present``)."""
+    for f in kind.fields:
+        value = getattr(node, f.attribute)
+        if value is not None or not f.optional:
+            yield f, value
+
 # --- DOT -------------------------------------------------------------------------
 
 _NODE_SHAPES = {
@@ -93,7 +101,7 @@ def to_dot(doc: Document) -> str:
         for name, node in getattr(doc, kind.collection).items():
             node_id = f"{kind.keyword}:{name}"
             nodes.append(_dot_node(node_id, name, _NODE_SHAPES[kind.keyword]))
-            for f, value in kind.present(node):
+            for f, value in _present(kind, node):
                 if f.dot_label:
                     edges.append(_dot_edge(node_id, f"category:{value}", f.dot_label))
     for model_name, model in doc.models.items():
@@ -184,7 +192,7 @@ def to_turtle(doc: Document) -> str:
             subject = urn(kind.keyword, name)
             add(subject, "a", f"nfrstdo:{kind.turtle}")
             # the kinds whose fields this walk emitted; a model's specification follows below
-            fields = kind.present(node) if kind.keyword in ("category", "entity", "fr") else ()
+            fields = _present(kind, node) if kind.keyword in ("category", "entity", "fr") else ()
             for f, value in fields:
                 if f.turtle:
                     add(subject, f"nfrstdo:{f.turtle}", urn("category", value))

@@ -200,6 +200,7 @@ class NodeField:
     optional: bool = False
     dot_label: str | None = None
     turtle: str | None = None
+    syntax: str = "text"
 
 
 @dataclass(frozen=True, slots=True)

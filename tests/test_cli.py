@@ -263,6 +263,20 @@ def test_export_blocked_by_referential_errors(capsys, tmp_path):
     assert "R-REF" in err
 
 
+@pytest.mark.parametrize("to", ["json", "dot", "turtle"])
+@pytest.mark.parametrize(("text", "message"), [
+    ('category "C" { parent: "Nope" }\n', "category has unknown parent 'Nope'; a parent must be a category"),
+    ('category "C" { parent: "C" }\n', "category hierarchy contains a cycle: C"),
+], ids=["unknown-parent", "self-parent"])
+def test_export_blocked_by_category_hierarchy_errors(capsys, tmp_path, text, message, to):
+    bad = tmp_path / "bad.nfrs"
+    bad.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "export", str(bad), to)
+    assert code == 1
+    assert out == ""
+    assert "R-018" in err and message in err
+
+
 def test_export_unwritable_output_is_usage_error(capsys, tmp_path):
     target = tmp_path / "missing_dir" / "x.json"
     code, out, err = run(capsys, "export", CHAIN, "json", "-o", str(target))

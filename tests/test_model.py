@@ -12,7 +12,9 @@ from nfrstdo import model
 from nfrstdo.kernel import builtin_schema
 from nfrstdo.model import (
     EDGE_KINDS,
+    NFR_FIELDS,
     NODE_KINDS,
+    VIEW_FIELDS,
     CategoryNode,
     Document,
     DuplicateName,
@@ -283,6 +285,40 @@ def test_node_table_covers_every_collection_in_order():
 def test_node_table_turtle_types_are_kernel_terms():
     terms = builtin_schema("1.2").terms
     assert [k.turtle for k in NODE_KINDS if k.turtle.replace("_", " ") not in terms] == []
+
+
+def _blocks():
+    """(kernel term, fields) of every block: each node kind, each NFR kind and the view."""
+    yield from ((kind.turtle.replace("_", " "), kind.fields) for kind in NODE_KINDS)
+    yield from ((kind.value.replace("_", " ").title(), fields) for kind, fields in NFR_FIELDS.items())
+    yield "NFR View", VIEW_FIELDS
+
+
+def test_block_fields_agree_with_kernel_terms():
+    schema = builtin_schema("1.2")
+    relationships = {(r.name, r.source_term) for r in schema.relationships}
+    blocks = list(_blocks())
+    assert len(blocks) == len(NODE_KINDS) + len(NfrKind) + 1
+    for term_name, fields in blocks:
+        term = schema.terms[term_name]
+        properties = {p.name for p in term.properties}
+        if term.parent_term is not None:
+            properties |= {p.name for p in schema.terms[term.parent_term].properties}
+        for f in fields:
+            if f.turtle is None:
+                # a literal text field is a property of the term or of its parent term
+                assert f.syntax != "text" or f.keyword in properties, (term_name, f.keyword)
+            elif f.dot_label != "sub category of":  # the taxonomic link is not a registered relationship
+                assert (f.dot_label, term_name) in relationships, (term_name, f.dot_label)
+
+
+def test_member_field_tables_cover_every_member_attribute():
+    assert list(NFR_FIELDS) == list(NfrKind)
+    nfr_attributes = [f.attribute for fields in NFR_FIELDS.values() for f in fields]
+    assert sorted(set(nfr_attributes)) == sorted(set(NfrNode._fields) - {"kind", "name", "is_focus"})
+    assert sorted(f.attribute for f in VIEW_FIELDS) == sorted(set(NfrViewNode._fields) - {"name"})
+    syntaxes = {f.syntax for _, fields in _blocks() for f in fields}
+    assert syntaxes == {"text", "kind", "pair"}
 
 
 def test_iter_edges_follows_relationship_direction():

@@ -1,5 +1,6 @@
 """The package entry: lazy public names, the layers each ``nfrsctl`` subcommand loads, what the sources need
-to run (the standard library only, and Python 3.10), and a README synopsis that names every option."""
+to run (the standard library only, and Python 3.10), no unused import or private name in them, and a README
+synopsis that names every option."""
 
 from __future__ import annotations
 
@@ -105,6 +106,41 @@ def test_modules_parse_as_python_3_10():
     assert len(SOURCES) == 10
     for path in SOURCES:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def _module_bindings(tree: ast.Module):
+    """Yield (name, is_import) for each name bound by a statement at the top of ``tree``."""
+    for statement in tree.body:
+        if isinstance(statement, (ast.Import, ast.ImportFrom)):
+            if getattr(statement, "module", None) != "__future__":
+                for alias in statement.names:
+                    yield alias.asname or alias.name.split(".")[0], True
+        elif isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield statement.name, False
+        elif isinstance(statement, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            for target in statement.targets if isinstance(statement, ast.Assign) else [statement.target]:
+                yield from ((node.id, False) for node in ast.walk(target) if isinstance(node, ast.Name))
+
+
+def test_modules_have_no_unused_imports_or_private_names():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES}
+    # a private name is used when its own module reads it, or when a sibling imports it or reads it as an attribute
+    from_siblings: set[str] = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                from_siblings.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in trees:
+                from_siblings.add(node.attr)
+    unused = []
+    for module, tree in trees.items():
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        for name, is_import in _module_bindings(tree):
+            private = name.startswith("_") and not name.startswith("__")
+            if name not in read and (is_import or (private and name not in from_siblings)):
+                unused.append(f"{module}.{name}")
+    assert unused == []
 
 
 def test_readme_cli_synopsis_lists_every_option():

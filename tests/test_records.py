@@ -2,7 +2,8 @@
 
 Every node, NFR, view, location and diagnostic (both modes) of the golden
 document set, the parse errors of 400 golden parse mutations, every
-``EDGE_KINDS``, ``NODE_KINDS`` and ``NodeField`` row, both built-in schemas
+``EDGE_KINDS``, ``NODE_KINDS`` and ``NodeField`` row (of ``NFR_FIELDS`` and
+``VIEW_FIELDS`` too), both built-in schemas
 with their terms, relationships and diff, the fixture architecture, and
 closure and coverage results: each record and its dataclass rebuild agree on
 ``repr``, on ``hash`` (or on refusing it), and on equality in both
@@ -35,7 +36,7 @@ from nfrstdo.kernel import (
     diff_schemas,
     parse_arch,
 )
-from nfrstdo.model import EDGE_KINDS, NODE_KINDS, FocusKind, NfrKind, NfrNode
+from nfrstdo.model import EDGE_KINDS, NFR_FIELDS, NODE_KINDS, VIEW_FIELDS, FocusKind, NfrKind, NfrNode
 from nfrstdo.queries import depends_closure, influence_closure, mapping_coverage
 from nfrstdo.textformat import ParseFailure, parse
 from nfrstdo.validator import ValidationMode, validate
@@ -64,6 +65,8 @@ def _corpus():
     for kind in NODE_KINDS:
         yield kind
         yield from kind.fields
+    for fields in (*NFR_FIELDS.values(), VIEW_FIELDS):
+        yield from fields
     for text in mutated_texts(lexer_texts(), 400):
         try:
             parse(text)

@@ -90,6 +90,20 @@ def test_duplicate_names_rejected():
     assert errors[0].location.line == 2
 
 
+@pytest.mark.parametrize(("text", "line", "message"), [
+    ('fr "F" { statement: "s" requester: "r" }\nfr "F" { statement: "s" requester: "r" }\n', 2,
+     "expected a unique functional requirement name, found duplicate 'F'"),
+    ('view_model "VM" { }\nview_model "VM" { }\n', 2, "expected a unique view model name, found duplicate 'VM'"),
+    ('model "M\'s" {\n  attribute "A" { definition: "d" }\n  statement_item "A" { declaration: "d" }\n}\n', 3,
+     "expected a unique NFR name in model \"M's\", found duplicate 'A'"),
+    ('view_model "VM" {\n  view "V" { kind: quality category: "K" focus: "M" . "C" }\n'
+     '  view "V" { kind: cost category: "K" focus: "M" . "C" }\n}\n', 3,
+     "expected a unique view name in 'VM', found duplicate 'V'"),
+], ids=["fr", "view-model", "nfr", "view"])
+def test_duplicate_name_messages_name_the_kind_and_owner(text, line, message):
+    assert [(e.location.line, e.message) for e in parse_errors(text)] == [(line, message)]
+
+
 def test_multiple_errors_collected_with_locations():
     text = 'category "" { }\ncategory "X" { oops }\nmodel "M" { attribute "A" { } }\n'
     errors = parse_errors(text)
