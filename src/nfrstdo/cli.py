@@ -157,7 +157,8 @@ def cmd_export(args: argparse.Namespace) -> ExitCode:
     from . import export
 
     doc = _load_document(args.file, "text")
-    # an unknown name or category parent would be drawn as a link to a node that is never declared
+    # only an unknown edge endpoint (R-REF) or a broken category hierarchy (R-018) stops an export; any other
+    # unresolved name, such as an entity's or a view's category, is drawn as a link to a node never declared
     referential = [d for d in validate(doc, ValidationMode.MODEL) if d.code in ("R-REF", "R-018")]
     if referential:
         _print_diagnostics(referential, args.file, "text", stream=sys.stderr)

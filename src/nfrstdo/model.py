@@ -245,6 +245,8 @@ EDGE_KINDS = (
 
 MODEL_EDGE_KINDS = tuple(k for k in EDGE_KINDS if k.field in NfrsModelNode._fields)
 VIEW_EDGE_KINDS = tuple(k for k in EDGE_KINDS if k.field in NfrsViewModelNode._fields)
+# each keyword's rows in table order; a keyword belongs to one owner, and only combines has two rows
+EDGE_ROWS_BY_KEYWORD = {e.keyword: tuple(r for r in EDGE_KINDS if r.keyword == e.keyword) for e in EDGE_KINDS}
 
 
 def edge_kind(owner: type, keyword: str, target_kind: Enum | None = None) -> EdgeKind:
@@ -254,7 +256,9 @@ def edge_kind(owner: type, keyword: str, target_kind: Enum | None = None) -> Edg
     or a characteristic) goes to the first, the attribute list. Raises
     KeyError for a keyword ``owner`` does not have.
     """
-    rows = _ROWS_BY_KEYWORD[owner, keyword]
+    rows = EDGE_ROWS_BY_KEYWORD[keyword]
+    if rows[0] not in _KINDS_BY_TYPE[owner].edges:
+        raise KeyError(keyword)
     for kind in rows:
         if target_kind in kind.targets:
             return kind
@@ -350,8 +354,6 @@ NODE_KINDS = (
 
 _KINDS_BY_TYPE = {k.type: k for k in NODE_KINDS}
 NODE_KINDS_BY_KEYWORD = {k.keyword: k for k in NODE_KINDS}
-_ROWS_BY_KEYWORD = {(k.type, e.keyword): tuple(r for r in k.edges if r.keyword == e.keyword)
-                    for k in NODE_KINDS for e in k.edges}
 
 
 def article(words: str) -> str:
@@ -421,8 +423,8 @@ def _append_edge(doc: Document, kind: NodeKind, owner_name: str, keyword: str, s
         owner = owners[owner_name]
     except KeyError:
         raise NotFound(f"no {kind.keyword} named {owner_name!r}") from None
-    rows = _ROWS_BY_KEYWORD.get((kind.type, keyword))
-    if rows is None:
+    rows = EDGE_ROWS_BY_KEYWORD.get(keyword)
+    if rows is None or rows[0] not in kind.edges:
         raise ValueError(f"unknown {kind.words} edge kind {keyword!r}")
     members = getattr(owner, kind.members)
     edge = rows[0]

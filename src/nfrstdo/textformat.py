@@ -12,15 +12,17 @@ Both directions read the blocks from the ``model`` tables: a kind's
 or views with their ``NFR_FIELDS`` or ``VIEW_FIELDS``, and its edge
 statements in ``EDGE_KINDS`` order. One field reader (``field_value``) and
 one block writer (``_block``) handle every block, each field in its syntax.
+One loop (``parse_body``) reads the body of either owner: its members and
+edge statements, in the order of stages that ``_BODIES`` gives each word
+that opens a statement, with the owner's error expectations.
 
 The lexer turns the text, its line breaks made ``\\n``, into flat ``(kind,
 value, offset)`` tuples. A whole edge statement or view block with no comment
 and no escape inside is one statement token: the word token of its keyword,
-with the names and texts after it as a fourth item, which the model and view
-model loops take in one step. Any other statement, such as one with an empty
-name or a wrong arrow, comes as plain tokens and is parsed one token at a
-time, so its error locations and messages are those of the plain path. The
-parser walks the tokens by index. Only where it keeps a location (a
+with the names and texts after it as a fourth item, which the body loop takes
+in one step. Any other statement, such as one with an empty name or a wrong
+arrow, comes as plain tokens and is parsed one token at a time, so its error
+locations and messages are those of the plain path. The parser walks the tokens by index. Only where it keeps a location (a
 declaration or an edge in ``Document.source_locations``, or a
 ``ParseError``) does it turn an offset into a line and column, by a bisect
 over the offsets where lines start.
@@ -59,6 +61,7 @@ from bisect import bisect_right
 from .diagnostics import Record, SourceLocation
 from .model import (
     EDGE_KINDS,
+    EDGE_ROWS_BY_KEYWORD,
     MODEL_EDGE_KINDS,
     NFR_FIELDS,
     NODE_KINDS,
@@ -81,22 +84,33 @@ from .model import (
 
 _DECLARATION = f"a declaration ({', '.join(NODE_KINDS_BY_KEYWORD)})"
 _NFR_KEYWORDS = {k.value: k for k in NfrKind}
-# what the name after each declaration or NFR keyword is expected to be
+# what the name after each declaration, NFR or view keyword is expected to be
 _NAMES = {**{k.keyword: f"{article(k.words)} {k.words} name" for k in NODE_KINDS},
-          **{k.value: f"{article(k.value)} {k.value.replace('_', ' ')} name" for k in NfrKind}}
+          **{k.value: f"{article(k.value)} {k.value.replace('_', ' ')} name" for k in NfrKind}, "view": "a view name"}
 # what a duplicate name was expected to be, by the kind of its location key; filled in from the key's owner
 _UNIQUE = {**{k.keyword: f"a unique {k.words} name" for k in NODE_KINDS},
            "nfr": "a unique NFR name in model {!r}", "view": "a unique view name in {!r}"}
 _FOCUS_KINDS = {k.value: k for k in FocusKind}
-_MODEL_EDGE_ARROWS = {k.keyword: k.arrow for k in MODEL_EDGE_KINDS}
-_VIEW_EDGE_KINDS = {k.keyword: k for k in VIEW_EDGE_KINDS}
-# error recovery resumes at EOF or at one of these (kind, value) tokens: a declaration at the top level, and
-# a member, an edge or the closing brace inside a model or a view model
+# How _Parser.parse_body reads each owner's body: the kind of its members' location keys, the stage of each word
+# that opens a statement (members 0, then edges; model edges share one stage, so they come in any order, while a
+# view model's influences precede its depends_on), what any other token was expected to be at each stage, and
+# what the two names of an edge are expected to be, by arrow.
+_BODIES = {
+    "model": ("nfr", {**dict.fromkeys(_NFR_KEYWORDS, 0), **dict.fromkeys((k.keyword for k in MODEL_EDGE_KINDS), 1)},
+              ("an NFR declaration, a model edge, or '}'", "a model edge or '}'"),
+              {"of": ("an NFR name", "a characteristic name"), "<->": ("an NFR name", "an NFR name"),
+               "->": ("an NFR name", "a target name")}),
+    "view_model": ("view", {"view": 0, **{k.keyword: i for i, k in enumerate(VIEW_EDGE_KINDS, 1)}},
+                   ("a view, an edge, or '}'",) * 3, {"->": ("a view name", "a view name")}),
+}
+# what a word that opens a statement of an earlier stage than the one before it was expected to be
+_PRECEDE = {**dict.fromkeys(_NFR_KEYWORDS, "a model edge or '}' (NFR declarations precede edges)"),
+            "view": "an edge or '}' (views precede edges)",
+            "influences": "'depends_on' or '}' (influences precede depends_on)"}
+# error recovery resumes at EOF or at one of these (kind, value) tokens: a declaration at the top level, and in
+# an owner's body a word that opens a statement or the closing brace
 _TOP_LEVEL_STOPS = frozenset(("word", k) for k in NODE_KINDS_BY_KEYWORD)
-_MODEL_STOPS = frozenset([("punct", "}"), *(("word", k) for k in (*_NFR_KEYWORDS, *_MODEL_EDGE_ARROWS))])
-_VIEW_MODEL_STOPS = frozenset([("punct", "}"), ("word", "view"), *(("word", k) for k in _VIEW_EDGE_KINDS)])
-# what the second name of a model edge is expected to be, by syntax
-_MODEL_EDGE_TARGETS = {"of": "a characteristic name", "<->": "an NFR name", "->": "a target name"}
+_BODY_STOPS = {owner: frozenset([("punct", "}"), *(("word", w) for w in body[1])]) for owner, body in _BODIES.items()}
 
 _MAX_ERRORS = 50
 
@@ -327,14 +341,6 @@ class _Parser:
             values[f.attribute] = None if f.optional and not self.at_word(f.keyword) else self.field_value(f)
         return values
 
-    def member_block(self, expected: str, fields: tuple[NodeField, ...]) -> tuple[str, dict]:
-        """The name and field values of an NFR or view block after its keyword, through its closing '}'."""
-        name = self.expect_name(expected)
-        self.expect_punct("{")
-        values = self.block_fields(fields)
-        self.expect_punct("}")
-        return name, values
-
     def record_error(self, error: ParseError) -> None:
         if len(self.errors) < _MAX_ERRORS:
             self.errors.append(error)
@@ -400,60 +406,76 @@ class _Parser:
         self.locations[key] = _locate(self.starts, token[2])
 
     def parse_fields(self, kind: NodeKind, name: str):
-        """The rest of a node block: its fields in table order, an owner's members and edges, then '}'."""
+        """The rest of a node block: its fields in table order, an owner's body, then '}'."""
         values = self.block_fields(kind.fields)
         if kind.members:
-            values.update(getattr(self, f"parse_{kind.keyword}")(name))
+            values.update(self.parse_body(kind, name))
         self.expect_punct("}")
         return kind.type(name=name, **values)
 
-    def parse_nfr(self, kind: NfrKind, token: _Record, model_name: str, nfrs: dict[str, NfrNode]) -> None:
-        name, values = self.member_block(_NAMES[token[1]], NFR_FIELDS[kind])
-        node = NfrNode(kind, name, is_focus=values.get("focus_kind") is not None, **values)
-        self.declare(nfrs, ("nfr", model_name, name), node, token)
-
-    def parse_model(self, name: str) -> dict:
-        """The NFRs and edge lists of model ``name``, as its attributes; stops at the closing '}'."""
-        nfrs: dict[str, NfrNode] = {}
-        edges: dict[str, list[tuple[str, str]]] = {k.field: [] for k in MODEL_EDGE_KINDS}
-
-        seen_edge = False
-        while not self.at_punct("}"):
-            t = self.tokens[self.pos]
-            if t[0] == "word" and t[1] in _NFR_KEYWORDS:
-                if seen_edge:
-                    self.record_error(self.error_at(t, "a model edge or '}' (NFR declarations precede edges)"))
+    def parse_body(self, kind: NodeKind, name: str) -> dict:
+        """The members and edge lists of ``kind``'s owner ``name``, as its attributes; stops at the closing '}'."""
+        member_key, stages, expected, names = _BODIES[kind.keyword]
+        stops = _BODY_STOPS[kind.keyword]
+        members: dict = {}
+        edges: dict[str, list[tuple[str, str]]] = {k.field: [] for k in kind.edges}
+        tokens = self.tokens
+        stage = 0
+        while True:
+            t = tokens[self.pos]
+            word = stages.get(t[1]) if t[0] == "word" else None
+            if word is None:
+                if t[1] == "}" and t[0] == "punct":
+                    break
+                if t[0] == "eof":
+                    self.fail("'}'")
+                self.record_error(self.error_at(t, expected[stage]))
                 self.pos += 1
+                self.sync(stops)
+                continue
+            if word < stage:
+                self.record_error(self.error_at(t, _PRECEDE[t[1]]))
+            elif word > stage:
+                stage = word
+            self.pos += 1
+            if not word:
                 try:
-                    self.parse_nfr(_NFR_KEYWORDS[t[1]], t, name, nfrs)
+                    node = self.member(t)
                 except _SyntaxError as exc:
                     self.record_error(exc.error)
                     self.skip_block_rest()
-            elif t[0] == "word" and t[1] in _MODEL_EDGE_ARROWS:
-                seen_edge = True
-                self.pos += 1
-                arrow = _MODEL_EDGE_ARROWS[t[1]]
-                try:
-                    source, target = t[3] if len(t) == 4 else self.parse_edge(arrow, "an NFR name",
-                                                                               _MODEL_EDGE_TARGETS[arrow])
-                except _SyntaxError as exc:
-                    self.record_error(exc.error)
-                    self.sync(_MODEL_STOPS)
                 else:
-                    # an NFR after an edge is an error, so every target NFR of a model that parses is known here
-                    nfr = nfrs.get(target)
-                    kind = edge_kind(NfrsModelNode, t[1], None if nfr is None else nfr.kind)
-                    edge = kind.stored(source, target)
-                    edges[kind.field].append(edge)
-                    self.locations[("edge", name, t[1], *edge)] = _locate(self.starts, t[2])
-            elif t[0] == "eof":
-                self.fail("'}'")
-            else:
-                expected = "a model edge or '}'" if seen_edge else "an NFR declaration, a model edge, or '}'"
-                self.record_error(self.error_at(t, expected))
-                self.pos += 1
-                self.sync(_MODEL_STOPS)
-        return {"nfrs": nfrs, **{f: tuple(e) for f, e in edges.items()}}
+                    self.declare(members, (member_key, name, node.name), node, t)
+                continue
+            rows = EDGE_ROWS_BY_KEYWORD[t[1]]
+            edge = rows[0]
+            try:
+                source, target = t[3] if len(t) == 4 else self.parse_edge(edge.arrow, *names[edge.arrow])
+            except _SyntaxError as exc:
+                self.record_error(exc.error)
+                self.sync(stops)
+                continue
+            if len(rows) > 1:  # combines: members precede edges, so a target member is known here
+                target_node = members.get(target)
+                edge = edge_kind(kind.type, t[1], None if target_node is None else target_node.kind)
+            pair = edge.stored(source, target)
+            edges[edge.field].append(pair)
+            self.locations[("edge", name, t[1], *pair)] = _locate(self.starts, t[2])
+        return {kind.members: members, **{f: tuple(e) for f, e in edges.items()}}
+
+    def member(self, token: _Record) -> NfrNode | NfrViewNode:
+        """The NFR or view whose block ``token`` opens, read through its closing '}'."""
+        if len(token) == 4:  # a view statement token
+            view, kind, category, model, characteristic, statement = token[3]
+            return NfrViewNode(view, _FOCUS_KINDS[kind], category, (model, characteristic), statement)
+        name = self.expect_name(_NAMES[token[1]])
+        self.expect_punct("{")
+        nfr_kind = _NFR_KEYWORDS.get(token[1])
+        values = self.block_fields(VIEW_FIELDS if nfr_kind is None else NFR_FIELDS[nfr_kind])
+        self.expect_punct("}")
+        if nfr_kind is None:
+            return NfrViewNode(name, **values)
+        return NfrNode(nfr_kind, name, is_focus=values.get("focus_kind") is not None, **values)
 
     def parse_edge(self, arrow: str, source_what: str, target_what: str) -> tuple[str, str]:
         """The two names of an edge statement after its keyword, in the order written."""
@@ -463,58 +485,6 @@ class _Parser:
         else:
             self.expect_punct(arrow)
         return source, self.expect_name(target_what)
-
-    def parse_view_model(self, name: str) -> dict:
-        """The views and edge lists of view model ``name``, as its attributes; stops at the closing '}'."""
-        views: dict[str, NfrViewNode] = {}
-        edges: dict[str, list[tuple[str, str]]] = {k.field: [] for k in VIEW_EDGE_KINDS}
-
-        stage = "view"  # views, then influences, then depends_on
-        while not self.at_punct("}"):
-            t = self.tokens[self.pos]
-            if t[0] == "eof":
-                self.fail("'}'")
-            if t[:2] not in _VIEW_MODEL_STOPS:  # the loop has stopped at '}' already
-                self.record_error(self.error_at(t, "a view, an edge, or '}'"))
-                self.pos += 1
-                self.sync(_VIEW_MODEL_STOPS)
-                continue
-            keyword = t[1]
-            if keyword == "view":
-                if stage != "view":
-                    self.record_error(self.error_at(t, "an edge or '}' (views precede edges)"))
-                self.pos += 1
-                try:
-                    if len(t) == 4:
-                        view, kind, category, model, char, statement = t[3]
-                        node = NfrViewNode(view, _FOCUS_KINDS[kind], category, (model, char), statement)
-                    else:
-                        view, values = self.member_block("a view name", VIEW_FIELDS)
-                        node = NfrViewNode(view, **values)
-                except _SyntaxError as exc:
-                    self.record_error(exc.error)
-                    self.skip_block_rest()
-                else:
-                    self.declare(views, ("view", name, view), node, t)
-                continue
-            if keyword == "influences":
-                if stage == "depends_on":
-                    self.record_error(self.error_at(t, "'depends_on' or '}' (influences precede depends_on)"))
-                else:
-                    stage = "influences"
-            else:
-                stage = "depends_on"
-            self.pos += 1
-            kind = _VIEW_EDGE_KINDS[keyword]
-            try:
-                source, target = t[3] if len(t) == 4 else self.parse_edge(kind.arrow, "a view name", "a view name")
-            except _SyntaxError as exc:
-                self.record_error(exc.error)
-                self.sync(_VIEW_MODEL_STOPS)
-                continue
-            edges[kind.field].append((source, target))
-            self.locations[("edge", name, keyword, source, target)] = _locate(self.starts, t[2])
-        return {"views": views, **{f: tuple(e) for f, e in edges.items()}}
 
 
 def parse(text: str) -> Document:

@@ -4,7 +4,9 @@
 copied verbatim from ``model``: each call found its owner through
 ``resolve`` and copied the owner and the document with the keyword
 ``diagnostics.replace``. The tables, exceptions and helpers they read are the
-package's own. ``tests/test_model.py`` requires the same document, or the same
+package's own, but for the ``(owner type, keyword)`` index of edge rows, which
+the package has since keyed by keyword alone; it is rebuilt here as it
+stood. ``tests/test_model.py`` requires the same document, or the same
 exception and message, from both on every call.
 """
 
@@ -13,7 +15,7 @@ from __future__ import annotations
 from nfrstdo.diagnostics import replace
 from nfrstdo.model import (
     _KINDS_BY_TYPE,
-    _ROWS_BY_KEYWORD,
+    NODE_KINDS,
     NODE_KINDS_BY_KEYWORD,
     Document,
     DuplicateName,
@@ -25,6 +27,9 @@ from nfrstdo.model import (
     edge_message,
     resolve,
 )
+
+_ROWS_BY_KEYWORD = {(k.type, e.keyword): tuple(r for r in k.edges if r.keyword == e.keyword)
+                    for k in NODE_KINDS for e in k.edges}
 
 
 def add_node(doc: Document, node: Node) -> Document:

@@ -48,14 +48,32 @@ def test_summary_of_canned_pairs():
     change = [_line(*run) for run in ((0.012, 2.1), (0.0135, 2.3), (0.0155, 2.9), (0.011, 2.6, 2), (0.012, 2.7))]
     pairs = [(bench_pairs.result_of(p), bench_pairs.result_of(c)) for p, c in zip(parent, change)]
     lines = bench_pairs.summarize(pairs, METRICS)
-    assert lines[0].split() == ["metric", "parent", "median", "[q1,", "q3]", "change", "change", "%", "won", "beyond"]
+    assert lines[0].split() == ["metric", "parent", "median", "[q1,", "q3]", "change", "change", "%", "won", "beyond",
+                                "bound"]
     # build_s: parent median 0.016 [0.015, 0.017]; change median 0.012, -25%; every pair won; 4 below q1 (not 0.0155)
-    assert lines[1].split() == ["build_s", "0.016", "[0.015,", "0.017]", "0.012", "-25.0%", "5/5", "4/5"]
+    assert lines[1].split() == ["build_s", "0.016", "[0.015,", "0.017]", "0.012", "-25.0%", "5/5", "4/5", "25%", "ok"]
     # pipeline: parent median 2.4 [2.2, 2.6]; change median 2.6, +8.3%; 2 pairs won; 2 above q3
-    assert lines[2].split() == ["pipeline_mb_per_s", "2.4", "[2.2,", "2.6]", "2.6", "+8.3%", "2/5", "2/5"]
+    assert lines[2].split() == ["pipeline_mb_per_s", "2.4", "[2.2,", "2.6]", "2.6", "+8.3%", "2/5", "2/5", "25%", "ok"]
     assert lines[3].split() == ["query_p75_us", "missing"]
     assert lines[4] == "failed_ops parent: 0 of 5000 operations; 5/5 runs correct"
     assert lines[5] == "failed_ops change: 2 of 5000 operations; 4/5 runs correct"
+
+
+def test_summary_marks_a_median_worse_than_its_bound():
+    metrics = [*METRICS[:2], {"name": "cli_peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}]
+
+    def result(build: float, pipeline: float, rss: float) -> dict:
+        line = json.loads(_line(build, pipeline).splitlines()[-1])
+        line["metrics"]["cli_peak_rss_mb"] = {"value": rss, "unit": "MB"}
+        return line
+
+    # build_s 0.0126 is 26% over the parent's 0.01; pipeline 1.5 is 25% under its 2.0, the bound itself;
+    # rss 22.2 is 11% over the parent's 20.0, beyond that metric's 10%
+    pairs = [(result(0.01, 2.0, 20.0), result(0.0126, 1.5, 22.2))] * 3
+    lines = bench_pairs.summarize(pairs, metrics)
+    assert [line.split()[-2:] for line in lines[1:4]] == [["25%", "WORSE"], ["25%", "ok"], ["10%", "WORSE"]]
+    # a metric without a bound, as the per-layer ones are, has no bound column
+    assert bench_pairs.summarize(pairs, [{"name": "build_s", "better": "lower"}])[1].split()[-1] == "0/3"
 
 
 PER_LAYER = [

@@ -277,6 +277,28 @@ def test_export_blocked_by_category_hierarchy_errors(capsys, tmp_path, text, mes
     assert "R-018" in err and message in err
 
 
+# an entity of an unknown category (R-001) and a view of an unknown category (R-004)
+OTHER_ERRORS = ('category "C" { }\nentity "E" { belongs_to: "Nope" }\nview_model "V" {\n'
+                '  view "W" { kind: quality category: "NoCat" focus: "M" . "C" }\n}\n')
+
+
+@pytest.mark.parametrize("to", ["json", "dot", "turtle"])
+def test_export_refuses_only_referential_and_category_hierarchy_errors(capsys, tmp_path, to):
+    doc = tmp_path / "doc.nfrs"
+    doc.write_text(OTHER_ERRORS, encoding="utf-8")
+    code, out, _ = run(capsys, "validate", str(doc))
+    assert code == 1 and "error R-001" in out and "error R-004" in out
+    code, out, err = run(capsys, "export", str(doc), to)
+    assert (code, err) == (0, "")
+    assert "Nope" in out and "NoCat" in out  # the links to the undeclared categories are drawn
+    for extra, refused in (('model "M" {\n  attribute "A" { definition: "d" }\n  relates "A" <-> "Ghost"\n}\n',
+                            "R-REF"), ('category "D" { parent: "D" }\n', "R-018")):
+        doc.write_text(OTHER_ERRORS + extra, encoding="utf-8")
+        code, out, err = run(capsys, "export", str(doc), to)
+        assert (code, out) == (1, "")
+        assert refused in err and "R-001" not in err
+
+
 def test_export_unwritable_output_is_usage_error(capsys, tmp_path):
     target = tmp_path / "missing_dir" / "x.json"
     code, out, err = run(capsys, "export", CHAIN, "json", "-o", str(target))

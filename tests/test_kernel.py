@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import fixture_path
-from nfrstdo.diagnostics import replace
+from nfrstdo.diagnostics import Diagnostic, Severity, replace
 from nfrstdo.kernel import (
     ArchParseError,
     ArchSpec,
@@ -272,6 +272,29 @@ def test_single_violation_single_diagnostic(extra_line, code):
     spec = parse_arch(REFERENCE_ARCH + extra_line + "\n")
     diagnostics = lint_architecture(spec)
     assert [d.code for d in diagnostics] == [code]
+
+
+_L001 = "the foundational tier must contain exactly ThingFO (found: {})"
+
+
+@pytest.mark.parametrize(
+    "text,code,message,subject",
+    [
+        ("component SituationCO level Core\n", "L-001", _L001.format("none"), "architecture"),
+        (REFERENCE_ARCH + "component ThingFOBis level Foundational\n", "L-001",
+         _L001.format("ThingFO, ThingFOBis"), "architecture"),
+        (REFERENCE_ARCH + "enriches SituationCO <- MetricsLDO\n", "L-002",
+         "enrichment must come from the same or a higher tier: MetricsLDO (LowDomain) cannot enrich SituationCO (Core)",
+         "enriches:SituationCO<-MetricsLDO"),
+        (REFERENCE_ARCH + "peer SituationCO NFRsTDO\n", "L-003",
+         "peer components must share a tier: SituationCO is Core, NFRsTDO is TopDomain", "peer:SituationCO<->NFRsTDO"),
+        (REFERENCE_ARCH + "peer ThingFO ThingFO\n", "L-003",
+         "peer relationships are not allowed at the foundational tier", "peer:ThingFO<->ThingFO"),
+    ],
+    ids=["no-foundational", "two-foundational", "upward-enrichment", "cross-tier-peer", "foundational-peer"],
+)
+def test_lint_diagnostic_texts(text, code, message, subject):
+    assert lint_architecture(parse_arch(text)) == [Diagnostic(code, Severity.ERROR, message, subject)]
 
 
 def test_missing_thingfo_is_l001():

@@ -5,7 +5,8 @@ serializations, 2,000 seeded mutations of those texts (seeds other than the
 golden parse hashes use), a few hand-written inputs for error recovery and
 the error cap, and near misses of the lexer's statement tokens: a wrong
 arrow, an empty name, a comment, escape or line break inside, or a
-statement where it does not belong. Each input must give an equal document with equal source
+statement where it does not belong, and bodies whose statements come out
+of order, hold stray tokens or end with the input. Each input must give an equal document with equal source
 locations, or the same ``ParseFailure``: the same errors, in the same order,
 and the same message.
 """
@@ -59,12 +60,26 @@ NEAR_MISSES = (
     '  influences "V" -> "V\\"q"\n  depends_on "V\\"q" -> "V"\n}\n' + _MODEL + '  combines "C\\\\" -> "A"\n}\n',
     _VIEWS + '  view"W"{kind:cost category:"X"focus:"M"."C"statement:"s"}influences"V"->"W"depends_on"W"->"V"}\n',
 )
+_VIEW = '  view "W" { kind: quality category: "X" focus: "M" . "C" }\n'
+# statements out of their body's order, stray tokens at each stage, and input that ends inside a body
+OUT_OF_ORDER = (
+    _VIEWS + '  influences "V" -> "V"\n' + _VIEW + '}\n',
+    _VIEWS + '  depends_on "V" -> "V"\n' + _VIEW + '}\n',
+    _VIEWS + '  depends_on "V" -> "V"\n  influences "V" -> "V"\n' + _VIEW + '  depends_on "W" -> "V"\n}\n',
+    _MODEL + '  relates "C" <-> "A"\n  statement_item "S" { declaration: "d" }\n  maps "S" -> "A"\n}\n',
+    _MODEL + '  combines "C" -> "S"\n  statement_item "S" { declaration: "d" }\n}\n',
+    _MODEL + '  "stray"\n  combines "C" -> "A"\n  stray { }\n  maps "S" -> "A"\n}\n',
+    _VIEWS + '  "stray"\n  influences "V" -> "V"\n  stray\n  depends_on "V" -> "V"\n  : { view }\n}\n',
+    _MODEL + '  combines "C" -> "A"',
+    _VIEWS + '  influences "V" -> "V"\n',
+    _VIEWS + '  depends_on "V" -> "V"',
+)
 
 
 @functools.lru_cache(maxsize=1)
 def inputs() -> tuple[str, ...]:
     bases = lexer_texts()
-    return (*bases, *mutated_texts(bases, MUTATIONS, FIRST_SEED), *RECOVERY, *NEAR_MISSES)
+    return (*bases, *mutated_texts(bases, MUTATIONS, FIRST_SEED), *RECOVERY, *NEAR_MISSES, *OUT_OF_ORDER)
 
 
 def outcome(parse_text, text: str) -> tuple:

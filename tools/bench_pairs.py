@@ -13,7 +13,10 @@ gives, for each end-to-end metric of ``BENCHMARK.json``: the parent's median
 and quartiles, the change's median, the change in percent, the pairs the
 change won, and how many of the change's runs lie beyond the parent's better
 quartile (below the first for a lower-is-better metric, above the third
-otherwise); and each side's failed operations. With ``--trace`` the runs are
+otherwise), and, for a metric with a ``bound``, that bound and whether the
+change's median is worse than the parent's by more than it (``WORSE``) or
+not (``ok``), the bound read as a fraction of the parent's median; and each
+side's failed operations. With ``--trace`` the runs are
 ``--trace 1`` runs, and the summary covers the ``per_layer`` metrics of
 ``BENCHMARK.json`` instead, such as ``textformat.parse_s``. Nothing is
 fetched and no ``perfbench/`` file is written. On SIGTERM or Ctrl-C the
@@ -58,7 +61,7 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
     """Summary lines for (parent result, change result) pairs over the given end-to-end metric declarations."""
     width = max(28, *(len(metric["name"]) for metric in metrics))
     lines = [f"{'metric':{width}} {'parent median [q1, q3]':40} {'change':>10} {'change %':>9} {'won':>7} "
-             f"{'beyond':>7}"]
+             f"{'beyond':>7}" + (f" {'bound':>10}" if any("bound" in metric for metric in metrics) else "")]
     n = len(pairs)
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -73,8 +76,13 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
         beyond = sum(c < q1 if lower else c > q3 for _, c in runs)
         percent = f"{100 * (change - parent) / parent:+.1f}%" if parent else "n/a"
         spread = f"{parent:.6g} [{q1:.6g}, {q3:.6g}]"
-        lines.append(f"{name:{width}} {spread:40} {change:10.6g} {percent:>9} {f'{won}/{len(runs)}':>7} "
-                     f"{f'{beyond}/{len(runs)}':>7}")
+        row = (f"{name:{width}} {spread:40} {change:10.6g} {percent:>9} {f'{won}/{len(runs)}':>7} "
+               f"{f'{beyond}/{len(runs)}':>7}")
+        if "bound" in metric:
+            bound = metric["bound"]
+            worse = change > parent * (1 + bound) if lower else change < parent * (1 - bound)
+            row += f" {f'{bound:.0%} ' + ('WORSE' if worse else 'ok'):>10}"
+        lines.append(row)
     for side, index in (("parent", 0), ("change", 1)):
         failed = sum(pair[index]["failed"] for pair in pairs)
         attempted = sum(pair[index]["attempted"] for pair in pairs)
