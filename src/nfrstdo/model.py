@@ -257,7 +257,7 @@ def edge_kind(owner: type, keyword: str, target_kind: Enum | None = None) -> Edg
     KeyError for a keyword ``owner`` does not have.
     """
     rows = EDGE_ROWS_BY_KEYWORD[keyword]
-    if rows[0] not in _KINDS_BY_TYPE[owner].edges:
+    if rows[0].field not in owner._fields:
         raise KeyError(keyword)
     for kind in rows:
         if target_kind in kind.targets:
@@ -424,7 +424,7 @@ def _append_edge(doc: Document, kind: NodeKind, owner_name: str, keyword: str, s
     except KeyError:
         raise NotFound(f"no {kind.keyword} named {owner_name!r}") from None
     rows = EDGE_ROWS_BY_KEYWORD.get(keyword)
-    if rows is None or rows[0] not in kind.edges:
+    if rows is None or rows[0].field not in kind.type._fields:
         raise ValueError(f"unknown {kind.words} edge kind {keyword!r}")
     members = getattr(owner, kind.members)
     edge = rows[0]

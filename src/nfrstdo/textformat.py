@@ -22,10 +22,10 @@ and no escape inside is one statement token: the word token of its keyword,
 with the names and texts after it as a fourth item, which the body loop takes
 in one step. Any other statement, such as one with an empty name or a wrong
 arrow, comes as plain tokens and is parsed one token at a time, so its error
-locations and messages are those of the plain path. The parser walks the tokens by index. Only where it keeps a location (a
-declaration or an edge in ``Document.source_locations``, or a
-``ParseError``) does it turn an offset into a line and column, by a bisect
-over the offsets where lines start.
+locations and messages are those of the plain path. The parser walks the
+tokens by index. Only where it keeps a location (a declaration or an edge in
+``Document.source_locations``, or a ``ParseError``) does it turn an offset
+into a line and column, by a bisect over the offsets where lines start.
 
 Grammar sketch (names and texts are double-quoted strings, ``#`` comments)::
 
@@ -281,10 +281,6 @@ class _Parser:
     def at_word(self, value: str) -> bool:
         t = self.tokens[self.pos]
         return t[1] == value and t[0] == "word"
-
-    def at_punct(self, value: str) -> bool:
-        t = self.tokens[self.pos]
-        return t[1] == value and t[0] == "punct"
 
     def error_at(self, token: _Record, expected: str) -> ParseError:
         return ParseError(_locate(self.starts, token[2]), expected, _describe(token))

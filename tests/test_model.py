@@ -31,6 +31,7 @@ from nfrstdo.model import (
     add_model_edge,
     add_node,
     add_view_edge,
+    edge_kind,
     iter_edges,
     resolve,
 )
@@ -336,6 +337,10 @@ def test_unknown_edge_keywords_rejected():
         add_model_edge(_model_with_nfrs(), "M", "influences", "C1", "C2")
     with pytest.raises(ValueError):
         add_view_edge(_view_model_doc(), "VM", "combines", "Q1", "Q2")
+    # the keyword index is shared by both owners, so each lookup checks that the keyword is its owner's
+    for owner, keyword in ((NfrsModelNode, "influences"), (NfrsViewModelNode, "combines")):
+        with pytest.raises(KeyError):
+            edge_kind(owner, keyword)
 
 
 # --- the write path against its oracle ------------------------------------------------
