@@ -31,15 +31,16 @@ from __future__ import annotations
 import json
 
 from .model import (
+    MODEL_EDGE_KINDS,
     NFR_FIELDS,
     NODE_KINDS,
+    VIEW_EDGE_KINDS,
     VIEW_FIELDS,
     Document,
     NfrKind,
     NfrsModelNode,
     NfrsViewModelNode,
     NodeField,
-    iter_edges,
 )
 from .textformat import quote
 
@@ -66,10 +67,6 @@ def _json_fields(record: dict, fields: tuple[NodeField, ...], node) -> dict:
     return record
 
 
-def _pairs(edges: tuple[tuple[str, str], ...]) -> list[list[str]]:
-    return [list(pair) for pair in sorted(edges)]
-
-
 def to_json(doc: Document) -> str:
     """Canonical JSON: sorted keys, name-sorted arrays, compact, LF-terminated."""
     obj: dict = {k.collection: [] for k in NODE_KINDS}
@@ -86,7 +83,7 @@ def to_json(doc: Document) -> str:
                 else:
                     record["views"] = [_json_fields({"name": view.name}, VIEW_FIELDS, view)
                                        for view in map(members.__getitem__, sorted(members))]
-                record.update((k.json_key, _pairs(getattr(node, k.field))) for k in kind.edges)
+                record.update((k.json_key, sorted(getattr(node, k.field))) for k in kind.edges)  # pairs as arrays
             obj[kind.collection].append(record)
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
 
@@ -107,7 +104,7 @@ _NODE_SHAPES = {
 
 
 class _Memo(dict):
-    """A dict that fills a missing key with ``make(key)`` and keeps it: each ref is made or rendered once per call."""
+    """A dict that fills a missing key with ``make(key)`` and keeps it: each name is rendered once per call."""
 
     def __init__(self, make) -> None:
         super().__init__()
@@ -124,63 +121,69 @@ def _nfr_ref(model: NfrsModelNode | None, model_name: str, name: str) -> tuple[s
     return ("nfr" if nfr is None else nfr.kind.value, model_name, name)
 
 
-def _literals(ref: tuple[str, ...], fields: tuple[NodeField, ...], item, edge) -> list[tuple[str, str | None]]:
-    """The literal text fields of ``item`` as (predicate, value or None); each category reference goes to ``edge``."""
-    literals = []
-    for f in fields:
-        if f.syntax == "text":
-            value = getattr(item, f.attribute)
-            if f.turtle is None:
-                literals.append((f.keyword, value))
-            elif value is not None or not f.optional:
-                edge(ref, f.dot_label, ("category", value), f.turtle, False)
-    return literals
+def _graph(doc: Document, render, node, edges) -> None:
+    """Call ``node`` once per node of ``doc`` and ``edges`` once per edge list, in no particular order.
 
-
-def _owner_edges(owner: NfrsModelNode | NfrsViewModelNode, refs: _Memo, edge) -> None:
-    """Pass each edge of ``owner``'s lists to ``edge``; ``refs`` maps a name to the ref of its NFR or view."""
-    for kind, source, target in iter_edges(owner):
-        target_ref = refs[target] if kind.collection is None else (_COLLECTION_KINDS[kind.collection], target)
-        edge(refs[source], kind.relationship, target_ref, kind.turtle, kind.arrow == "of")
-
-
-def _graph(doc: Document, node, edge) -> None:
-    """Call ``node`` once per node of ``doc`` and ``edge`` once per edge, in no particular order.
-
-    A ref is ``(prefix, *name parts)``: the node kind's keyword and the name,
-    or, for an NFR or a view, its kind (``nfr`` when the NFR does not resolve)
-    with the owner's name and its own. A node comes as (ref, DOT shape, Turtle
-    types, literal fields as (predicate, value or None)). An edge comes as
-    (source ref, relationship, target ref, Turtle predicate, reversed), in the
-    relationship's direction; ``reversed`` marks the ``of`` rows, whose
-    triples keep the stored orientation. Records go to the callbacks, not
-    into lists: held records would add thousands of objects for the garbage
-    collector to count and scan on every export.
+    ``render`` turns a ref into the exporter's id. A ref is ``(prefix, *name
+    parts)``: the node kind's keyword and the name, or, for an NFR or a view,
+    its kind (``nfr`` when the NFR does not resolve) with the owner's name and
+    its own. Each name is rendered once, through a name-keyed memo per
+    collection and per owner of NFRs or views. A node comes as (id, name, DOT
+    shape, Turtle types, literal fields as (predicate, value or None)). An
+    edge list comes as (relationship, Turtle predicate, reversed, pairs of
+    ids): each of an owner's stored lists, the focus links of a model's NFRs
+    or of a view model's views, and each category reference field of a
+    collection or of a view model's views. The pairs keep the stored
+    orientation, which the Turtle triples keep too; ``reversed`` marks the
+    ``of`` rows, stored (parent, child), whose DOT edges run the other way, in
+    the relationship's direction.
     """
+    ids = _Memo(lambda prefix: _Memo(lambda name: render((prefix, name))))
+    nfr_ids = _Memo(lambda owner: _Memo(lambda name: render(_nfr_ref(doc.models.get(owner), owner, name))))
+    categories = ids["category"]
+
+    def blocks(items, item_ids, fields) -> None:
+        """Each category reference field of ``items``' blocks, as one edge list."""
+        for f in fields:
+            if f.turtle is not None:
+                edges(f.dot_label, f.turtle, False, [(item_ids[name], categories[value]) for name, item in items
+                                                      if (value := getattr(item, f.attribute)) is not None
+                                                      or not f.optional])
+
+    def literals(fields, item) -> list[tuple[str, str | None]]:
+        return [(f.keyword, getattr(item, f.attribute)) for f in fields if f.syntax == "text" and f.turtle is None]
+
+    def owner_edges(owner: NfrsModelNode | NfrsViewModelNode, kinds, member_ids: _Memo) -> None:
+        for kind in kinds:
+            targets = member_ids if kind.collection is None else ids[_COLLECTION_KINDS[kind.collection]]
+            edges(kind.relationship, kind.turtle, kind.arrow == "of",
+                  [(member_ids[source], targets[target]) for source, target in getattr(owner, kind.field)])
+
     for kind in NODE_KINDS:
-        for name, item in getattr(doc, kind.collection).items():
-            ref = (kind.keyword, name)
-            node(ref, _NODE_SHAPES[kind.keyword], (kind.turtle,), _literals(ref, kind.fields, item, edge))
+        items, item_ids = getattr(doc, kind.collection).items(), ids[kind.keyword]
+        for name, item in items:
+            node(item_ids[name], name, _NODE_SHAPES[kind.keyword], (kind.turtle,), literals(kind.fields, item))
+        blocks(items, item_ids, kind.fields)
     for model_name, model in doc.models.items():
-        nfr_refs = _Memo(lambda name: _nfr_ref(model, model_name, name))
-        for name, nfr in model.nfrs.items():
-            ref = nfr_refs[name]
+        nfr_items, member_ids = model.nfrs.items(), nfr_ids[model_name]
+        for name, nfr in nfr_items:
             types = [nfr.kind.value.title()]
             if nfr.is_focus:
                 types.append(f"{nfr.focus_kind.value.capitalize()}_Focus")
-                edge(ref, "is represented by", ("model", model_name), "is_represented_by", False)
-            node(ref, _NODE_SHAPES[nfr.kind], types, _literals(ref, NFR_FIELDS[nfr.kind], nfr, edge))
-        _owner_edges(model, nfr_refs, edge)
+            node(member_ids[name], name, _NODE_SHAPES[nfr.kind], types, literals(NFR_FIELDS[nfr.kind], nfr))
+        model_id = ids["model"][model_name]
+        edges("is represented by", "is_represented_by", False,
+              [(member_ids[name], model_id) for name, nfr in nfr_items if nfr.is_focus])
+        owner_edges(model, MODEL_EDGE_KINDS, member_ids)
     for vm_name, vm in doc.view_models.items():
-        view_refs = _Memo(lambda name: ("view", vm_name, name))
-        for name, view in vm.views.items():
-            ref = view_refs[name]
-            view_type = f"{view.kind.value.capitalize()}_View"
-            node(ref, _NODE_SHAPES["view"], (view_type,), _literals(ref, VIEW_FIELDS, view, edge))
-            focus_model, focus_name = view.focus
-            focus_ref = _nfr_ref(doc.models.get(focus_model), focus_model, focus_name)
-            edge(ref, "focus", focus_ref, "has_focus", False)
-        _owner_edges(vm, view_refs, edge)
+        view_items, member_ids = vm.views.items(), _Memo(lambda name, vm_name=vm_name: render(("view", vm_name, name)))
+        for name, view in view_items:
+            node(member_ids[name], name, _NODE_SHAPES["view"], (f"{view.kind.value.capitalize()}_View",),
+                 literals(VIEW_FIELDS, view))
+        blocks(view_items, member_ids, VIEW_FIELDS)
+        edges("focus", "has_focus", False,
+              [(member_ids[name], nfr_ids[view.focus[0]][view.focus[1]]) for name, view in view_items])
+        owner_edges(vm, VIEW_EDGE_KINDS, member_ids)
 
 
 # --- DOT -------------------------------------------------------------------------
@@ -220,18 +223,21 @@ def _dot_id(ref: tuple[str, ...]) -> str:
 
 def to_dot(doc: Document) -> str:
     """One directed graph with node shapes by kind and one edge style per relationship."""
-    ids = _Memo(_dot_id)
     nodes: list[str] = []
-    edges: list[str] = []
+    lines: list[str] = []
 
-    def node(ref, shape, types, literals) -> None:
-        nodes.append(f'  {ids[ref]} [label="{_dot_escape(ref[-1])}", shape={shape}];')
+    def node(node_id, name, shape, types, literals) -> None:
+        nodes.append(f'  {node_id} [label="{_dot_escape(name)}", shape={shape}];')
 
-    def edge(source, label, target, predicate, reverse) -> None:
-        edges.append(f'  {ids[source]} -> {ids[target]} [label="{label}", {_EDGE_STYLES[label]}];')
+    def edges(label, predicate, reverse, pairs) -> None:
+        tail = f' [label="{label}", {_EDGE_STYLES[label]}];'
+        if reverse:
+            lines.extend([f"  {b} -> {a}{tail}" for a, b in pairs])
+        else:
+            lines.extend([f"  {a} -> {b}{tail}" for a, b in pairs])
 
-    _graph(doc, node, edge)
-    return "\n".join(["digraph nfrs {", *sorted(nodes), *sorted(edges), "}"]) + "\n"
+    _graph(doc, _dot_id, node, edges)
+    return "\n".join(["digraph nfrs {", *sorted(nodes), *sorted(lines), "}"]) + "\n"
 
 
 # --- Turtle ------------------------------------------------------------------------
@@ -260,20 +266,17 @@ def to_turtle(doc: Document) -> str:
     ``nfrstdo:deals_with_universals``, ``nfrstdo:has_focus``, and
     ``nfrstdo:sub_category_of``.
     """
-    urns = _Memo(_urn)
     triples: list[str] = []
 
-    def node(ref, shape, types, literals) -> None:
-        subject = urns[ref]
+    def node(subject, name, shape, types, literals) -> None:
         triples.extend(f"{subject} a nfrstdo:{type_name} ." for type_name in types)
         triples.extend(f"{subject} nfrstdo:{predicate} {quote(value)} ." for predicate, value in literals
                        if value is not None)
 
-    def edge(source, label, target, predicate, reverse) -> None:
-        subject, obj = (urns[target], urns[source]) if reverse else (urns[source], urns[target])
-        triples.append(f"{subject} nfrstdo:{predicate} {obj} .")
+    def edges(label, predicate, reverse, pairs) -> None:
+        triples.extend([f"{subject} nfrstdo:{predicate} {obj} ." for subject, obj in pairs])
 
-    _graph(doc, node, edge)
+    _graph(doc, _urn, node, edges)
 
     if not triples:
         return _PREFIX + "\n"

@@ -69,6 +69,7 @@ from .model import (
     VIEW_EDGE_KINDS,
     VIEW_FIELDS,
     Document,
+    EdgeKind,
     FocusKind,
     NfrKind,
     NfrNode,
@@ -79,7 +80,6 @@ from .model import (
     NodeKind,
     article,
     edge_kind,
-    iter_edges,
 )
 
 _DECLARATION = f"a declaration ({', '.join(NODE_KINDS_BY_KEYWORD)})"
@@ -206,6 +206,69 @@ def _locate(starts: list[int], offset: int) -> SourceLocation:
     return SourceLocation(line, offset - starts[line - 1] + 1)
 
 
+class _Locations(dict):
+    """``Document.source_locations`` of a parsed document: the parser stores each key's token offset, an ``int``,
+    and a read turns it into a ``SourceLocation`` through the line starts of its text, kept instead of the text.
+
+    Every read path gives what a plain dict of the same locations gives:
+    ``[]``, ``get``, ``items``, ``values``, ``pop``, ``popitem``,
+    ``setdefault``, comparison, ``repr``, and ``dict(…)``, ``{**…}``, ``|``
+    and ``copy()``, which read through ``__getitem__`` because ``__iter__`` is
+    overridden. ``copy.copy``, ``copy.deepcopy`` and ``pickle`` give a plain
+    dict of locations. A value stored by a caller reads back as stored,
+    unless it is an ``int``, which reads as an offset.
+    """
+
+    __slots__ = ("starts",)
+
+    def __init__(self, starts: list[int]) -> None:
+        super().__init__()
+        self.starts = starts
+
+    def _read(self, value):
+        return _locate(self.starts, value) if value.__class__ is int else value
+
+    def __getitem__(self, key):
+        return self._read(dict.__getitem__(self, key))
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+    def pop(self, key, *default):
+        return self._read(dict.pop(self, key, *default)) if key in self else dict.pop(self, key, *default)
+
+    def popitem(self):
+        key, value = dict.popitem(self)
+        return key, self._read(value)
+
+    def setdefault(self, key, default=None):
+        return self[key] if key in self else dict.setdefault(self, key, default)
+
+    def __iter__(self):
+        return dict.__iter__(self)
+
+    def _plain(self) -> dict:
+        return {key: self[key] for key in dict.__iter__(self)}
+
+    def items(self):
+        return self._plain().items()
+
+    def values(self):
+        return self._plain().values()
+
+    def __eq__(self, other):
+        return self._plain() == other
+
+    def __ne__(self, other):
+        return self._plain() != other
+
+    def __repr__(self) -> str:
+        return repr(self._plain())
+
+    def __reduce__(self):  # copy, deepcopy and pickle make a plain dict
+        return dict, (self._plain(),)
+
+
 def _unescape(match: re.Match) -> str:
     return _UNESCAPES[match[1]]
 
@@ -272,7 +335,7 @@ class _Parser:
         self.pos = 0
         self.errors: list[ParseError] = []
         self.collections: dict[str, dict] = {k.collection: {} for k in NODE_KINDS}
-        self.locations: dict[tuple, SourceLocation] = {}
+        self.locations = _Locations(self.starts)
 
     # token plumbing: ``self.tokens[self.pos]`` is the next token; no method
     # advances past the closing EOF, since each advances only over a token it
@@ -399,7 +462,7 @@ class _Parser:
             self.record_error(ParseError(_locate(self.starts, token[2]), expected, f"duplicate {node.name!r}"))
             return
         collection[node.name] = node
-        self.locations[key] = _locate(self.starts, token[2])
+        self.locations[key] = token[2]
 
     def parse_fields(self, kind: NodeKind, name: str):
         """The rest of a node block: its fields in table order, an owner's body, then '}'."""
@@ -456,7 +519,7 @@ class _Parser:
                 edge = edge_kind(kind.type, t[1], None if target_node is None else target_node.kind)
             pair = edge.stored(source, target)
             edges[edge.field].append(pair)
-            self.locations[("edge", name, t[1], *pair)] = _locate(self.starts, t[2])
+            self.locations[("edge", name, t[1], *pair)] = t[2]
         return {kind.members: members, **{f: tuple(e) for f, e in edges.items()}}
 
     def member(self, token: _Record) -> NfrNode | NfrViewNode:
@@ -518,12 +581,19 @@ def _block(lines: list[str], indent: str, keyword: str, name: str, fields: tuple
     lines.append(indent + "}")
 
 
-def _edge_lines(node: NfrsModelNode | NfrsViewModelNode) -> list[str]:
-    """Edge statements grouped by keyword in table order, sorted within each group."""
+def _edge_lines(node: NfrsModelNode | NfrsViewModelNode, kinds: tuple[EdgeKind, ...]) -> list[str]:
+    """The edge statements of ``node``'s lists ``kinds``, grouped by keyword in table order, sorted within each
+    group; each name is quoted once."""
+    lists = [(kind, getattr(node, kind.field)) for kind in kinds]
+    quoted = {name: quote(name) for name in {name for _, pairs in lists for pair in pairs for name in pair}}
     groups: dict[str, list[str]] = {}
-    for kind, source, target in iter_edges(node):
-        line = f"  {kind.keyword} {quote(source)} {kind.arrow} {quote(target)}"
-        groups.setdefault(kind.keyword, []).append(line)
+    for kind, pairs in lists:
+        head, arrow = f"  {kind.keyword} ", f" {kind.arrow} "
+        if kind.arrow == "of":  # stored (parent, child), written child first
+            lines = [f"{head}{quoted[child]}{arrow}{quoted[parent]}" for parent, child in pairs]
+        else:
+            lines = [f"{head}{quoted[source]}{arrow}{quoted[target]}" for source, target in pairs]
+        groups.setdefault(kind.keyword, []).extend(lines)
     return [line for group in groups.values() for line in sorted(group)]
 
 
@@ -549,7 +619,7 @@ def serialize(doc: Document) -> str:
                         _block(body, "  ", member.kind.value, member.name, NFR_FIELDS[member.kind], member)
                     else:
                         _block(body, "  ", "view", member.name, VIEW_FIELDS, member)
-                body += _edge_lines(node)
+                body += _edge_lines(node, kind.edges)
             lines: list[str] = []
             _block(lines, "", kind.keyword, name, kind.fields, node, body)
             blocks.append("\n".join(lines))

@@ -9,14 +9,23 @@ statement where it does not belong, and bodies whose statements come out
 of order, hold stray tokens or end with the input. Each input must give an equal document with equal source
 locations, or the same ``ParseFailure``: the same errors, in the same order,
 and the same message.
+
+``Document.source_locations`` keeps offsets and builds a location only when
+one is read: a successful parse of the fixtures and ``random_document``
+texts calls ``textformat._locate`` zero times, and every read path of each
+parsed document's locations gives the oracle's eager dict.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
+import pickle
 
 import parser_oracle
 from docgen import lexer_texts, mutated_texts
+from nfrstdo import textformat
+from nfrstdo.diagnostics import SourceLocation
 from nfrstdo.textformat import ParseFailure, parse
 
 MUTATIONS = 2000
@@ -99,3 +108,36 @@ def test_documents_and_errors_match_oracle():
     assert len({error.expected for want in failures for error in want[1]}) >= 30
     mismatched = [text for text, want in zip(inputs(), expected) if outcome(parse, text) != want]
     assert not mismatched, f"{len(mismatched)} of {len(expected)} differ, first: {mismatched[0]!r}"
+
+
+def test_a_successful_parse_builds_no_location(monkeypatch):
+    calls = []
+    locate = textformat._locate
+    monkeypatch.setattr(textformat, "_locate", lambda starts, offset: calls.append(offset) or locate(starts, offset))
+    docs = [parse(text) for text in lexer_texts()]
+    assert calls == []
+    located = [location for doc in docs for location in doc.source_locations.values()]
+    assert len(calls) == len(located) > 3000  # each read builds one
+
+
+def test_every_read_path_of_source_locations_gives_the_oracle_dict():
+    missing = ("edge", "no such owner", "relates", "A", "B")
+    documents = 0
+    for text in inputs():
+        try:
+            want = parser_oracle.parse(text).source_locations
+        except ParseFailure:
+            continue
+        got = parse(text).source_locations
+        documents += 1
+        assert isinstance(got, dict)
+        plain = [{key: got[key] for key in got}, {key: got.get(key) for key in want}, dict(got.items()),
+                 dict(zip(got, got.values())), dict(got), {**got}, got.copy(), copy.copy(got), copy.deepcopy(got),
+                 pickle.loads(pickle.dumps(got))]
+        for read in plain:
+            assert type(read) is dict and list(read.items()) == list(want.items())
+            assert all(type(location) is SourceLocation for location in read.values())
+        assert got.get(missing) is None and got.get(missing, 7) == 7
+        assert got == want and want == got and not got != want and not want != got
+        assert repr(got) == repr(want)
+    assert documents > 400
