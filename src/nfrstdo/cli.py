@@ -2,8 +2,12 @@
 
 Input is read as UTF-8; one leading byte-order mark is skipped. Exit codes:
 0 success, 1 validation errors (warnings too under ``--strict``), 2 parse
-failure (input that is not UTF-8 included), 3 usage error (an unreadable input
-or an unwritable ``-o`` file included). Query results and ``schema diff``
+failure (input that is not UTF-8 included), 3 usage error (an unreadable input,
+an unwritable ``-o`` file, and a standard output that is full, closed or
+otherwise fails included). A closed pipe on standard output, as from ``|
+head``, ends the run with 3 and no message; any other failure of standard
+output prints ``nfrsctl: error: cannot write standard output: …`` on
+stderr. Query results and ``schema diff``
 share one printer: one line per item, or compact, key-sorted JSON under
 ``--format json``. Under ``--format json``, parse failures and the validation
 errors that stop a query also go to stdout as one diagnostic array; stderr
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import errno
 import json
 import os
 import stat
@@ -294,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="nfrsctl",
         description="Validate, export and query NFRsTDO .nfrs documents, and inspect the built-in schemas.",
-        epilog="exit codes: 0 success, 1 validation errors, 2 parse failure, 3 usage error",
+        epilog="exit codes: 0 success, 1 validation errors, 2 parse failure, 3 usage error (an unreadable input, "
+        "an unwritable output or standard output included; a closed pipe ends quietly with 3)",
     )
     commands = parser.add_subparsers(dest="command")
 
@@ -358,19 +364,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_failed(exc: OSError) -> int:
+    """Report a failed standard output, unless it is a closed pipe, and point it at ``os.devnull``, so that the
+    flush at interpreter exit does not fail again."""
+    if not isinstance(exc, BrokenPipeError):
+        print(f"nfrsctl: error: cannot write standard output: {exc.strerror or exc}", file=sys.stderr)
+    if sys.stdout is not None:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return int(ExitCode.USAGE_ERROR)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    # every read and every -o write reports its own OSError, so one that reaches here is standard output's
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "func", None) is None:
-            parser.print_usage(sys.stderr)
-            return int(ExitCode.USAGE_ERROR)
-        return int(args.func(args))
-    except UsageError as exc:
-        print(f"nfrsctl: error: {exc}", file=sys.stderr)
-        return int(ExitCode.USAGE_ERROR)
-    except _Fail as fail:
-        return int(fail.code)
+        if sys.stdout is None:  # started with descriptor 1 closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        try:
+            args = parser.parse_args(argv)
+            if getattr(args, "func", None) is None:
+                parser.print_usage(sys.stderr)
+                return int(ExitCode.USAGE_ERROR)
+            code = args.func(args)
+        except UsageError as exc:
+            print(f"nfrsctl: error: {exc}", file=sys.stderr)
+            code = ExitCode.USAGE_ERROR
+        except _Fail as fail:
+            code = fail.code
+        sys.stdout.flush()
+    except OSError as exc:
+        return _stdout_failed(exc)
+    return int(code)
 
 
 if __name__ == "__main__":

@@ -724,18 +724,67 @@ def test_no_color_env(monkeypatch, capsys):
     assert "\x1b[" not in out
 
 
-def test_console_entry_point_via_module():
-    # the child imports the package this process is testing, installed or not
+def child_env() -> dict[str, str]:
+    """The environment of a child that imports the package this process is testing, installed or not."""
     package_root = str(Path(nfrstdo.__file__).resolve().parent.parent)
-    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+
+
+def test_console_entry_point_via_module():
     result = subprocess.run(
         [sys.executable, "-m", "nfrstdo", "schema", "counts", "--version", "1.2"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env=child_env(),
     )
     assert result.returncode == 0
     assert result.stdout == "terms=15 properties=18 relationships=12\n"
+
+
+def _nfrsctl(stdout, *argv: str, launcher: tuple[str, ...] = ("-m", "nfrstdo")) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *launcher, *argv], stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env=child_env(), timeout=120)
+
+
+def _r001(tmp_path) -> str:
+    path = tmp_path / "r001.nfrs"
+    path.write_text('category "A" { }\nentity "E" { belongs_to: "Nope" }\n', encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", [("export", PRODUCT, "json"), ("validate", "R001", "--mode", "instance"),
+                                     ("schema", "dump")])
+def test_full_stdout_is_a_usage_error_with_one_line(tmp_path, command):
+    argv = [_r001(tmp_path) if arg == "R001" else arg for arg in command]
+    with open("/dev/full", "w") as full:
+        result = _nfrsctl(full, *argv)
+    assert result.returncode == 3
+    assert result.stderr == "nfrsctl: error: cannot write standard output: No space left on device\n"
+
+
+@pytest.mark.parametrize("command", [("export", PRODUCT, "turtle"), ("validate", "R001", "--format", "json"),
+                                     ("query", "influences", CHAIN, "--view-model", "Organization Quality Views",
+                                      "--from", "Resource Quality View", "--transitive")])
+def test_closed_pipe_on_stdout_ends_quietly_with_3(tmp_path, command):
+    argv = [_r001(tmp_path) if arg == "R001" else arg for arg in command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes, so that every write meets EPIPE
+    try:
+        result = _nfrsctl(write_end, *argv)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 3
+    assert result.stderr == ""
+
+
+def test_stdout_closed_at_start_is_a_usage_error(tmp_path):
+    # the launcher closes descriptor 1 and runs nfrsctl in its place, as a shell does for ``nfrsctl ... >&-``
+    launcher = ("-c", "import os, sys; os.close(1); os.execv(sys.executable, [sys.executable, '-m', 'nfrstdo', "
+                      "*sys.argv[1:]])")
+    result = _nfrsctl(None, "validate", _r001(tmp_path), launcher=launcher)
+    assert result.returncode == 3
+    assert result.stderr == "nfrsctl: error: cannot write standard output: Bad file descriptor\n"
 
 
 def test_help_is_a_short_user_facing_description(capsys):

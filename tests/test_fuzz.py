@@ -8,12 +8,18 @@ views let the closure queries succeed) and 150 of the mutations, half of which
 parse. Every subcommand that reads a document, each query and an export to a
 file among them, must end in a documented exit code. The ``schema``
 subcommands run on 200 seeded argument lists of built-in and random versions
-and terms, and must end in success or a usage error.
+and terms, and must end in success or a usage error. Every 25th CLI input
+also runs in a child process whose standard output is closed: a command that
+writes to it must end in a usage error with one line on stderr, any other in
+its own code, and no traceback.
 """
 
 from __future__ import annotations
 
+import json
 import random
+import subprocess
+import sys
 
 from nfrstdo import cli
 from nfrstdo.export import to_dot, to_json, to_turtle
@@ -21,6 +27,7 @@ from nfrstdo.kernel import builtin_schema
 from nfrstdo.model import Document, NfrKind
 from nfrstdo.textformat import ParseFailure, parse, serialize
 from nfrstdo.validator import ValidationMode, validate
+from test_cli import child_env
 from test_export_oracle import MUTATIONS, corpus, documents
 
 RANDOM_INPUTS = 100
@@ -28,6 +35,7 @@ BASE_INPUTS = 8
 MUTATED_INPUTS = 75  # of each outcome: parsed and failed
 # .nfrs punctuation, letters, escapes and bytes that are not UTF-8 on their own
 BYTE_ALPHABET = b'{}":.-<># \n\r\t\\abcdefilmnoqrstuvwy_MV\x00\xc3\xa9\xff'
+CLOSED_STDOUT_EVERY = 25  # every 25th CLI input also runs with standard output closed
 SCHEMA_RUNS = 200
 # letters, digits, blanks, dots and non-ASCII; no "-", since a word that starts with one is an option for argparse
 STRING_ALPHABET = "abcdeilmnorstuvAFNQ0129 ._\té\u00a0"
@@ -155,3 +163,38 @@ def test_schema_ends_in_success_or_usage_error(capsys):
     assert {code for _, code in outcomes} == {0, 3}
     assert {argv[1] for argv, code in outcomes if code == 0} == {"counts", "dump", "diff", "stereotypes"}
     assert {argv[-1] for argv, code in outcomes if code == 0 and argv[1] == "diff"} == {"text", "json"}
+
+
+# Runs each argument list of argv[1] (JSON) with a fresh standard output whose descriptor is closed, and writes
+# the exit codes to stderr as JSON.
+CLOSED_STDOUT = """
+import json, os, sys
+from nfrstdo.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    sys.stdout = open(os.open(os.devnull, os.O_WRONLY), "w", encoding="utf-8", closefd=False)
+    os.close(sys.stdout.fileno())
+    codes.append(main(argv))
+print(json.dumps(codes), file=sys.stderr)
+"""
+
+
+def test_cli_with_stdout_closed_ends_in_a_documented_exit_code(tmp_path, capsys):
+    argvs, expected = [], []
+    for i, data in enumerate(cli_inputs()[::CLOSED_STDOUT_EVERY]):
+        path = tmp_path / f"input{i}.nfrs"
+        path.write_bytes(data)
+        for argv in (["validate", str(path)], ["validate", str(path), "--format", "json", "--mode", "instance"],
+                     ["export", str(path), "dot"], ["export", str(path), "json", "-o", str(tmp_path / "out.json")]):
+            code = cli.main(argv)
+            expected.append(3 if capsys.readouterr().out else code)  # a command that writes stdout fails on it
+            argvs.append(argv)
+    result = subprocess.run([sys.executable, "-c", CLOSED_STDOUT, json.dumps(argvs)], stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True, env=child_env(), timeout=300)
+    *messages, codes = result.stderr.splitlines()
+    assert result.returncode == 0
+    assert json.loads(codes) == expected
+    assert len(expected) == 44 and set(expected) == {0, 1, 2, 3}
+    lost = "nfrsctl: error: cannot write standard output: Bad file descriptor"
+    assert messages.count(lost) == expected.count(3)
+    assert not any("Traceback" in line or "Exception ignored" in line for line in messages)
