@@ -49,11 +49,14 @@ def test_summary_of_canned_pairs():
     pairs = [(bench_pairs.result_of(p), bench_pairs.result_of(c)) for p, c in zip(parent, change)]
     lines = bench_pairs.summarize(pairs, METRICS)
     assert lines[0].split() == ["metric", "parent", "median", "[q1,", "q3]", "change", "change", "%", "won", "beyond",
-                                "bound"]
-    # build_s: parent median 0.016 [0.015, 0.017]; change median 0.012, -25%; every pair won; 4 below q1 (not 0.0155)
-    assert lines[1].split() == ["build_s", "0.016", "[0.015,", "0.017]", "0.012", "-25.0%", "5/5", "4/5", "25%", "ok"]
-    # pipeline: parent median 2.4 [2.2, 2.6]; change median 2.6, +8.3%; 2 pairs won; 2 above q3
-    assert lines[2].split() == ["pipeline_mb_per_s", "2.4", "[2.2,", "2.6]", "2.6", "+8.3%", "2/5", "2/5", "25%", "ok"]
+                                "gain", "bound"]
+    # build_s: parent median 0.016 [0.015, 0.017]; change median 0.012, -25%; every pair won; 4 below q1 (not
+    # 0.0155); a gain, since the medians lie 0.004 apart, more than the parent's IQR of 0.002
+    assert lines[1].split() == ["build_s", "0.016", "[0.015,", "0.017]", "0.012", "-25.0%", "5/5", "4/5", "yes", "25%",
+                                "ok"]
+    # pipeline: parent median 2.4 [2.2, 2.6]; change median 2.6, +8.3%; 2 pairs won; 2 above q3; no gain
+    assert lines[2].split() == ["pipeline_mb_per_s", "2.4", "[2.2,", "2.6]", "2.6", "+8.3%", "2/5", "2/5", "no", "25%",
+                                "ok"]
     assert lines[3].split() == ["query_p75_us", "missing"]
     assert lines[4] == "failed_ops parent: 0 of 5000 operations; 5/5 runs correct"
     assert lines[5] == "failed_ops change: 2 of 5000 operations; 4/5 runs correct"
@@ -73,8 +76,55 @@ def test_summary_marks_a_median_worse_than_its_bound():
     lines = bench_pairs.summarize(pairs, metrics)
     assert [line.split()[-2:] for line in lines[1:4]] == [["25%", "WORSE"], ["25%", "ok"], ["10%", "WORSE"]]
     # a metric without a bound, as the per-layer ones are, has no bound column
-    assert bench_pairs.summarize(pairs, [{"name": "build_s", "better": "lower"}])[1].split()[-1] == "0/3"
+    assert bench_pairs.summarize(pairs, [{"name": "build_s", "better": "lower"}])[1].split()[-2:] == ["0/3", "no"]
 
+
+
+def _ten_pairs(parent: list[float], change: list[float]) -> list[tuple[dict, dict]]:
+    return [(bench_pairs.result_of(_line(0.01, p)), bench_pairs.result_of(_line(0.01, c)))
+            for p, c in zip(parent, change)]
+
+
+def test_gain_needs_nine_of_ten_pairs_won_and_medians_beyond_the_parent_iqr():
+    parent = [2.0, 2.1, 2.2, 2.3, 2.4, 2.5, 2.6, 2.7, 2.8, 2.9]  # median 2.45, IQR 2.225 to 2.675, 0.45 wide
+    metric = [METRICS[1]]
+
+    def gain(change: list[float]) -> tuple[int, bool]:
+        row = bench_pairs.compare(_ten_pairs(parent, change), metric)[0]
+        return row["won"], row["gain"]
+
+    # 9 of 10 won (the last pair ties), median 3.35, 0.9 above the parent's: a gain
+    assert gain([p + 1.0 for p in parent[:9]] + [2.9]) == (9, True)
+    # 8 of 10 won, two ties, which count for neither side: no gain, however large
+    assert gain([p + 1.0 for p in parent[:8]] + parent[8:]) == (8, False)
+    # every pair won, by 0.4 each: the medians lie 0.4 apart, within the parent's IQR of 0.45
+    assert gain([p + 0.4 for p in parent]) == (10, False)
+    # a lower-is-better metric gains downwards
+    row = bench_pairs.compare([(bench_pairs.result_of(_line(b, 2.0)), bench_pairs.result_of(_line(b / 2, 2.0)))
+                               for b in (0.010, 0.011, 0.012, 0.013)], [METRICS[0]])[0]
+    assert (row["won"], row["gain"]) == (4, True)
+
+
+def test_record_holds_what_the_summary_prints(tmp_path):
+    parent = [_line(b, p) for b, p in ((0.016, 2.0), (0.014, 2.4), (0.018, 2.2), (0.015, 2.6), (0.017, 2.8))]
+    change = [_line(*run) for run in ((0.012, 2.1), (0.0135, 2.3), (0.0155, 2.9), (0.011, 2.6, 2), (0.012, 2.7))]
+    pairs = [(bench_pairs.result_of(p), bench_pairs.result_of(c)) for p, c in zip(parent, change)]
+    summary = bench_pairs.record(pairs, METRICS, {"parent": "aaa1111", "change": "bbb2222"}, "nfr-catalog", 7, 30,
+                                 False)
+    summary = json.loads(json.dumps(summary))  # as --record writes it
+    assert {k: summary[k] for k in ("parent", "change", "workload", "seeds", "pairs", "seconds", "trace")} == {
+        "parent": "aaa1111", "change": "bbb2222", "workload": "nfr-catalog", "seeds": [7, 8, 9, 10, 11], "pairs": 5,
+        "seconds": 30, "trace": False}
+    build, pipeline, query = summary["metrics"]
+    assert build == {"name": "build_s", "better": "lower", "runs": [[0.016, 0.012], [0.014, 0.0135],
+                                                                    [0.018, 0.0155], [0.015, 0.011], [0.017, 0.012]],
+                     "parent_q1": 0.015, "parent_median": 0.016, "parent_q3": 0.017, "change_median": 0.012,
+                     "change_percent": pytest.approx(-25.0), "won": 5, "beyond": 4, "gain": True, "bound": 0.25,
+                     "verdict": "ok"}
+    assert (pipeline["won"], pipeline["beyond"], pipeline["gain"], pipeline["verdict"]) == (2, 2, False, "ok")
+    assert query == {"name": "query_p75_us", "missing": True}
+    assert summary["failed_ops"] == {"parent": {"failed": 0, "attempted": 5000, "correct_runs": 5, "runs": 5},
+                                     "change": {"failed": 2, "attempted": 5000, "correct_runs": 4, "runs": 5}}
 
 PER_LAYER = [
     {"name": "textformat.parse_s", "unit": "s", "better": "lower"},
@@ -108,12 +158,13 @@ def test_summary_of_canned_traced_pairs():
     assert lines[0].index("parent") == len("validator.validate_instance_calls") + 1
     # parse: parent median 0.0295 [0.02875, 0.0305]; change median 0.0265, -10.2%; 3 pairs won; 3 below q1
     assert lines[1].split() == ["textformat.parse_s", "0.0295", "[0.02875,", "0.0305]", "0.0265", "-10.2%", "3/4",
-                                "3/4"]
+                                "3/4", "no"]
     # validate: parent median 0.00805 [0.007975, 0.008175]; change median 0.00405, -49.7%; all won and below q1
     assert lines[2].split() == ["validator.validate_instance_s", "0.00805", "[0.007975,", "0.008175]", "0.00405",
-                                "-49.7%", "4/4", "4/4"]
+                                "-49.7%", "4/4", "4/4", "yes"]
     # a count that does not change wins no pair
-    assert lines[3].split() == ["validator.validate_instance_calls", "9", "[9,", "9]", "9", "+0.0%", "0/4", "0/4"]
+    assert lines[3].split() == ["validator.validate_instance_calls", "9", "[9,", "9]", "9", "+0.0%", "0/4", "0/4",
+                                "no"]
     assert lines[4] == "failed_ops parent: 0 of 96 operations; 4/4 runs correct"
 
 

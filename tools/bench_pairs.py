@@ -2,7 +2,7 @@
 
 Run from the root of a checkout::
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload nfr-catalog --pairs 10 [--trace]
+    python3 tools/bench_pairs.py PARENT CHANGE --workload nfr-catalog --pairs 10 [--trace] [--record FILE]
 
 Each revision is unpacked with ``git archive`` into its own temporary
 directory, and ``perfbench/run.py --trace 0`` runs there, as the command in
@@ -16,7 +16,13 @@ quartile (below the first for a lower-is-better metric, above the third
 otherwise), and, for a metric with a ``bound``, that bound and whether the
 change's median is worse than the parent's by more than it (``WORSE``) or
 not (``ok``), the bound read as a fraction of the parent's median; and each
-side's failed operations. With ``--trace`` the runs are
+side's failed operations. The ``gain`` column reads ``yes`` when the change won
+at least 9 of 10 pairs (ties count for neither) and its median is better than
+the parent's by more than the parent's interquartile range (q3 - q1), the
+rule for claiming a gain; otherwise ``no``. ``--record FILE`` also writes the
+summary to FILE as JSON: both revisions, the workload, the seeds, the number
+of pairs, ``--trace``, one row per metric with its pair-by-pair values, and
+the failed operations of each side. With ``--trace`` the runs are
 ``--trace 1`` runs, and the summary covers the ``per_layer`` metrics of
 ``BENCHMARK.json`` instead, such as ``textformat.parse_s``. Nothing is
 fetched and no ``perfbench/`` file is written. On SIGTERM or Ctrl-C the
@@ -57,38 +63,81 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
-    """Summary lines for (parent result, change result) pairs over the given end-to-end metric declarations."""
-    width = max(28, *(len(metric["name"]) for metric in metrics))
-    lines = [f"{'metric':{width}} {'parent median [q1, q3]':40} {'change':>10} {'change %':>9} {'won':>7} "
-             f"{'beyond':>7}" + (f" {'bound':>10}" if any("bound" in metric for metric in metrics) else "")]
-    n = len(pairs)
+def compare(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]:
+    """One row per metric declaration over (parent result, change result) pairs; a metric no pair has reads
+    ``{"name": ..., "missing": True}``.
+
+    A row holds the parent's quartiles, the change's median and percent, the
+    pairs the change won (ties count for neither), its runs beyond the
+    parent's better quartile, the bound and its verdict for a metric with a
+    ``bound``, and ``gain``: whether the change won at least 9 of 10 pairs and
+    its median is better than the parent's by more than the parent's
+    interquartile range.
+    """
+    rows = []
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
         runs = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for p, c in pairs
                 if name in p["metrics"] and name in c["metrics"]]
         if not runs:
-            lines.append(f"{name:{width}} missing")
+            rows.append({"name": name, "missing": True})
             continue
         q1, parent, q3 = quartiles([p for p, _ in runs])
         change = statistics.median(c for _, c in runs)
         won = sum(c < p if lower else c > p for p, c in runs)
-        beyond = sum(c < q1 if lower else c > q3 for _, c in runs)
-        percent = f"{100 * (change - parent) / parent:+.1f}%" if parent else "n/a"
-        spread = f"{parent:.6g} [{q1:.6g}, {q3:.6g}]"
-        row = (f"{name:{width}} {spread:40} {change:10.6g} {percent:>9} {f'{won}/{len(runs)}':>7} "
-               f"{f'{beyond}/{len(runs)}':>7}")
+        row = {"name": name, "better": metric["better"], "runs": runs, "parent_q1": q1, "parent_median": parent,
+               "parent_q3": q3, "change_median": change,
+               "change_percent": 100 * (change - parent) / parent if parent else None, "won": won,
+               "beyond": sum(c < q1 if lower else c > q3 for _, c in runs),
+               "gain": 10 * won >= 9 * len(runs) and (parent - change if lower else change - parent) > q3 - q1}
         if "bound" in metric:
-            bound = metric["bound"]
+            bound = row["bound"] = metric["bound"]
             worse = change > parent * (1 + bound) if lower else change < parent * (1 - bound)
-            row += f" {f'{bound:.0%} ' + ('WORSE' if worse else 'ok'):>10}"
-        lines.append(row)
-    for side, index in (("parent", 0), ("change", 1)):
-        failed = sum(pair[index]["failed"] for pair in pairs)
-        attempted = sum(pair[index]["attempted"] for pair in pairs)
-        correct = sum(bool(pair[index]["correct"]) for pair in pairs)
-        lines.append(f"failed_ops {side}: {failed} of {attempted} operations; {correct}/{n} runs correct")
+            row["verdict"] = "WORSE" if worse else "ok"
+        rows.append(row)
+    return rows
+
+
+def failures(pairs: list[tuple[dict, dict]]) -> dict:
+    """Each side's failed and attempted operations and its correct runs."""
+    return {side: {"failed": sum(pair[index]["failed"] for pair in pairs),
+                   "attempted": sum(pair[index]["attempted"] for pair in pairs),
+                   "correct_runs": sum(bool(pair[index]["correct"]) for pair in pairs), "runs": len(pairs)}
+            for side, index in (("parent", 0), ("change", 1))}
+
+
+def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
+    """Summary lines for (parent result, change result) pairs over the given metric declarations."""
+    width = max(28, *(len(metric["name"]) for metric in metrics))
+    lines = [f"{'metric':{width}} {'parent median [q1, q3]':40} {'change':>10} {'change %':>9} {'won':>7} "
+             f"{'beyond':>7} {'gain':>4}" + (f" {'bound':>10}" if any("bound" in metric for metric in metrics) else "")]
+    for row in compare(pairs, metrics):
+        if row.get("missing"):
+            lines.append(f"{row['name']:{width}} missing")
+            continue
+        n = len(row["runs"])
+        won, beyond, gain = f"{row['won']}/{n}", f"{row['beyond']}/{n}", "yes" if row["gain"] else "no"
+        percent = "n/a" if row["change_percent"] is None else f"{row['change_percent']:+.1f}%"
+        spread = f"{row['parent_median']:.6g} [{row['parent_q1']:.6g}, {row['parent_q3']:.6g}]"
+        line = (f"{row['name']:{width}} {spread:40} {row['change_median']:10.6g} {percent:>9} {won:>7} "
+                f"{beyond:>7} {gain:>4}")
+        if "bound" in row:
+            verdict = f"{row['bound']:.0%} {row['verdict']}"
+            line += f" {verdict:>10}"
+        lines.append(line)
+    for side, counts in failures(pairs).items():
+        lines.append(f"failed_ops {side}: {counts['failed']} of {counts['attempted']} operations; "
+                     f"{counts['correct_runs']}/{counts['runs']} runs correct")
     return lines
+
+
+def record(pairs: list[tuple[dict, dict]], metrics: list[dict], names: dict[str, str], workload: str,
+           first_seed: int, seconds: float, trace: bool) -> dict:
+    """What the summary prints, as one JSON object: the run's settings, a ``compare`` row per metric (each with
+    its (parent, change) values, pair by pair) and each side's failed operations."""
+    return {"parent": names["parent"], "change": names["change"], "workload": workload,
+            "seeds": list(range(first_seed, first_seed + len(pairs))), "pairs": len(pairs), "seconds": seconds,
+            "trace": trace, "metrics": compare(pairs, metrics), "failed_ops": failures(pairs)}
 
 
 def unpack(revision: str, directory: Path) -> str:
@@ -142,6 +191,7 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair (default 1)")
     parser.add_argument("--trace", action="store_true", help="run --trace 1 and summarise the per-layer metrics")
+    parser.add_argument("--record", metavar="FILE", help="also write the summary to FILE as JSON")
     args = parser.parse_args()
     signal.signal(signal.SIGTERM, stop)
     pairs = []
@@ -159,7 +209,11 @@ def main() -> int:
             pairs.append((results["parent"], results["change"]))
     print(f"{args.workload}: parent {names['parent']} vs change {names['change']}, {len(pairs)} pairs, "
           f"--seconds {benchmark['run_seconds']:g}, --trace {int(args.trace)}")
-    print("\n".join(summarize(pairs, benchmark["per_layer" if args.trace else "end_to_end"])))
+    metrics = benchmark["per_layer" if args.trace else "end_to_end"]
+    print("\n".join(summarize(pairs, metrics)))
+    if args.record:
+        summary = record(pairs, metrics, names, args.workload, args.seed, benchmark["run_seconds"], args.trace)
+        Path(args.record).write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
 
