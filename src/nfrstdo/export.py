@@ -6,12 +6,14 @@ lexicographic), so exporting the same document twice yields identical bytes.
 JSON mirrors the ``model`` tables: each node's name and fields and, for a
 model or a view model, its NFRs or views and each stored edge list under its
 ``EDGE_KINDS`` JSON key; ``_json_fields`` writes the fields of every block.
-DOT and Turtle draw one graph: ``_graph`` walks the document and hands each
-node (shape, types, literals) and each edge (relationship, predicate) once to
-a callback, and ``to_dot`` and ``to_turtle`` are only those callbacks,
-formatting one line or triple per record. Both sort their lines, so the
-walk's order does not matter. ``_literals`` reads every block's text fields:
-a category reference is an edge, any other field a literal.
+DOT and Turtle draw one graph: ``_graph`` walks the document, renders each
+name once with the exporter's id function, and hands each node (shape,
+types, literals) to one callback and each edge list (relationship,
+predicate, pairs of ids) in one call to another. ``to_dot`` and
+``to_turtle`` are only those callbacks, formatting one line or triple per
+node and one comprehension of lines or triples per edge list. Both sort
+their lines, so the walk's order does not matter. Of every block's text
+fields, a category reference is an edge and any other field a literal.
 
 Nodes are named by refs, ``(prefix, *name parts)``: a kind's keyword and a
 name, or, for an NFR or a view, the kind and the owner's name before its
@@ -29,6 +31,7 @@ snake_case; type local names take the term names with spaces as underscores.
 from __future__ import annotations
 
 import json
+from functools import partial
 
 from .model import (
     MODEL_EDGE_KINDS,
@@ -106,8 +109,7 @@ _NODE_SHAPES = {
 class _Memo(dict):
     """A dict that fills a missing key with ``make(key)`` and keeps it: each name is rendered once per call."""
 
-    def __init__(self, make) -> None:
-        super().__init__()
+    def __init__(self, make) -> None:  # no dict.__init__ call: a memo starts empty
         self.make = make
 
     def __missing__(self, key):
@@ -115,19 +117,19 @@ class _Memo(dict):
         return value
 
 
-def _nfr_ref(model: NfrsModelNode | None, model_name: str, name: str) -> tuple[str, str, str]:
-    """The ref of NFR ``name`` in ``model_name``: its kind leads, or ``nfr`` when it does not resolve."""
+def _nfr_id(render, model: NfrsModelNode | None, model_name: str, name: str) -> str:
+    """The id of NFR ``name`` in ``model_name``: its kind leads the ref, or ``nfr`` when it does not resolve."""
     nfr = None if model is None else model.nfrs.get(name)
-    return ("nfr" if nfr is None else nfr.kind.value, model_name, name)
+    return render("nfr" if nfr is None else nfr.kind.value, model_name, name)
 
 
 def _graph(doc: Document, render, node, edges) -> None:
     """Call ``node`` once per node of ``doc`` and ``edges`` once per edge list, in no particular order.
 
-    ``render`` turns a ref into the exporter's id. A ref is ``(prefix, *name
-    parts)``: the node kind's keyword and the name, or, for an NFR or a view,
-    its kind (``nfr`` when the NFR does not resolve) with the owner's name and
-    its own. Each name is rendered once, through a name-keyed memo per
+    ``render(prefix, *name parts)`` turns a ref into the exporter's id. A ref
+    is the node kind's keyword and the name, or, for an NFR or a view, its kind
+    (``nfr`` when the NFR does not resolve) with the owner's name and its
+    own. Each name is rendered once, through a name-keyed memo per
     collection and per owner of NFRs or views. A node comes as (id, name, DOT
     shape, Turtle types, literal fields as (predicate, value or None)). An
     edge list comes as (relationship, Turtle predicate, reversed, pairs of
@@ -138,11 +140,11 @@ def _graph(doc: Document, render, node, edges) -> None:
     ``of`` rows, stored (parent, child), whose DOT edges run the other way, in
     the relationship's direction.
     """
-    ids = _Memo(lambda prefix: _Memo(lambda name: render((prefix, name))))
-    nfr_ids = _Memo(lambda owner: _Memo(lambda name: render(_nfr_ref(doc.models.get(owner), owner, name))))
+    ids = {k.keyword: _Memo(partial(render, k.keyword)) for k in NODE_KINDS}
+    nfr_ids = _Memo(lambda owner: _Memo(partial(_nfr_id, render, doc.models.get(owner), owner)))
     categories = ids["category"]
 
-    def blocks(items, item_ids, fields) -> None:
+    def references(items, item_ids, fields) -> None:
         """Each category reference field of ``items``' blocks, as one edge list."""
         for f in fields:
             if f.turtle is not None:
@@ -155,15 +157,17 @@ def _graph(doc: Document, render, node, edges) -> None:
 
     def owner_edges(owner: NfrsModelNode | NfrsViewModelNode, kinds, member_ids: _Memo) -> None:
         for kind in kinds:
-            targets = member_ids if kind.collection is None else ids[_COLLECTION_KINDS[kind.collection]]
-            edges(kind.relationship, kind.turtle, kind.arrow == "of",
-                  [(member_ids[source], targets[target]) for source, target in getattr(owner, kind.field)])
+            pairs = getattr(owner, kind.field)
+            if pairs:  # most lists of a small model are empty
+                targets = member_ids if kind.collection is None else ids[_COLLECTION_KINDS[kind.collection]]
+                edges(kind.relationship, kind.turtle, kind.arrow == "of",
+                      [(member_ids[source], targets[target]) for source, target in pairs])
 
     for kind in NODE_KINDS:
         items, item_ids = getattr(doc, kind.collection).items(), ids[kind.keyword]
         for name, item in items:
             node(item_ids[name], name, _NODE_SHAPES[kind.keyword], (kind.turtle,), literals(kind.fields, item))
-        blocks(items, item_ids, kind.fields)
+        references(items, item_ids, kind.fields)
     for model_name, model in doc.models.items():
         nfr_items, member_ids = model.nfrs.items(), nfr_ids[model_name]
         for name, nfr in nfr_items:
@@ -176,11 +180,12 @@ def _graph(doc: Document, render, node, edges) -> None:
               [(member_ids[name], model_id) for name, nfr in nfr_items if nfr.is_focus])
         owner_edges(model, MODEL_EDGE_KINDS, member_ids)
     for vm_name, vm in doc.view_models.items():
-        view_items, member_ids = vm.views.items(), _Memo(lambda name, vm_name=vm_name: render(("view", vm_name, name)))
+        view_items = vm.views.items()
+        member_ids = _Memo(partial(render, "view", vm_name))
         for name, view in view_items:
             node(member_ids[name], name, _NODE_SHAPES["view"], (f"{view.kind.value.capitalize()}_View",),
                  literals(VIEW_FIELDS, view))
-        blocks(view_items, member_ids, VIEW_FIELDS)
+        references(view_items, member_ids, VIEW_FIELDS)
         edges("focus", "has_focus", False,
               [(member_ids[name], nfr_ids[view.focus[0]][view.focus[1]]) for name, view in view_items])
         owner_edges(vm, VIEW_EDGE_KINDS, member_ids)
@@ -214,8 +219,7 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-def _dot_id(ref: tuple[str, ...]) -> str:
-    prefix, *parts = ref
+def _dot_id(prefix: str, *parts: str) -> str:
     # a part's own % and / are encoded, so that only the joins read as / and no two refs share an id
     path = "/".join(part.replace("%", "%25").replace("/", "%2F") for part in parts)
     return '"' + _dot_escape(f"{_DOT_PREFIXES.get(prefix, prefix)}:{path}") + '"'
@@ -252,8 +256,7 @@ def _percent_encode(part: str) -> str:
     return part.encode("utf-8").decode("latin-1").translate(_PERCENT)
 
 
-def _urn(ref: tuple[str, ...]) -> str:
-    prefix, *parts = ref
+def _urn(prefix: str, *parts: str) -> str:
     return f"<urn:nfrstdo:{prefix}:{'/'.join(_percent_encode(part) for part in parts)}>"
 
 

@@ -23,9 +23,11 @@ with the names and texts after it as a fourth item, which the body loop takes
 in one step. Any other statement, such as one with an empty name or a wrong
 arrow, comes as plain tokens and is parsed one token at a time, so its error
 locations and messages are those of the plain path. The parser walks the
-tokens by index. Only where it keeps a location (a declaration or an edge in
-``Document.source_locations``, or a ``ParseError``) does it turn an offset
-into a line and column, by a bisect over the offsets where lines start.
+tokens by index. Only for a ``ParseError`` does it turn an offset into a line
+and column, by a bisect over the offsets where lines start. For a declaration
+or an edge it stores the offset in ``Document.source_locations``, a
+``_Locations`` dict that keeps the line starts of the text, taken at parse
+time, and builds each ``SourceLocation`` only when it is read.
 
 Grammar sketch (names and texts are double-quoted strings, ``#`` comments)::
 
@@ -229,7 +231,8 @@ class _Locations(dict):
         return _locate(self.starts, value) if value.__class__ is int else value
 
     def __getitem__(self, key):
-        return self._read(dict.__getitem__(self, key))
+        value = dict.__getitem__(self, key)
+        return _locate(self.starts, value) if value.__class__ is int else value
 
     def get(self, key, default=None):
         return self[key] if key in self else default
@@ -584,7 +587,7 @@ def _block(lines: list[str], indent: str, keyword: str, name: str, fields: tuple
 def _edge_lines(node: NfrsModelNode | NfrsViewModelNode, kinds: tuple[EdgeKind, ...]) -> list[str]:
     """The edge statements of ``node``'s lists ``kinds``, grouped by keyword in table order, sorted within each
     group; each name is quoted once."""
-    lists = [(kind, getattr(node, kind.field)) for kind in kinds]
+    lists = [(kind, pairs) for kind in kinds if (pairs := getattr(node, kind.field))]
     quoted = {name: quote(name) for name in {name for _, pairs in lists for pair in pairs for name in pair}}
     groups: dict[str, list[str]] = {}
     for kind, pairs in lists:

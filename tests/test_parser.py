@@ -140,4 +140,12 @@ def test_every_read_path_of_source_locations_gives_the_oracle_dict():
         assert got.get(missing) is None and got.get(missing, 7) == 7
         assert got == want and want == got and not got != want and not want != got
         assert repr(got) == repr(want)
+        # the read paths that also write, and a value stored by a caller
+        keys = list(want)
+        for key in keys[:2]:
+            assert got.setdefault(key) == want[key] and got.pop(key) == want[key] and got.pop(key, 7) == 7
+        if len(keys) > 2:
+            assert got.popitem() == (keys[-1], want[keys[-1]])
+        got[missing] = stored = SourceLocation(1, 1)
+        assert got[missing] is stored and got.setdefault(missing) is stored and got.pop(missing) is stored
     assert documents > 400
