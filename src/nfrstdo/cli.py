@@ -4,10 +4,10 @@ Input is read as UTF-8; one leading byte-order mark is skipped. Exit codes:
 0 success, 1 validation errors (warnings too under ``--strict``), 2 parse
 failure (input that is not UTF-8 included), 3 usage error (an unreadable input,
 an unwritable ``-o`` file, and a standard output that is full, closed or
-otherwise fails included). A closed pipe on standard output, as from ``|
-head``, ends the run with 3 and no message; any other failure of standard
-output prints ``nfrsctl: error: cannot write standard output: …`` on
-stderr. Query results and ``schema diff``
+otherwise fails when the command writes to it included). A closed pipe on
+standard output, as from ``| head``, ends the run with 3 and no message; any
+other failure of standard output prints ``nfrsctl: error: cannot write
+standard output: …`` on stderr. Query results and ``schema diff``
 share one printer: one line per item, or compact, key-sorted JSON under
 ``--format json``. Under ``--format json``, parse failures and the validation
 errors that stop a query also go to stdout as one diagnostic array; stderr
@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import codecs
 import errno
+import io
 import json
 import os
 import stat
@@ -364,24 +365,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _ClosedStdout(io.TextIOBase):
+    """Standard output of a process started with descriptor 1 closed: a write fails as one to that descriptor
+    would, and a command that writes nothing runs as usual."""
+
+    def write(self, text: str) -> int:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+
 def _stdout_failed(exc: OSError) -> int:
-    """Report a failed standard output, unless it is a closed pipe, and point it at ``os.devnull``, so that the
-    flush at interpreter exit does not fail again."""
+    """Report a failed standard output, unless it is a closed pipe, and point its descriptor at ``os.devnull``, so
+    that the flush at interpreter exit does not fail again."""
     if not isinstance(exc, BrokenPipeError):
         print(f"nfrsctl: error: cannot write standard output: {exc.strerror or exc}", file=sys.stderr)
-    if sys.stdout is not None:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # no descriptor (a _ClosedStdout, or a stream in memory): nothing to flush
+        return int(ExitCode.USAGE_ERROR)
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    if devnull != fd:  # when fd was closed, os.open took its number, and fd already is os.devnull
+        os.dup2(devnull, fd)
         os.close(devnull)
     return int(ExitCode.USAGE_ERROR)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    if sys.stdout is None:
+        sys.stdout = _ClosedStdout()
     # every read and every -o write reports its own OSError, so one that reaches here is standard output's
     try:
-        if sys.stdout is None:  # started with descriptor 1 closed
-            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         try:
             args = parser.parse_args(argv)
             if getattr(args, "func", None) is None:

@@ -9,7 +9,7 @@ model or a view model, its NFRs or views and each stored edge list under its
 DOT and Turtle draw one graph: ``_graph`` walks the document, renders each
 name once with the exporter's id function, and hands each node (shape,
 types, literals) to one callback and each edge list (relationship,
-predicate, pairs of ids) in one call to another. ``to_dot`` and
+predicate, table row, pairs of ids) in one call to another. ``to_dot`` and
 ``to_turtle`` are only those callbacks, formatting one line or triple per
 node and one comprehension of lines or triples per edge list. Both sort
 their lines, so the walk's order does not matter. Of every block's text
@@ -132,13 +132,14 @@ def _graph(doc: Document, render, node, edges) -> None:
     own. Each name is rendered once, through a name-keyed memo per
     collection and per owner of NFRs or views. A node comes as (id, name, DOT
     shape, Turtle types, literal fields as (predicate, value or None)). An
-    edge list comes as (relationship, Turtle predicate, reversed, pairs of
-    ids): each of an owner's stored lists, the focus links of a model's NFRs
-    or of a view model's views, and each category reference field of a
-    collection or of a view model's views. The pairs keep the stored
-    orientation, which the Turtle triples keep too; ``reversed`` marks the
-    ``of`` rows, stored (parent, child), whose DOT edges run the other way, in
-    the relationship's direction.
+    edge list comes as (relationship, Turtle predicate, row, pairs of ids):
+    each of an owner's stored lists, with its ``EDGE_KINDS`` row, and, with
+    row None, the focus links of a model's NFRs or of a view model's views
+    and each category reference field of a collection or of a view model's
+    views. The pairs keep the stored orientation, which the Turtle triples
+    keep too; ``row.directed`` gives them in the relationship's direction,
+    which the DOT edges follow (it differs for the ``of`` rows only). A list
+    with row None is stored in its relationship's direction.
     """
     ids = {k.keyword: _Memo(partial(render, k.keyword)) for k in NODE_KINDS}
     nfr_ids = _Memo(lambda owner: _Memo(partial(_nfr_id, render, doc.models.get(owner), owner)))
@@ -148,7 +149,7 @@ def _graph(doc: Document, render, node, edges) -> None:
         """Each category reference field of ``items``' blocks, as one edge list."""
         for f in fields:
             if f.turtle is not None:
-                edges(f.dot_label, f.turtle, False, [(item_ids[name], categories[value]) for name, item in items
+                edges(f.dot_label, f.turtle, None, [(item_ids[name], categories[value]) for name, item in items
                                                       if (value := getattr(item, f.attribute)) is not None
                                                       or not f.optional])
 
@@ -160,7 +161,7 @@ def _graph(doc: Document, render, node, edges) -> None:
             pairs = getattr(owner, kind.field)
             if pairs:  # most lists of a small model are empty
                 targets = member_ids if kind.collection is None else ids[_COLLECTION_KINDS[kind.collection]]
-                edges(kind.relationship, kind.turtle, kind.arrow == "of",
+                edges(kind.relationship, kind.turtle, kind,
                       [(member_ids[source], targets[target]) for source, target in pairs])
 
     for kind in NODE_KINDS:
@@ -176,7 +177,7 @@ def _graph(doc: Document, render, node, edges) -> None:
                 types.append(f"{nfr.focus_kind.value.capitalize()}_Focus")
             node(member_ids[name], name, _NODE_SHAPES[nfr.kind], types, literals(NFR_FIELDS[nfr.kind], nfr))
         model_id = ids["model"][model_name]
-        edges("is represented by", "is_represented_by", False,
+        edges("is represented by", "is_represented_by", None,
               [(member_ids[name], model_id) for name, nfr in nfr_items if nfr.is_focus])
         owner_edges(model, MODEL_EDGE_KINDS, member_ids)
     for vm_name, vm in doc.view_models.items():
@@ -186,7 +187,7 @@ def _graph(doc: Document, render, node, edges) -> None:
             node(member_ids[name], name, _NODE_SHAPES["view"], (f"{view.kind.value.capitalize()}_View",),
                  literals(VIEW_FIELDS, view))
         references(view_items, member_ids, VIEW_FIELDS)
-        edges("focus", "has_focus", False,
+        edges("focus", "has_focus", None,
               [(member_ids[name], nfr_ids[view.focus[0]][view.focus[1]]) for name, view in view_items])
         owner_edges(vm, VIEW_EDGE_KINDS, member_ids)
 
@@ -233,12 +234,9 @@ def to_dot(doc: Document) -> str:
     def node(node_id, name, shape, types, literals) -> None:
         nodes.append(f'  {node_id} [label="{_dot_escape(name)}", shape={shape}];')
 
-    def edges(label, predicate, reverse, pairs) -> None:
+    def edges(label, predicate, row, pairs) -> None:
         tail = f' [label="{label}", {_EDGE_STYLES[label]}];'
-        if reverse:
-            lines.extend([f"  {b} -> {a}{tail}" for a, b in pairs])
-        else:
-            lines.extend([f"  {a} -> {b}{tail}" for a, b in pairs])
+        lines.extend([f"  {a} -> {b}{tail}" for a, b in (pairs if row is None else row.directed(pairs))])
 
     _graph(doc, _dot_id, node, edges)
     return "\n".join(["digraph nfrs {", *sorted(nodes), *sorted(lines), "}"]) + "\n"
@@ -276,7 +274,7 @@ def to_turtle(doc: Document) -> str:
         triples.extend(f"{subject} nfrstdo:{predicate} {quote(value)} ." for predicate, value in literals
                        if value is not None)
 
-    def edges(label, predicate, reverse, pairs) -> None:
+    def edges(label, predicate, row, pairs) -> None:
         triples.extend([f"{subject} nfrstdo:{predicate} {obj} ." for subject, obj in pairs])
 
     _graph(doc, _urn, node, edges)

@@ -15,7 +15,9 @@ per stored edge list with its ``.nfrs`` keyword and syntax, the kernel
 relationship it instantiates, the endpoint kinds it allows, the rule code and
 messages for a wrong endpoint, and its JSON, DOT and Turtle names. The
 parser, serializer, validator, exporters and ``add_model_edge`` all read this
-table; ``iter_edges`` walks a node's edges through it.
+table; ``iter_edges`` walks a node's edges through it, and
+``EdgeKind.directed`` turns a stored list into the relationship's direction
+for every layer that writes or draws edges.
 
 ``NODE_KINDS`` does the same for the five ``Document`` collections: one row
 each with its ``.nfrs`` keyword (also the ``resolve`` kind and the DOT/URN
@@ -197,6 +199,10 @@ class EdgeKind(Record):
         """The pair in storage orientation; works on names and on rendered ids alike."""
         return (target, source) if self.arrow == "of" else (source, target)
 
+    def directed(self, pairs):
+        """Stored ``pairs`` of this list in the relationship's direction; works on names and on rendered ids alike."""
+        return [(source, target) for target, source in pairs] if self.arrow == "of" else pairs
+
 
 # kind sets are tuples: membership tests by identity, while Enum hashing runs in Python
 _ANY_NFR = tuple(NfrKind)
@@ -268,12 +274,8 @@ def edge_kind(owner: type, keyword: str, target_kind: Enum | None = None) -> Edg
 def iter_edges(node: NfrsModelNode | NfrsViewModelNode):
     """Yield every edge of ``node`` as (kind, source, target), table order, relationship direction."""
     for kind in _KINDS_BY_TYPE[type(node)].edges:
-        if kind.arrow == "of":
-            for target, source in getattr(node, kind.field):
-                yield kind, source, target
-        else:
-            for source, target in getattr(node, kind.field):
-                yield kind, source, target
+        for source, target in kind.directed(getattr(node, kind.field)):
+            yield kind, source, target
 
 
 def edge_message(template: str, name: str, kind: Enum | None = None) -> str:

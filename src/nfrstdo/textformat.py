@@ -592,11 +592,8 @@ def _edge_lines(node: NfrsModelNode | NfrsViewModelNode, kinds: tuple[EdgeKind, 
     groups: dict[str, list[str]] = {}
     for kind, pairs in lists:
         head, arrow = f"  {kind.keyword} ", f" {kind.arrow} "
-        if kind.arrow == "of":  # stored (parent, child), written child first
-            lines = [f"{head}{quoted[child]}{arrow}{quoted[parent]}" for parent, child in pairs]
-        else:
-            lines = [f"{head}{quoted[source]}{arrow}{quoted[target]}" for source, target in pairs]
-        groups.setdefault(kind.keyword, []).extend(lines)
+        groups.setdefault(kind.keyword, []).extend(
+            [f"{head}{quoted[source]}{arrow}{quoted[target]}" for source, target in kind.directed(pairs)])
     return [line for group in groups.values() for line in sorted(group)]
 
 

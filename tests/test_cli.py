@@ -778,13 +778,29 @@ def test_closed_pipe_on_stdout_ends_quietly_with_3(tmp_path, command):
     assert result.stderr == ""
 
 
-def test_stdout_closed_at_start_is_a_usage_error(tmp_path):
+LOST = "nfrsctl: error: cannot write standard output: Bad file descriptor\n"
+
+
+@pytest.mark.parametrize("command, code, stderr", [(("validate", "R001"), 3, LOST), (("validate", PRODUCT), 0, ""),
+                                                   (("export", PRODUCT, "json", "-o", "OUT"), 0, "")])
+def test_stdout_closed_at_start_fails_only_a_command_that_writes_there(capsys, tmp_path, command, code, stderr):
     # the launcher closes descriptor 1 and runs nfrsctl in its place, as a shell does for ``nfrsctl ... >&-``
     launcher = ("-c", "import os, sys; os.close(1); os.execv(sys.executable, [sys.executable, '-m', 'nfrstdo', "
                       "*sys.argv[1:]])")
+    out = tmp_path / "out.json"
+    argv = [_r001(tmp_path) if arg == "R001" else str(out) if arg == "OUT" else arg for arg in command]
+    result = _nfrsctl(None, *argv, launcher=launcher)
+    assert (result.returncode, result.stderr) == (code, stderr)
+    if "-o" in command:
+        assert run(capsys, "export", PRODUCT, "json") == (0, out.read_text(encoding="utf-8"), "")
+
+
+def test_stdout_closed_after_start_is_left_on_devnull(tmp_path):
+    # a descriptor closed after start is the lowest free one, so os.open(os.devnull) takes its number
+    launcher = ("-c", "import os, sys; os.close(1); from nfrstdo.cli import main; code = main(sys.argv[1:]); "
+                      "print('written after main'); sys.exit(code)")
     result = _nfrsctl(None, "validate", _r001(tmp_path), launcher=launcher)
-    assert result.returncode == 3
-    assert result.stderr == "nfrsctl: error: cannot write standard output: Bad file descriptor\n"
+    assert (result.returncode, result.stderr) == (3, LOST)
 
 
 def test_help_is_a_short_user_facing_description(capsys):
