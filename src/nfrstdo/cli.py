@@ -4,10 +4,11 @@ Input is read as UTF-8; one leading byte-order mark is skipped. Exit codes:
 0 success, 1 validation errors (warnings too under ``--strict``), 2 parse
 failure (input that is not UTF-8 included), 3 usage error (an unreadable input,
 an unwritable ``-o`` file, and a standard output that is full, closed or
-otherwise fails when the command writes to it included). A closed pipe on
-standard output, as from ``| head``, ends the run with 3 and no message; any
-other failure of standard output prints ``nfrsctl: error: cannot write
-standard output: …`` on stderr. Query results and ``schema diff``
+otherwise fails when the command writes to it included, ``-h`` too). A closed
+pipe on standard output, as from ``| head``, ends the run with 3 and no
+message; any other failure of standard output prints ``nfrsctl: error: cannot
+write standard output: …`` on stderr. A standard error that fails ends the
+run with 3 as well, with no message. Query results and ``schema diff``
 share one printer: one line per item, or compact, key-sorted JSON under
 ``--format json``. Under ``--format json``, parse failures and the validation
 errors that stop a query also go to stdout as one diagnostic array; stderr
@@ -56,6 +57,13 @@ class _Fail(Exception):
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # noqa: D102 - argparse hook
         raise UsageError(message)
+
+    def print_help(self, file=None) -> None:
+        """Write and flush the help, so that a failure reaches ``main``: argparse's own printer ignores a failed
+        write, and ``-h`` then exits before ``main`` flushes."""
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()
 
 
 def _color_enabled() -> bool:
@@ -301,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nfrsctl",
         description="Validate, export and query NFRsTDO .nfrs documents, and inspect the built-in schemas.",
         epilog="exit codes: 0 success, 1 validation errors, 2 parse failure, 3 usage error (an unreadable input, "
-        "an unwritable output or standard output included; a closed pipe ends quietly with 3)",
+        "an unwritable output, standard output or standard error included; a closed pipe ends quietly with 3)",
     )
     commands = parser.add_subparsers(dest="command")
 
@@ -377,7 +385,10 @@ def _stdout_failed(exc: OSError) -> int:
     """Report a failed standard output, unless it is a closed pipe, and point its descriptor at ``os.devnull``, so
     that the flush at interpreter exit does not fail again."""
     if not isinstance(exc, BrokenPipeError):
-        print(f"nfrsctl: error: cannot write standard output: {exc.strerror or exc}", file=sys.stderr)
+        try:
+            print(f"nfrsctl: error: cannot write standard output: {exc.strerror or exc}", file=sys.stderr)
+        except OSError:  # standard error fails too, or failed first: the exit code alone reports it
+            pass
     try:
         fd = sys.stdout.fileno()
     except (OSError, ValueError):  # no descriptor (a _ClosedStdout, or a stream in memory): nothing to flush
@@ -393,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     if sys.stdout is None:
         sys.stdout = _ClosedStdout()
-    # every read and every -o write reports its own OSError, so one that reaches here is standard output's
+    # every read and every -o write reports its own OSError, so one that reaches here is standard output's or error's
     try:
         try:
             args = parser.parse_args(argv)

@@ -333,7 +333,7 @@ NFR_FIELDS = {
     NfrKind.CHARACTERISTIC: (_DEFINITION, _STATEMENT, NodeField("focus", "focus_kind", True, syntax="kind")),
     NfrKind.STATEMENT_ITEM: (NodeField("declaration", "declaration"), _STATEMENT),
 }
-# The fields of a view block, in the order the lexer's view statement token reads them.
+# The fields of a view block, in order: the parser, the serializer, the exporters and the lexer's view branch read it.
 VIEW_FIELDS = (
     NodeField("kind", "kind", syntax="kind"),
     NodeField("category", "category", False, "deals with universals", "deals_with_universals"),

@@ -17,17 +17,20 @@ edge statements, in the order of stages that ``_BODIES`` gives each word
 that opens a statement, with the owner's error expectations.
 
 The lexer turns the text, its line breaks made ``\\n``, into flat ``(kind,
-value, offset)`` tuples. A whole edge statement or view block with no comment
-and no escape inside is one statement token: the word token of its keyword,
-with the names and texts after it as a fourth item, which the body loop takes
-in one step. Any other statement, such as one with an empty name or a wrong
+value, offset)`` tuples. A whole edge statement or view block with no
+comment and no escape inside is one statement token: the word token of its
+keyword, with its values as a fourth item, which the body loop takes in one
+step. The view branch is built from ``VIEW_FIELDS`` and ``member`` reads the
+token through the same table, so ``model`` alone decides a view block's
+layout. Any other statement, such as one with an empty name or a wrong
 arrow, comes as plain tokens and is parsed one token at a time, so its error
 locations and messages are those of the plain path. The parser walks the
-tokens by index. Only for a ``ParseError`` does it turn an offset into a line
-and column, by a bisect over the offsets where lines start. For a declaration
-or an edge it stores the offset in ``Document.source_locations``, a
-``_Locations`` dict that keeps the line starts of the text, taken at parse
-time, and builds each ``SourceLocation`` only when it is read.
+tokens by index. Only for a ``ParseError`` does it turn an offset into a
+line and column, by a bisect over the offsets where lines start. For a
+declaration or an edge it stores the offset in
+``Document.source_locations``, a ``_Locations`` dict that keeps the line
+starts of the text, taken at parse time, and builds each ``SourceLocation``
+only when it is read.
 
 Grammar sketch (names and texts are double-quoted strings, ``#`` comments)::
 
@@ -154,30 +157,46 @@ def _keywords(arrow: str) -> str:
     return "|".join(dict.fromkeys(k.keyword for k in EDGE_KINDS if k.arrow == arrow))
 
 
+# A name or a text with no escape, captured without its quotes (a name is not empty), and the value of a field
+# line in each ``NodeField.syntax``, with one plain group per value: a pair has two.
+_NAME = r'"([^"\\\n]+)"'
+_VALUES = {"text": r'"([^"\\\n]*)"', "kind": rf'({"|".join(_FOCUS_KINDS)})(?![A-Za-z0-9_])',
+           "pair": rf"{_NAME}{_S}\.{_S}{_NAME}"}
+
+
+def _block_pattern(keyword: str, fields: tuple[NodeField, ...]) -> str:
+    """A whole ``keyword "name" { … }`` block with no escape in its strings, with plain groups for its name and then
+    for each field's values, in table order; the groups of an optional line that is left out read None."""
+    lines = (f"{f.keyword}{_S}:{_S}{_VALUES[f.syntax]}{_S}" for f in fields)
+    body = "".join(f"(?:{line})?" if f.optional else line for f, line in zip(fields, lines))
+    return rf"{keyword}{_S}{_NAME}{_S}\{{{_S}{body}\}}"
+
+
 # One token per match, dispatched on the name of its outermost group. The statement branches come first: a
-# whole edge statement (edge), with the arrow of its keyword, or a whole view block (view), each with no escape
-# in its strings, so that a value is the text between its quotes. Anything else, such as a statement with an
-# escape, a comment, an empty name or a field out of place, takes the plain branches: blanks and line breaks,
-# then a complete string, punctuation, a word, the end of input (eof; tried before a comment, so that a
-# trailing comment does not move it), a comment (no group), or any other character, a lexical error (other).
+# whole edge statement (edge), with the arrow of its keyword, or a whole view block (view, built from
+# ``VIEW_FIELDS``), each with no escape in its strings, so that a value is the text between its quotes; a
+# statement branch captures its values with plain groups. Anything else, such as a statement with an escape,
+# a comment, an empty name or a field out of place, takes the plain branches: blanks and line breaks, then a
+# complete string, punctuation, a word, the end of input (eof; tried before a comment, so that a trailing
+# comment does not move it), a comment (no group), or any other character, a lexical error (other).
 _TOKEN_RE = re.compile(
     rf'{_S}(?:(?P<edge>(?P<keyword>(?P<of>{_keywords("of")})|(?P<sym>{_keywords("<->")})|{_keywords("->")})'
-    rf'{_S}"(?P<source>[^"\\\n]+)"{_S}(?(of)of|(?(sym)<->|->)){_S}"(?P<target>[^"\\\n]+)")'
-    rf'|(?P<view>view{_S}"(?P<name>[^"\\\n]+)"{_S}\{{{_S}kind{_S}:{_S}'
-    rf'(?P<kind>{"|".join(_FOCUS_KINDS)})(?![A-Za-z0-9_]){_S}category{_S}:{_S}"(?P<category>[^"\\\n]*)"{_S}'
-    rf'focus{_S}:{_S}"(?P<model>[^"\\\n]+)"{_S}\.{_S}"(?P<characteristic>[^"\\\n]+)"{_S}'
-    rf'(?:statement{_S}:{_S}"(?P<statement>[^"\\\n]*)"{_S})?\}})'
+    rf'{_S}{_NAME}{_S}(?(of)of|(?(sym)<->|->)){_S}{_NAME})|(?P<view>{_block_pattern("view", VIEW_FIELDS)})'
     rf'|(?P<string>{_OPEN_STRING}")|(?P<punct><->|->|[{{}}:.])|(?P<word>[A-Za-z_][A-Za-z0-9_]*)'
     rf'|(?P<eof>)(?:#[^\n]*)?\Z|#[^\n]*|(?P<other>.))'
 )
+# The numbers of each statement branch's plain groups, in order: the values that its token carries.
+_GROUPS = _TOKEN_RE.groupindex
+_EDGE_VALUES, _VIEW_VALUES = ([n for n in range(_GROUPS[branch], _GROUPS[end]) if n not in _GROUPS.values()]
+                              for branch, end in (("edge", "view"), ("view", "string")))
 _OPEN_STRING_RE = re.compile(_OPEN_STRING)
 _ESCAPE_RE = re.compile(r"\\(.)")
 
 # A token is a flat (kind, value, offset) record: kind is word, string, punct or eof, a string's value is
 # unescaped, and offset is where the token starts in the text with its line breaks made "\n". A statement
-# token is a word token, its keyword, with a fourth item: the fields the parser would read from the plain
-# tokens after it, (source, target) for an edge and (name, kind, category, model, characteristic, statement)
-# for a view, with statement None when the block has none.
+# token is a word token, its keyword, with a fourth item: the values the parser would read from the plain
+# tokens after it, (source, target) for an edge, and for a view its name and then each of ``VIEW_FIELDS``'
+# values in table order (a kind as its word, a pair as two names), None for an optional field left out.
 _Record = tuple
 
 
@@ -235,7 +254,8 @@ class _Locations(dict):
         return _locate(self.starts, value) if value.__class__ is int else value
 
     def get(self, key, default=None):
-        return self[key] if key in self else default
+        value = dict.get(self, key, default)  # a default comes back as given, even an int
+        return _locate(self.starts, value) if value.__class__ is int and key in self else value
 
     def pop(self, key, *default):
         return self._read(dict.pop(self, key, *default)) if key in self else dict.pop(self, key, *default)
@@ -293,10 +313,9 @@ def _tokenize(text: str) -> list[_Record]:
         elif group == "word" or group == "punct":
             append((group, match[group], start))
         elif group == "edge":
-            append(("word", match["keyword"], start, match.group("source", "target")))
+            append(("word", match["keyword"], start, match.group(*_EDGE_VALUES)))
         elif group == "view":
-            append(("word", "view", start,
-                    match.group("name", "kind", "category", "model", "characteristic", "statement")))
+            append(("word", "view", start, match.group(*_VIEW_VALUES)))
         elif group == "eof":
             # place EOF on the last line's end-of-line cursor, never past the input
             append(("eof", "", start - 1 if start and text[start - 1] == "\n" else start))
@@ -527,14 +546,19 @@ class _Parser:
 
     def member(self, token: _Record) -> NfrNode | NfrViewNode:
         """The NFR or view whose block ``token`` opens, read through its closing '}'."""
-        if len(token) == 4:  # a view statement token
-            view, kind, category, model, characteristic, statement = token[3]
-            return NfrViewNode(view, _FOCUS_KINDS[kind], category, (model, characteristic), statement)
-        name = self.expect_name(_NAMES[token[1]])
-        self.expect_punct("{")
         nfr_kind = _NFR_KEYWORDS.get(token[1])
-        values = self.block_fields(VIEW_FIELDS if nfr_kind is None else NFR_FIELDS[nfr_kind])
-        self.expect_punct("}")
+        fields = VIEW_FIELDS if nfr_kind is None else NFR_FIELDS[nfr_kind]
+        if len(token) == 4:  # a statement token: the name, then each field's values in table order
+            rest = iter(token[3])
+            name, values = next(rest), {}
+            for f in fields:  # a pair takes two values, any other field one
+                values[f.attribute] = ((next(rest), next(rest)) if f.syntax == "pair" else
+                                       _FOCUS_KINDS.get(next(rest)) if f.syntax == "kind" else next(rest))
+        else:
+            name = self.expect_name(_NAMES[token[1]])
+            self.expect_punct("{")
+            values = self.block_fields(fields)
+            self.expect_punct("}")
         if nfr_kind is None:
             return NfrViewNode(name, **values)
         return NfrNode(nfr_kind, name, is_focus=values.get("focus_kind") is not None, **values)

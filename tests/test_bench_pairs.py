@@ -105,6 +105,37 @@ def test_gain_needs_nine_of_ten_pairs_won_and_medians_beyond_the_parent_iqr():
     assert (row["won"], row["gain"]) == (4, True)
 
 
+def test_verdict_is_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    # build_s, lower is better: parent median 0.19, IQR 0.145 to 0.235, 47% of the median against a 25% bound
+    parent = [0.10, 0.12, 0.14, 0.16, 0.18, 0.20, 0.22, 0.24, 0.26, 0.28]
+
+    def verdict(change: list[float], metric: dict = METRICS[0]) -> str:
+        pairs = [(bench_pairs.result_of(_line(p, 2.0)), bench_pairs.result_of(_line(c, 2.0)))
+                 for p, c in zip(parent, change)]
+        return bench_pairs.compare(pairs, [metric])[0]["verdict"]
+
+    # 10% worse, within the bound, but the parent's own runs cannot tell that from no change
+    assert verdict([p * 1.1 for p in parent]) == "unresolved"
+    # so is 10% better, while some change run is no better than some parent run
+    assert verdict([p * 0.9 for p in parent]) == "unresolved"
+    # every change run better than every parent run
+    assert verdict([p / 10 for p in parent]) == "ok"
+    # worse than the bound stays WORSE
+    assert verdict([p * 1.3 for p in parent]) == "WORSE"
+    # the same runs against a 50% bound, wider than the parent's spread
+    assert verdict([p * 1.1 for p in parent], {**METRICS[0], "bound": 0.5}) == "ok"
+    # a higher-is-better metric, pipeline_mb_per_s, reads the same way
+    pairs = [(bench_pairs.result_of(_line(0.01, p)), bench_pairs.result_of(_line(0.01, c)))
+             for p, c in zip(parent, [p * 1.1 for p in parent])]
+    lines = bench_pairs.summarize(pairs, [METRICS[1]])
+    assert lines[1].split()[-2:] == ["25%", "unresolved"]
+    summary = json.loads(json.dumps(bench_pairs.record(pairs, [METRICS[1]], {"parent": "a", "change": "b"},
+                                                       "small-docs", 1, 30, False)))
+    assert summary["metrics"][0]["verdict"] == "unresolved"
+    clear = [(bench_pairs.result_of(_line(0.01, p)), bench_pairs.result_of(_line(0.01, p + 1.0))) for p in parent]
+    assert bench_pairs.compare(clear, [METRICS[1]])[0]["verdict"] == "ok"
+
+
 def test_record_holds_what_the_summary_prints(tmp_path):
     parent = [_line(b, p) for b, p in ((0.016, 2.0), (0.014, 2.4), (0.018, 2.2), (0.015, 2.6), (0.017, 2.8))]
     change = [_line(*run) for run in ((0.012, 2.1), (0.0135, 2.3), (0.0155, 2.9), (0.011, 2.6, 2), (0.012, 2.7))]

@@ -754,7 +754,7 @@ def _r001(tmp_path) -> str:
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("command", [("export", PRODUCT, "json"), ("validate", "R001", "--mode", "instance"),
-                                     ("schema", "dump")])
+                                     ("schema", "dump"), ("-h",), ("validate", "-h")])
 def test_full_stdout_is_a_usage_error_with_one_line(tmp_path, command):
     argv = [_r001(tmp_path) if arg == "R001" else arg for arg in command]
     with open("/dev/full", "w") as full:
@@ -776,6 +776,19 @@ def test_closed_pipe_on_stdout_ends_quietly_with_3(tmp_path, command):
         os.close(write_end)
     assert result.returncode == 3
     assert result.stderr == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("source", [None, 'category "A" {\n'])
+def test_full_stderr_ends_with_3(tmp_path, source):
+    # a usage error (an input that is not there) and a parse failure, each with its message lost
+    path = tmp_path / "input.nfrs"
+    if source is not None:
+        path.write_text(source, encoding="utf-8")
+    with open("/dev/full", "w") as full:
+        result = subprocess.run([sys.executable, "-m", "nfrstdo", "validate", str(path)], stdout=subprocess.PIPE,
+                                stderr=full, text=True, env=child_env(), timeout=120)
+    assert (result.returncode, result.stdout) == (3, "")
 
 
 LOST = "nfrsctl: error: cannot write standard output: Bad file descriptor\n"
@@ -812,3 +825,15 @@ def test_help_is_a_short_user_facing_description(capsys):
     assert "``" not in out
     assert "tmp" not in out and "temporary" not in out
     assert "exit codes: 0 success, 1 validation errors, 2 parse failure, 3 usage error" in out
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["validate", "-h"]])
+def test_help_on_a_working_stdout_exits_0(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "100")  # argparse wraps the help to the terminal's width
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    help_text = capsys.readouterr().out
+    assert exit_info.value.code == 0 and help_text.startswith(f"usage: nfrsctl {' '.join(argv[:-1])}")
+    result = subprocess.run([sys.executable, "-m", "nfrstdo", *argv], capture_output=True, text=True,
+                            env={**child_env(), "COLUMNS": "100"}, timeout=120)
+    assert (result.returncode, result.stdout, result.stderr) == (0, help_text, "")

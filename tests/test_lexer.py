@@ -25,8 +25,8 @@ from collections import Counter
 
 import lexer_oracle
 from docgen import lexer_texts, mutated_texts, random_document
-from nfrstdo.model import EDGE_KINDS, iter_edges
-from nfrstdo.textformat import ParseError, ParseFailure, _tokenize, quote, serialize
+from nfrstdo.model import EDGE_KINDS, VIEW_FIELDS, iter_edges
+from nfrstdo.textformat import ParseError, ParseFailure, _block_pattern, _tokenize, quote, serialize
 
 MUTATIONS = 2000
 ARROWS = {k.keyword: k.arrow for k in EDGE_KINDS}
@@ -50,10 +50,15 @@ def statement_text(token: tuple) -> list[str]:
     if keyword != "view":
         source, target = fields
         return [keyword, f'"{source}"', ARROWS[keyword], f'"{target}"']
-    name, kind, category, model, characteristic, statement = fields
-    tail = [] if statement is None else ["statement", ":", f'"{statement}"']
-    return ["view", f'"{name}"', "{", "kind", ":", kind, "category", ":", f'"{category}"', "focus", ":",
-            f'"{model}"', ".", f'"{characteristic}"', *tail, "}"]
+    # after the name, each field's values in table order; a pair's second name is read inside the loop
+    values = iter(fields[1:])
+    pieces = ["view", f'"{fields[0]}"', "{"]
+    for f, value in zip(VIEW_FIELDS, values):
+        if f.syntax == "pair":
+            pieces += [f.keyword, ":", f'"{value}"', ".", f'"{next(values)}"']
+        elif value is not None:  # an optional field left out reads None
+            pieces += [f.keyword, ":", value if f.syntax == "kind" else f'"{value}"']
+    return [*pieces, "}"]
 
 
 def plain_tokens(text: str, tokens: list[tuple]) -> list[tuple]:
@@ -104,6 +109,16 @@ def escape_free(*strings: str | None) -> bool:
     return all(s is None or "\\" not in quote(s) for s in strings)
 
 
+def token_values(view) -> tuple:
+    """What a view's statement token carries: its name, then each field's values in ``VIEW_FIELDS`` order, a kind
+    as its word."""
+    values = [view.name]
+    for f in VIEW_FIELDS:
+        value = getattr(view, f.attribute)
+        values += value if f.syntax == "pair" else [value.value if f.syntax == "kind" else value]
+    return tuple(values)
+
+
 def test_escape_free_statements_lex_as_one_token():
     found = 0
     for seed in range(50):
@@ -113,9 +128,21 @@ def test_escape_free_statements_lex_as_one_token():
             expected.update((k.keyword, (source, target)) for k, source, target in iter_edges(owner)
                             if escape_free(source, target))
         for vm in doc.view_models.values():
-            expected.update(("view", (v.name, v.kind.value, v.category, *v.focus, v.statement))
-                            for v in vm.views.values() if escape_free(v.name, v.category, *v.focus, v.statement))
+            expected.update(("view", values) for values in map(token_values, vm.views.values())
+                            if escape_free(*values))
         statements = Counter((t[1], t[3]) for t in _tokenize(serialize(doc)) if len(t) == 4)
         assert statements == expected, seed
         found += sum(expected.values())
     assert found > 150
+
+
+def test_block_pattern_follows_its_field_table():
+    # the view fields in another order: the pattern reads a block written in that order, its values in table
+    # order, and no longer one written in the order of VIEW_FIELDS
+    reordered = re.compile(_block_pattern("view", (*VIEW_FIELDS[2:], *VIEW_FIELDS[:2])))
+    block = 'view "V" {\n  focus: "M" . "C"\n  statement: "s"\n  kind: cost\n  category: "X"\n}'
+    assert reordered.fullmatch(block).groups() == ("V", "M", "C", "s", "cost", "X")
+    assert reordered.fullmatch(block.replace('  statement: "s"\n', "")).groups() == ("V", "M", "C", None, "cost", "X")
+    old_order = 'view "V" { kind: cost category: "X" focus: "M" . "C" statement: "s" }'
+    assert re.fullmatch(_block_pattern("view", VIEW_FIELDS), old_order).groups() == ("V", "cost", "X", "M", "C", "s")
+    assert reordered.match(old_order) is None

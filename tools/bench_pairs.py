@@ -13,21 +13,24 @@ gives, for each end-to-end metric of ``BENCHMARK.json``: the parent's median
 and quartiles, the change's median, the change in percent, the pairs the
 change won, and how many of the change's runs lie beyond the parent's better
 quartile (below the first for a lower-is-better metric, above the third
-otherwise), and, for a metric with a ``bound``, that bound and whether the
-change's median is worse than the parent's by more than it (``WORSE``) or
-not (``ok``), the bound read as a fraction of the parent's median; and each
-side's failed operations. The ``gain`` column reads ``yes`` when the change won
-at least 9 of 10 pairs (ties count for neither) and its median is better than
-the parent's by more than the parent's interquartile range (q3 - q1), the
-rule for claiming a gain; otherwise ``no``. ``--record FILE`` also writes the
-summary to FILE as JSON: both revisions, the workload, the seeds, the number
-of pairs, ``--trace``, one row per metric with its pair-by-pair values, and
-the failed operations of each side. With ``--trace`` the runs are
-``--trace 1`` runs, and the summary covers the ``per_layer`` metrics of
-``BENCHMARK.json`` instead, such as ``textformat.parse_s``. Nothing is
-fetched and no ``perfbench/`` file is written. On SIGTERM or Ctrl-C the
-running benchmark, with every process it started, is killed and the
-temporary directory is removed.
+otherwise), and, for a metric with a ``bound``, that bound and a verdict, the
+bound read as a fraction of the parent's median: ``WORSE`` when the change's
+median is worse than the parent's by more than the bound; otherwise
+``unresolved`` when the parent's own interquartile range is wider than the
+bound, so that its runs cannot tell a change within the bound from none, and
+not every run of the change is better than every run of the parent; otherwise
+``ok``. Then each side's failed operations. The ``gain`` column reads ``yes``
+when the change won at least 9 of 10 pairs (ties count for neither) and its
+median is better than the parent's by more than the parent's interquartile
+range (q3 - q1), the rule for claiming a gain; otherwise ``no``. ``--record
+FILE`` also writes the summary to FILE as JSON: both revisions, the workload,
+the seeds, the number of pairs, ``--trace``, one row per metric with its
+pair-by-pair values, and the failed operations of each side. With ``--trace``
+the runs are ``--trace 1`` runs, and the summary covers the ``per_layer``
+metrics of ``BENCHMARK.json`` instead, such as ``textformat.parse_s``. Nothing
+is fetched and no ``perfbench/`` file is written. On SIGTERM or Ctrl-C the
+running benchmark, with every process it started, is killed and the temporary
+directory is removed.
 """
 
 from __future__ import annotations
@@ -69,10 +72,10 @@ def compare(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]:
 
     A row holds the parent's quartiles, the change's median and percent, the
     pairs the change won (ties count for neither), its runs beyond the
-    parent's better quartile, the bound and its verdict for a metric with a
-    ``bound``, and ``gain``: whether the change won at least 9 of 10 pairs and
-    its median is better than the parent's by more than the parent's
-    interquartile range.
+    parent's better quartile, the bound and its verdict (``WORSE``,
+    ``unresolved`` or ``ok``) for a metric with a ``bound``, and ``gain``:
+    whether the change won at least 9 of 10 pairs and its median is better
+    than the parent's by more than the parent's interquartile range.
     """
     rows = []
     for metric in metrics:
@@ -93,7 +96,10 @@ def compare(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]:
         if "bound" in metric:
             bound = row["bound"] = metric["bound"]
             worse = change > parent * (1 + bound) if lower else change < parent * (1 - bound)
-            row["verdict"] = "WORSE" if worse else "ok"
+            parents, changes = [p for p, _ in runs], [c for _, c in runs]
+            clear = max(changes) < min(parents) if lower else min(changes) > max(parents)
+            unresolved = q3 - q1 > bound * abs(parent) and not clear
+            row["verdict"] = "WORSE" if worse else "unresolved" if unresolved else "ok"
         rows.append(row)
     return rows
 
@@ -110,7 +116,7 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
     """Summary lines for (parent result, change result) pairs over the given metric declarations."""
     width = max(28, *(len(metric["name"]) for metric in metrics))
     lines = [f"{'metric':{width}} {'parent median [q1, q3]':40} {'change':>10} {'change %':>9} {'won':>7} "
-             f"{'beyond':>7} {'gain':>4}" + (f" {'bound':>10}" if any("bound" in metric for metric in metrics) else "")]
+             f"{'beyond':>7} {'gain':>4}" + (f" {'bound':>14}" if any("bound" in metric for metric in metrics) else "")]
     for row in compare(pairs, metrics):
         if row.get("missing"):
             lines.append(f"{row['name']:{width}} missing")
@@ -123,7 +129,7 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
                 f"{beyond:>7} {gain:>4}")
         if "bound" in row:
             verdict = f"{row['bound']:.0%} {row['verdict']}"
-            line += f" {verdict:>10}"
+            line += f" {verdict:>14}"
         lines.append(line)
     for side, counts in failures(pairs).items():
         lines.append(f"failed_ops {side}: {counts['failed']} of {counts['attempted']} operations; "
