@@ -17,20 +17,19 @@ edge statements, in the order of stages that ``_BODIES`` gives each word
 that opens a statement, with the owner's error expectations.
 
 The lexer turns the text, its line breaks made ``\\n``, into flat ``(kind,
-value, offset)`` tuples. A whole edge statement or view block with no
-comment and no escape inside is one statement token: the word token of its
-keyword, with its values as a fourth item, which the body loop takes in one
-step. The view branch is built from ``VIEW_FIELDS`` and ``member`` reads the
-token through the same table, so ``model`` alone decides a view block's
-layout. Any other statement, such as one with an empty name or a wrong
+value, offset)`` tuples. A whole edge statement or view block with no comment
+and no escape inside is one statement token: the word token of its keyword,
+with the names and texts after it as a fourth item, which the body loop takes
+in one step. The view branch is built from ``VIEW_FIELDS``, and ``member``
+reads the token through the same table, so ``model`` alone decides a view
+block's layout. Any other statement, such as one with an empty name or a wrong
 arrow, comes as plain tokens and is parsed one token at a time, so its error
 locations and messages are those of the plain path. The parser walks the
-tokens by index. Only for a ``ParseError`` does it turn an offset into a
-line and column, by a bisect over the offsets where lines start. For a
-declaration or an edge it stores the offset in
-``Document.source_locations``, a ``_Locations`` dict that keeps the line
-starts of the text, taken at parse time, and builds each ``SourceLocation``
-only when it is read.
+tokens by index. Only for a ``ParseError`` does it turn an offset into a line
+and column, by a bisect over the offsets where lines start. For a declaration
+or an edge it stores the offset in ``Document.source_locations``, a
+``_Locations`` dict that keeps the line starts of the text, taken at parse
+time, and builds each ``SourceLocation`` only when it is read.
 
 Grammar sketch (names and texts are double-quoted strings, ``#`` comments)::
 
@@ -172,21 +171,19 @@ def _block_pattern(keyword: str, fields: tuple[NodeField, ...]) -> str:
     return rf"{keyword}{_S}{_NAME}{_S}\{{{_S}{body}\}}"
 
 
-# One token per match, dispatched on the name of its outermost group. The statement branches come first: a
-# whole edge statement (edge), with the arrow of its keyword, or a whole view block (view, built from
-# ``VIEW_FIELDS``), each with no escape in its strings, so that a value is the text between its quotes; a
-# statement branch captures its values with plain groups. Anything else, such as a statement with an escape,
-# a comment, an empty name or a field out of place, takes the plain branches: blanks and line breaks, then a
-# complete string, punctuation, a word, the end of input (eof; tried before a comment, so that a trailing
-# comment does not move it), a comment (no group), or any other character, a lexical error (other).
+# One token per match, dispatched on the name of its outermost group. The statement branches come first: a whole edge
+# statement (edge), with the arrow of its keyword, or a whole view block (view), each with no escape in its strings,
+# so that a value, in a plain group, is the text between its quotes. Anything else, such as a statement with an
+# escape, a comment, an empty name or a field out of place, takes the plain branches: blanks and line breaks, then a
+# complete string, punctuation, a word, the end of input (eof; tried before a comment, so that a trailing comment does
+# not move it), a comment (no group), or any other character, a lexical error (other).
 _TOKEN_RE = re.compile(
     rf'{_S}(?:(?P<edge>(?P<keyword>(?P<of>{_keywords("of")})|(?P<sym>{_keywords("<->")})|{_keywords("->")})'
     rf'{_S}{_NAME}{_S}(?(of)of|(?(sym)<->|->)){_S}{_NAME})|(?P<view>{_block_pattern("view", VIEW_FIELDS)})'
     rf'|(?P<string>{_OPEN_STRING}")|(?P<punct><->|->|[{{}}:.])|(?P<word>[A-Za-z_][A-Za-z0-9_]*)'
     rf'|(?P<eof>)(?:#[^\n]*)?\Z|#[^\n]*|(?P<other>.))'
 )
-# The numbers of each statement branch's plain groups, in order: the values that its token carries.
-_GROUPS = _TOKEN_RE.groupindex
+_GROUPS = _TOKEN_RE.groupindex  # a statement token carries its branch's plain groups, the ones with no name
 _EDGE_VALUES, _VIEW_VALUES = ([n for n in range(_GROUPS[branch], _GROUPS[end]) if n not in _GROUPS.values()]
                               for branch, end in (("edge", "view"), ("view", "string")))
 _OPEN_STRING_RE = re.compile(_OPEN_STRING)
