@@ -382,8 +382,8 @@ class _ClosedStdout(io.TextIOBase):
 
 
 def _stdout_failed(exc: OSError) -> int:
-    """Report a failed standard output, unless it is a closed pipe, and point its descriptor at ``os.devnull``, so
-    that the flush at interpreter exit does not fail again."""
+    """Report a failed standard output or error, unless it is a closed pipe or stderr itself, and point stdout's
+    descriptor at ``os.devnull``, so that the flush at interpreter exit does not fail again."""
     if not isinstance(exc, BrokenPipeError):
         try:
             print(f"nfrsctl: error: cannot write standard output: {exc.strerror or exc}", file=sys.stderr)
