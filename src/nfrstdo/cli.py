@@ -1,22 +1,22 @@
 """``nfrsctl``: validate, export, query, and inspect the built-in schemas.
 
-Input is read as UTF-8; one leading byte-order mark is skipped. Exit codes:
-0 success, 1 validation errors (warnings too under ``--strict``), 2 parse
-failure (input that is not UTF-8 included), 3 usage error (an unreadable input,
-an unwritable ``-o`` file, and a standard output that is full, closed or
-otherwise fails when the command writes to it included, ``-h`` too). A closed
-pipe on standard output, as from ``| head``, ends the run with 3 and no
-message; any other failure of standard output prints ``nfrsctl: error: cannot
-write standard output: …`` on stderr. A standard error that fails ends the
-run with 3 as well, with no message. Query results and ``schema diff``
-share one printer: one line per item, or compact, key-sorted JSON under
+Input is read as UTF-8; one leading byte-order mark is skipped. Exit codes: 0
+success, 1 validation errors (warnings too under ``--strict``), 2 parse failure
+(input that is not UTF-8 included), 3 usage error (an unreadable input, an
+unwritable ``-o`` file, and a standard output that is full, closed or otherwise
+fails when the command writes to it included, ``-h`` too). A closed pipe on
+standard output, as from ``| head``, ends the run with 3 and no message; any
+other failure of standard output prints ``nfrsctl: error: cannot write standard
+output: …`` on stderr. A standard error that fails ends the run with 3 as well,
+with no message. An interrupt (Ctrl-C) ends the run with 3 and ``nfrsctl:
+error: interrupted`` on stderr, not a traceback. Query results and ``schema
+diff`` share one printer: one line per item, or compact, key-sorted JSON under
 ``--format json``. Under ``--format json``, parse failures and the validation
 errors that stop a query also go to stdout as one diagnostic array; stderr
-keeps the text. ``-o`` onto a new or regular file writes a sibling
-temporary file and renames it onto the target, so the target holds either the
-old or the whole new output; any other target (a symlink, a FIFO, a device) is
-written directly. Set ``NFRSCTL_NO_COLOR`` to disable ANSI styling of
-severities.
+keeps the text. ``-o`` onto a new or regular file writes a sibling temporary
+file and renames it onto the target, so the target holds either the old or the
+whole new output; any other target (a symlink, a FIFO, a device) is written
+directly. Set ``NFRSCTL_NO_COLOR`` to disable ANSI styling of severities.
 """
 
 from __future__ import annotations
@@ -309,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nfrsctl",
         description="Validate, export and query NFRsTDO .nfrs documents, and inspect the built-in schemas.",
         epilog="exit codes: 0 success, 1 validation errors, 2 parse failure, 3 usage error (an unreadable input, "
-        "an unwritable output, standard output or standard error included; a closed pipe ends quietly with 3)",
+        "an unwritable output, standard output or standard error included; a closed pipe ends quietly with 3; "
+        "an interrupt ends with 3 too)",
     )
     commands = parser.add_subparsers(dest="command")
 
@@ -401,12 +402,12 @@ def _stdout_failed(exc: OSError) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     if sys.stdout is None:
         sys.stdout = _ClosedStdout()
     # every read and every -o write reports its own OSError, so one that reaches here is standard output's or error's
     try:
         try:
+            parser = build_parser()
             args = parser.parse_args(argv)
             if getattr(args, "func", None) is None:
                 parser.print_usage(sys.stderr)
@@ -417,6 +418,9 @@ def main(argv: list[str] | None = None) -> int:
             code = ExitCode.USAGE_ERROR
         except _Fail as fail:
             code = fail.code
+        except KeyboardInterrupt:
+            print("nfrsctl: error: interrupted", file=sys.stderr)
+            code = ExitCode.USAGE_ERROR
         sys.stdout.flush()
     except OSError as exc:
         return _stdout_failed(exc)

@@ -17,23 +17,36 @@ class factory(partial):
 
 
 class _RecordType(type):
-    """Gives each record class ``__slots__``, ``_fields`` and an ``__init__`` built from its annotated fields."""
+    """Gives each record class ``__slots__``, ``_fields``, ``_positions`` and an ``__init__`` built from its fields.
+
+    ``__init__`` turns ``self`` into a private writable twin of its type (whose
+    ``__setattr__`` and ``__delattr__`` are ``object``'s), stores each field with
+    a plain slot store, turns it back and only then runs ``__post_init__``; so a
+    subclass of a record type with fields must declare its own.
+    """
 
     def __new__(mcls, name, bases, namespace):
         fields = tuple(namespace.get("__annotations__", ()))
         if len(fields) == 1:  # attrgetter would return the bare value, so the hash would not be the tuple's
             raise TypeError(f"record {name} needs two or more fields")
+        if not fields and any(getattr(base, "_fields", ()) for base in bases):
+            raise TypeError(f"record {name} must declare its own fields")
         defaults = {f: namespace.pop(f) for f in fields if f in namespace}
         namespace["__slots__"] = (*fields, *namespace.get("__slots__", ()))
         cls = super().__new__(mcls, name, bases, namespace)
         if fields:
             cls._fields, cls._key = fields, attrgetter(*fields)
+            cls._positions = {f: i for i, f in enumerate(fields)}
+            # with both hooks object's, each store below is a specialised slot store, not a call
+            twin = type.__new__(mcls, name, (cls,), {"__slots__": (), "__setattr__": object.__setattr__,
+                                                     "__delattr__": object.__delattr__})
             lines = [f"def __init__(self, {', '.join(f'{f}=_d[{f!r}]' if f in defaults else f for f in fields)}):"]
             lines += [f" if {f} is _d[{f!r}]: {f} = {f}()" for f in fields if isinstance(defaults.get(f), factory)]
-            lines += [f" _set(self, {f!r}, {f})" for f in fields]
+            lines += [" _set(self, '__class__', _twin)", *(f" self.{f} = {f}" for f in fields), " self.__class__ = _c"]
             if hasattr(cls, "__post_init__"):
                 lines.append(" self.__post_init__()")
-            exec("\n".join(lines), {"_d": defaults, "_set": object.__setattr__}, made := {})
+            exec("\n".join(lines), {"_d": defaults, "_set": object.__setattr__, "_twin": twin, "_c": cls},
+                 made := {})
             cls.__init__ = made["__init__"]
         return cls
 

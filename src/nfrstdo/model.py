@@ -384,9 +384,9 @@ class Document(Record):
 
 
 def _copy_with(record: Record, field: str, value) -> Record:
-    """``replace(record, field=value)`` by position, through ``__init__``; ``_closure_indexes`` is not carried over."""
+    """``replace(record, field=value)`` at its ``_positions`` index via ``__init__``; drops ``_closure_indexes``."""
     values = list(record._key(record))
-    values[record._fields.index(field)] = value
+    values[record._positions[field]] = value
     return record.__class__(*values)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import math
 import os
 import signal
 import subprocess
@@ -154,8 +155,50 @@ def test_record_holds_what_the_summary_prints(tmp_path):
                      "verdict": "ok"}
     assert (pipeline["won"], pipeline["beyond"], pipeline["gain"], pipeline["verdict"]) == (2, 2, False, "ok")
     assert query == {"name": "query_p75_us", "missing": True}
+    assert summary["paired"] == json.loads(json.dumps(bench_pairs.paired(pairs, METRICS)))
     assert summary["failed_ops"] == {"parent": {"failed": 0, "attempted": 5000, "correct_runs": 5, "runs": 5},
                                      "change": {"failed": 2, "attempted": 5000, "correct_runs": 4, "runs": 5}}
+
+def test_paired_statistic_and_sign_test_interval_on_canned_pairs():
+    parent = [0.010 + 0.001 * i for i in range(10)]
+    ratios = [0.79 - 0.01 * i for i in range(10)]  # change / parent of each pair, 0.70 to 0.79
+    pairs = [(bench_pairs.result_of(_line(p, 2.0)), bench_pairs.result_of(_line(p * r, 2.0)))
+             for p, r in zip(parent, ratios)]
+    build, pipeline, query = bench_pairs.paired(pairs, METRICS)
+    # the median of the ten log ratios lies between the 5th and 6th, 0.74 and 0.75; for ten pairs the sign test
+    # takes the 2nd and 9th ordered ratios, which cover 1 - 2 (1 + 10) / 1024 of the distribution
+    assert build == {"name": "build_s", "pairs": 10,
+                     "median_log_ratio": pytest.approx((math.log(0.74) + math.log(0.75)) / 2),
+                     "low_log_ratio": pytest.approx(math.log(0.71)), "high_log_ratio": pytest.approx(math.log(0.78)),
+                     "coverage": pytest.approx(1 - 22 / 1024)}
+    assert (pipeline["median_log_ratio"], pipeline["low_log_ratio"], pipeline["high_log_ratio"]) == (0, 0, 0)
+    assert query == {"name": "query_p75_us", "missing": True}
+    lines = bench_pairs.summarize(pairs, METRICS)
+    assert lines[6].split()[:2] == ["paired", "median"]
+    assert lines[7].split() == ["build_s", "-25.5%", "[-29.0%,", "-22.0%]", "97.9%", "10"]
+    assert lines[8].split() == ["pipeline_mb_per_s", "+0.0%", "[+0.0%,", "+0.0%]", "97.9%", "10"]
+    assert lines[9].split() == ["query_p75_us", "n/a"]
+
+
+def test_sign_interval_takes_the_widest_k_that_keeps_the_coverage():
+    # five pairs: no k reaches 95%, so the extremes, with 1 - 2 / 32
+    assert bench_pairs.sign_interval([3.0, 1.0, 2.0, 5.0, 4.0]) == (1.0, 5.0, pytest.approx(1 - 2 / 32))
+    # twenty pairs: k = 6 covers 1 - 2 * 21700 / 2**20, about 95.9%, and k = 7 only about 88.5%
+    low, high, coverage = bench_pairs.sign_interval([float(v) for v in range(20, 0, -1)])
+    assert (low, high, coverage) == (6.0, 15.0, pytest.approx(1 - 2 * 21700 / 2 ** 20))
+    assert bench_pairs.sign_interval([0.5]) == (0.5, 0.5, 0.0)
+
+
+def test_the_seed_places_the_revisions_in_neutral_trees():
+    layouts = [bench_pairs.layout(seed) for seed in range(1, 21)]
+    assert layouts == [bench_pairs.layout(seed) for seed in range(1, 21)]
+    assert all(sorted((lay["parent"], lay["change"])) == ["a", "b"] for lay in layouts)
+    assert {lay["parent"] for lay in layouts} == {"a", "b"}
+    assert {lay["first"] for lay in layouts} == {"parent", "change"}
+    summary = bench_pairs.record([], METRICS, {"parent": "a1", "change": "b2"}, "small-docs", 5, 30, False,
+                                 bench_pairs.layout(5))
+    assert summary["slots"] == bench_pairs.layout(5)
+
 
 PER_LAYER = [
     {"name": "textformat.parse_s", "unit": "s", "better": "lower"},

@@ -3,16 +3,19 @@ from __future__ import annotations
 import codecs
 import json
 import os
+import signal
 import stat
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
 import nfrstdo
 from conftest import fixture_path
+from nfrstdo import cli
 from nfrstdo.cli import main
 
 CHAIN = str(fixture_path("quality_views_chain.nfrs"))
@@ -789,6 +792,40 @@ def test_full_stderr_ends_with_3(tmp_path, source):
         result = subprocess.run([sys.executable, "-m", "nfrstdo", "validate", str(path)], stdout=subprocess.PIPE,
                                 stderr=full, text=True, env=child_env(), timeout=120)
     assert (result.returncode, result.stdout) == (3, "")
+
+
+def test_an_interrupt_ends_with_3_and_one_line(monkeypatch, capsys):
+    def interrupted(path: str, fmt: str) -> str:
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_read_text", interrupted)
+    try:
+        result = run(capsys, "validate", CHAIN)
+    except KeyboardInterrupt:  # not let through: pytest would end the whole session
+        pytest.fail("the interrupt escaped main")
+    assert result == (3, "", "nfrsctl: error: interrupted\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_sigint_while_reading_stdin_ends_with_3_and_no_traceback():
+    # the launcher says on stdout when the package is imported; the child then reads a pipe nobody writes to
+    launcher = ("import sys; from nfrstdo.cli import main; print('ready', flush=True); "
+                "sys.exit(main(sys.argv[1:]))")
+    read_end, write_end = os.pipe()
+    child = subprocess.Popen([sys.executable, "-c", launcher, "validate", "/dev/stdin"], stdin=read_end,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env())
+    os.close(read_end)
+    try:
+        assert child.stdout.readline() == "ready\n"
+        time.sleep(1)  # into the read of /dev/stdin
+        child.send_signal(signal.SIGINT)
+        stdout, stderr = child.communicate(timeout=120)
+    finally:
+        os.close(write_end)
+        if child.poll() is None:
+            child.kill()
+            child.wait()
+    assert (child.returncode, stdout, stderr) == (3, "", "nfrsctl: error: interrupted\n")
 
 
 LOST = "nfrsctl: error: cannot write standard output: Bad file descriptor\n"

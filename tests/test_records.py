@@ -18,6 +18,7 @@ A record type of one field is refused.
 from __future__ import annotations
 
 import copy
+import dis
 import inspect
 import pickle
 from dataclasses import fields
@@ -26,7 +27,7 @@ import pytest
 
 from conftest import fixture_path, load_fixture
 from docgen import lexer_texts, mutated_texts
-from nfrstdo.diagnostics import Record, SourceLocation, factory
+from nfrstdo.diagnostics import Record, SourceLocation, factory, replace
 from nfrstdo.kernel import (
     ArchSpec,
     ComponentRef,
@@ -36,7 +37,18 @@ from nfrstdo.kernel import (
     diff_schemas,
     parse_arch,
 )
-from nfrstdo.model import EDGE_KINDS, NFR_FIELDS, NODE_KINDS, VIEW_FIELDS, FocusKind, NfrKind, NfrNode
+from nfrstdo.model import (
+    EDGE_KINDS,
+    NFR_FIELDS,
+    NODE_KINDS,
+    VIEW_FIELDS,
+    CategoryNode,
+    FocusKind,
+    NfrKind,
+    NfrNode,
+    add_node,
+    add_view_edge,
+)
 from nfrstdo.queries import depends_closure, influence_closure, mapping_coverage
 from nfrstdo.textformat import ParseFailure, parse
 from nfrstdo.validator import ValidationMode, validate
@@ -117,6 +129,7 @@ def test_records_agree_with_their_dataclasses():
     count = 0
     for record in _corpus():
         count += 1
+        assert type(record) in OLD, type(record)  # its declared type, never the writable twin that filled it
         was = old(record)
         assert type(was) is OLD[type(record)]
         assert repr(record) == repr(was)
@@ -159,6 +172,47 @@ def test_one_field_records_are_refused():
     with pytest.raises(TypeError, match="two or more fields"):
         class One(Record):
             value: int
+
+
+def test_a_subclass_of_a_record_type_with_fields_must_declare_its_own():
+    # the inherited __init__ would fill it through its parent's twin, and so turn it into its parent
+    with pytest.raises(TypeError, match="must declare its own fields"):
+        class Sub(SourceLocation):
+            pass
+
+    class Base(Record):  # a base without fields, like model._OwnerNode, passes its subclasses on
+        def total(self):
+            return self.line + self.column
+
+    class Own(Base):
+        line: int
+        column: int
+
+    assert type(Own(1, 2)) is Own and Own(1, 2).total() == 3
+
+
+def test_records_made_by_the_write_path_keep_their_declared_type():
+    doc = parse(fixture_path("quality_views_chain.nfrs").read_text(encoding="utf-8"))
+    vm = next(iter(doc.view_models.values()))
+    origin, target = list(vm.views)[:2]
+    made = [add_view_edge(doc, vm.name, "influences", origin, target), add_node(doc, CategoryNode("Fresh")),
+            replace(vm, specification="s"), SourceLocation(1, 2)]
+    made += [made[0].view_models[vm.name], made[1].categories["Fresh"]]
+    for record in made:
+        assert type(record) in OLD and type(record).__setattr__ is Record.__setattr__
+        with pytest.raises(AttributeError):
+            record.name = "x"
+
+
+@pytest.mark.parametrize("new", list(OLD), ids=lambda cls: cls.__name__)
+def test_init_calls_nothing_per_field(new):
+    # one call switches self into the writable twin; each field is then a plain store, not a call; one call
+    # more per factory default and one for __post_init__
+    code = new.__init__.__code__
+    calls = sum(op.opname.startswith("CALL") for op in dis.get_instructions(code))
+    factories = sum(isinstance(default, factory) for default in new.__init__.__defaults__ or ())
+    assert calls == 1 + factories + hasattr(new, "__post_init__")
+    assert sum(op.opname == "STORE_ATTR" for op in dis.get_instructions(code)) == len(new._fields) + 1
 
 
 def test_factory_defaults_are_fresh_per_record():

@@ -5,10 +5,11 @@ Run from the root of a checkout::
     python3 tools/bench_pairs.py PARENT CHANGE --workload nfr-catalog --pairs 10 [--trace] [--record FILE]
 
 Each revision is unpacked with ``git archive`` into its own temporary
-directory, and ``perfbench/run.py --trace 0`` runs there, as the command in
-``BENCHMARK.json`` names it, for the ``run_seconds`` it sets. Pair ``i`` runs
-both sides on seed ``--seed + i``; the side that runs first alternates from
-pair to pair. Each run's result line is printed as it ends. The summary then
+directory, named ``a`` or ``b`` whichever it holds, and ``perfbench/run.py
+--trace 0`` runs there, as the command in ``BENCHMARK.json`` names it, for the
+``run_seconds`` it sets. Pair ``i`` runs both sides on seed ``--seed + i``;
+the side that runs first alternates from pair to pair. ``--seed`` also decides
+which revision goes in tree ``a`` and which side runs first in the first pair. Each run's result line is printed as it ends. The summary then
 gives, for each end-to-end metric of ``BENCHMARK.json``: the parent's median
 and quartiles, the change's median, the change in percent, the pairs the
 change won, and how many of the change's runs lie beyond the parent's better
@@ -22,10 +23,16 @@ not every run of the change is better than every run of the parent; otherwise
 ``ok``. Then each side's failed operations. The ``gain`` column reads ``yes``
 when the change won at least 9 of 10 pairs (ties count for neither) and its
 median is better than the parent's by more than the parent's interquartile
-range (q3 - q1), the rule for claiming a gain; otherwise ``no``. ``--record
-FILE`` also writes the summary to FILE as JSON: both revisions, the workload,
-the seeds, the number of pairs, ``--trace``, one row per metric with its
-pair-by-pair values, and the failed operations of each side. With ``--trace``
+range (q3 - q1), the rule for claiming a gain; otherwise ``no``. A second
+table gives the paired statistic of each metric: the median over the pairs of
+log(change / parent), printed as a percent, with a distribution-free
+sign-test interval, the k-th smallest and k-th largest ratio for the largest k
+whose coverage is still 95%, and that coverage (for 10 pairs the 2nd and 9th
+ratios, about 98%). ``--record FILE`` also writes the summary to FILE as JSON:
+both revisions, the workload, the seeds, the number of pairs, ``--trace``, the
+tree and the first side of each revision, one row per metric with its
+pair-by-pair values, the paired statistic of each metric, and the failed
+operations of each side. With ``--trace``
 the runs are ``--trace 1`` runs, and the summary covers the ``per_layer``
 metrics of ``BENCHMARK.json`` instead, such as ``textformat.parse_s``. Nothing
 is fetched and no ``perfbench/`` file is written. On SIGTERM or Ctrl-C the
@@ -38,7 +45,9 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
+import random
 import signal
 import statistics
 import subprocess
@@ -104,6 +113,38 @@ def compare(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]:
     return rows
 
 
+def sign_interval(ratios: list[float], level: float = 0.95) -> tuple[float, float, float]:
+    """(low, high, coverage): the k-th smallest and k-th largest of ``ratios`` for the largest k whose sign-test
+    coverage, 1 - 2 P(Binomial(n, 1/2) < k), is at least ``level``, and that coverage (k = 1 when none is)."""
+    n, ordered = len(ratios), sorted(ratios)
+
+    def coverage(k: int) -> float:
+        return 1 - 2 * sum(math.comb(n, i) for i in range(k)) / 2 ** n
+
+    k = 1
+    while 2 * (k + 1) <= n and coverage(k + 1) >= level:
+        k += 1
+    return ordered[k - 1], ordered[n - k], coverage(k)
+
+
+def paired(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]:
+    """One row per metric: the median of the per-pair log(change / parent), over the pairs where both values are
+    positive, with its ``sign_interval``; a metric with no such pair reads ``{"name": ..., "missing": True}``."""
+    rows = []
+    for metric in metrics:
+        name = metric["name"]
+        ratios = [math.log(c["metrics"][name]["value"] / p["metrics"][name]["value"]) for p, c in pairs
+                  if name in p["metrics"] and name in c["metrics"]
+                  and p["metrics"][name]["value"] > 0 and c["metrics"][name]["value"] > 0]
+        if not ratios:
+            rows.append({"name": name, "missing": True})
+            continue
+        low, high, coverage = sign_interval(ratios)
+        rows.append({"name": name, "pairs": len(ratios), "median_log_ratio": statistics.median(ratios),
+                     "low_log_ratio": low, "high_log_ratio": high, "coverage": coverage})
+    return rows
+
+
 def failures(pairs: list[tuple[dict, dict]]) -> dict:
     """Each side's failed and attempted operations and its correct runs."""
     return {side: {"failed": sum(pair[index]["failed"] for pair in pairs),
@@ -134,16 +175,36 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
     for side, counts in failures(pairs).items():
         lines.append(f"failed_ops {side}: {counts['failed']} of {counts['attempted']} operations; "
                      f"{counts['correct_runs']}/{counts['runs']} runs correct")
+    lines.append(f"{'paired':{width}} {'median change/parent - 1 [sign-test interval]':46} {'coverage':>8} "
+                 f"{'pairs':>5}")
+    for row in paired(pairs, metrics):
+        if row.get("missing"):
+            lines.append(f"{row['name']:{width}} n/a")
+            continue
+        low, median, high = (f"{math.expm1(row[k]):+.1%}" for k in ("low_log_ratio", "median_log_ratio",
+                                                                    "high_log_ratio"))
+        lines.append(f"{row['name']:{width}} {f'{median} [{low}, {high}]':46} {row['coverage']:8.1%} "
+                     f"{row['pairs']:5}")
     return lines
 
 
 def record(pairs: list[tuple[dict, dict]], metrics: list[dict], names: dict[str, str], workload: str,
-           first_seed: int, seconds: float, trace: bool) -> dict:
-    """What the summary prints, as one JSON object: the run's settings, a ``compare`` row per metric (each with
-    its (parent, change) values, pair by pair) and each side's failed operations."""
+           first_seed: int, seconds: float, trace: bool, slots: dict | None = None) -> dict:
+    """What the summary prints, as one JSON object: the run's settings, ``slots`` (the ``layout`` of the run), a
+    ``compare`` row per metric (each with its (parent, change) values, pair by pair), a ``paired`` row per metric
+    and each side's failed operations."""
     return {"parent": names["parent"], "change": names["change"], "workload": workload,
             "seeds": list(range(first_seed, first_seed + len(pairs))), "pairs": len(pairs), "seconds": seconds,
-            "trace": trace, "metrics": compare(pairs, metrics), "failed_ops": failures(pairs)}
+            "trace": trace, "slots": slots, "metrics": compare(pairs, metrics), "paired": paired(pairs, metrics),
+            "failed_ops": failures(pairs)}
+
+
+def layout(seed: int) -> dict:
+    """Which tree, ``a`` or ``b``, holds each revision, and which side runs first in the first pair, drawn from
+    ``seed``, so that neither revision always sits in one tree or runs first."""
+    draw = random.Random(seed)
+    trees = ("a", "b") if draw.random() < 0.5 else ("b", "a")
+    return {"parent": trees[0], "change": trees[1], "first": draw.choice(("parent", "change"))}
 
 
 def unpack(revision: str, directory: Path) -> str:
@@ -200,25 +261,28 @@ def main() -> int:
     parser.add_argument("--record", metavar="FILE", help="also write the summary to FILE as JSON")
     args = parser.parse_args()
     signal.signal(signal.SIGTERM, stop)
-    pairs = []
+    pairs, slots = [], layout(args.seed)
+    first, second = slots["first"], "change" if slots["first"] == "parent" else "parent"
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
-        trees = {side: Path(tmp) / side for side in ("parent", "change")}
-        names = {side: unpack(getattr(args, side), trees[side]) for side in trees}
+        trees = {side: Path(tmp) / slots[side] for side in ("parent", "change")}
+        names = {side: unpack(getattr(args, side), trees[side]) for side in sorted(trees, key=slots.get)}
         for i in range(args.pairs):
             seed = args.seed + i
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            order = (first, second) if i % 2 == 0 else (second, first)
             results = {}
             for side in order:
                 results[side] = run_once(benchmark["command"], trees[side], args.workload, seed,
                                          benchmark["run_seconds"], args.trace)
                 print(f"pair {i + 1} seed {seed} {side} {names[side]}: {json.dumps(results[side])}", flush=True)
             pairs.append((results["parent"], results["change"]))
-    print(f"{args.workload}: parent {names['parent']} vs change {names['change']}, {len(pairs)} pairs, "
+    print(f"{args.workload}: parent {names['parent']} (tree {slots['parent']}) vs change {names['change']} "
+          f"(tree {slots['change']}), {slots['first']} first, {len(pairs)} pairs, "
           f"--seconds {benchmark['run_seconds']:g}, --trace {int(args.trace)}")
     metrics = benchmark["per_layer" if args.trace else "end_to_end"]
     print("\n".join(summarize(pairs, metrics)))
     if args.record:
-        summary = record(pairs, metrics, names, args.workload, args.seed, benchmark["run_seconds"], args.trace)
+        summary = record(pairs, metrics, names, args.workload, args.seed, benchmark["run_seconds"], args.trace,
+                         slots)
         Path(args.record).write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
