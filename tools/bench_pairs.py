@@ -7,37 +7,37 @@ Run from the root of a checkout::
 Each revision is unpacked with ``git archive`` into its own temporary
 directory, named ``a`` or ``b`` whichever it holds, and ``perfbench/run.py
 --trace 0`` runs there, as the command in ``BENCHMARK.json`` names it, for the
-``run_seconds`` it sets. Pair ``i`` runs both sides on seed ``--seed + i``;
-the side that runs first alternates from pair to pair. ``--seed`` also decides
-which revision goes in tree ``a`` and which side runs first in the first pair. Each run's result line is printed as it ends. The summary then
-gives, for each end-to-end metric of ``BENCHMARK.json``: the parent's median
-and quartiles, the change's median, the change in percent, the pairs the
-change won, and how many of the change's runs lie beyond the parent's better
-quartile (below the first for a lower-is-better metric, above the third
-otherwise), and, for a metric with a ``bound``, that bound and a verdict, the
-bound read as a fraction of the parent's median: ``WORSE`` when the change's
-median is worse than the parent's by more than the bound; otherwise
-``unresolved`` when the parent's own interquartile range is wider than the
-bound, so that its runs cannot tell a change within the bound from none, and
-not every run of the change is better than every run of the parent; otherwise
-``ok``. Then each side's failed operations. The ``gain`` column reads ``yes``
-when the change won at least 9 of 10 pairs (ties count for neither) and its
-median is better than the parent's by more than the parent's interquartile
-range (q3 - q1), the rule for claiming a gain; otherwise ``no``. A second
-table gives the paired statistic of each metric: the median over the pairs of
-log(change / parent), printed as a percent, with a distribution-free
-sign-test interval, the k-th smallest and k-th largest ratio for the largest k
-whose coverage is still 95%, and that coverage (for 10 pairs the 2nd and 9th
-ratios, about 98%). ``--record FILE`` also writes the summary to FILE as JSON:
-both revisions, the workload, the seeds, the number of pairs, ``--trace``, the
-tree and the first side of each revision, one row per metric with its
-pair-by-pair values, the paired statistic of each metric, and the failed
-operations of each side. With ``--trace``
-the runs are ``--trace 1`` runs, and the summary covers the ``per_layer``
-metrics of ``BENCHMARK.json`` instead, such as ``textformat.parse_s``. Nothing
-is fetched and no ``perfbench/`` file is written. On SIGTERM or Ctrl-C the
-running benchmark, with every process it started, is killed and the temporary
-directory is removed.
+``run_seconds`` it sets. Pair ``i`` runs both sides on seed ``--seed + i``; the
+side that runs first alternates from pair to pair. ``--seed`` also decides
+which revision goes in tree ``a`` and which side runs first in the first pair.
+Each run's result line is printed as it ends. The summary then gives, for each
+end-to-end metric of ``BENCHMARK.json``: the parent's median and quartiles, the
+change's median, the change in percent, the pairs the change won, and how many
+of the change's runs lie beyond the parent's better quartile (below the first
+for a lower-is-better metric, above the third otherwise), and, for a metric
+with a ``bound``, that bound and a verdict, the bound read as a fraction of the
+parent's median: ``WORSE`` when the change's median is worse than the parent's
+by more than the bound; otherwise ``unresolved`` when the parent's own
+interquartile range is wider than the bound, so that its runs cannot tell a
+change within the bound from none, and not every run of the change is better
+than every run of the parent; otherwise ``ok``. Then each side's failed
+operations. The ``gain`` column reads ``yes`` when the change won at least 9 of
+10 pairs (ties count for neither) and its median is better than the parent's by
+more than the parent's interquartile range (q3 - q1), the rule for claiming a
+gain; otherwise ``no``. A second table gives the paired statistic of each
+metric: the median over the pairs of log(change / parent), printed as a
+percent, with a distribution-free sign-test interval, the k-th smallest and
+k-th largest ratio for the largest k whose coverage is still 95%, and that
+coverage (for 10 pairs the 2nd and 9th ratios, about 98%). ``--record FILE``
+also writes the summary to FILE as JSON: both revisions, the workload, the
+seeds, the number of pairs, ``--trace``, ``slots`` (the tree of each revision
+and the side that ran first), one row per metric with its pair-by-pair values,
+the paired statistic of each metric, and the failed operations of each side.
+With ``--trace`` the runs are ``--trace 1`` runs, and the summary covers the
+``per_layer`` metrics of ``BENCHMARK.json`` instead, such as
+``textformat.parse_s``. Nothing is fetched and no ``perfbench/`` file is
+written. On SIGTERM or Ctrl-C the running benchmark, with every process it
+started, is killed and the temporary directory is removed.
 """
 
 from __future__ import annotations
