@@ -12,7 +12,10 @@ record of its type and the previous record of any type. Per type, the
 constructor signatures and the ``__post_init__`` errors agree, and fields
 refuse assignment and deletion. ``copy.copy``, ``copy.deepcopy`` and a
 ``pickle`` round trip give back an equal record of the same type and ``repr``.
-A record type of one field is refused.
+A record type of one field is refused, and so is a subclass without fields of
+its own of a record type with fields. Each ``__init__`` fills its record
+through a writable twin with no call per field, and no record, from the
+corpus or the write path, is left as the twin.
 """
 
 from __future__ import annotations
