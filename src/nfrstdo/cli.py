@@ -35,7 +35,7 @@ from functools import cache
 from .diagnostics import Diagnostic, Severity, SourceLocation, render_json, render_text
 from .model import Document
 from .textformat import ParseFailure, parse
-from .validator import ValidationMode, has_errors, validate
+from .validator import RULES, ValidationMode, has_errors, validate
 
 
 class ExitCode(IntEnum):
@@ -171,11 +171,9 @@ def cmd_export(args: argparse.Namespace) -> ExitCode:
     from . import export
 
     doc = _load_document(args.file, "text")
-    # only an unknown edge endpoint (R-REF) or a broken category hierarchy (R-018) stops an export; any other
-    # unresolved name, such as an entity's or a view's category, is drawn as a link to a node never declared
-    referential = [d for d in validate(doc, ValidationMode.MODEL) if d.code in ("R-REF", "R-018")]
-    if referential:
-        _print_diagnostics(referential, args.file, "text", stream=sys.stderr)
+    refused = [d for d in validate(doc, ValidationMode.MODEL) if RULES[d.code].export]
+    if refused:
+        _print_diagnostics(refused, args.file, "text", stream=sys.stderr)
         return ExitCode.VALIDATION_ERRORS
     renderers = {"json": export.to_json, "dot": export.to_dot, "turtle": export.to_turtle}
     _write_output(renderers[args.to](doc), args.output)

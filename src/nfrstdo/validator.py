@@ -1,8 +1,11 @@
 """Constraint validation over parsed documents.
 
-Every finding carries a stable ``R-###`` code. The catalog distinguishes
-unresolved names (R-REF, or the rule owning that reference) from resolved
-names of the wrong kind, so one authoring mistake maps to exactly one code.
+Every finding carries a stable ``R-###`` code. ``RULES`` is the catalog: one
+row per code gives its severity in each mode and whether ``nfrsctl export``
+refuses a document that has it; the README's rule table states each rule. The
+catalog distinguishes unresolved names (R-REF, or the rule owning that
+reference) from resolved names of the wrong kind, so one authoring mistake maps
+to exactly one code.
 
 Two modes reflect two workflows: Model mode validates a reusable
 specification that may not name concrete entities yet, Instance mode holds a
@@ -15,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from enum import Enum
 
-from .diagnostics import Diagnostic, Severity, replace, sort_diagnostics
+from .diagnostics import Diagnostic, Record, Severity, replace, sort_diagnostics
 from .model import Document, FocusKind, NfrKind, NfrsModelNode, NfrsViewModelNode, edge_message, iter_edges
 
 
@@ -41,20 +44,48 @@ def depends_contradictions(vm: NfrsViewModelNode) -> list[tuple[str, str]]:
     return sorted((b, a) for b, a in vm.depends_on_edges if (a, b) not in influences)
 
 
+class Rule(Record):
+    """A row of ``RULES``. The severity fields are named by the ``ValidationMode`` values they apply in."""
+
+    model: Severity
+    instance: Severity
+    export: bool = False  # whether ``nfrsctl export`` refuses a document with this code
+
+
+_E, _W = Severity.ERROR, Severity.WARNING
+RULES = {
+    "R-REF": Rule(_E, _E, export=True),
+    "R-001": Rule(_E, _E),
+    "R-002": Rule(_E, _E),
+    "R-003": Rule(_E, _E),
+    "R-004": Rule(_E, _E),
+    "R-005": Rule(_E, _E),
+    "R-006": Rule(_E, _E),
+    "R-006b": Rule(_E, _E),
+    "R-007": Rule(_E, _E),
+    "R-008": Rule(_E, _E),
+    "R-009": Rule(_W, _E),
+    "R-010": Rule(_E, _E),
+    "R-011": Rule(_W, _W),
+    "R-012": Rule(_E, _E),
+    "R-013": Rule(_E, _E),
+    "R-014": Rule(_E, _E),
+    "R-015": Rule(_W, _W),
+    "R-016": Rule(_W, _W),
+    "R-017": Rule(_E, _E),
+    "R-018": Rule(_E, _E, export=True),
+}
+
+
 class _Sink:
-    def __init__(self, doc: Document) -> None:
-        self.doc = doc
+    def __init__(self, doc: Document, mode: ValidationMode) -> None:
+        self.doc, self.mode = doc, mode
         self.diagnostics: list[Diagnostic] = []
 
-    def add(self, code: str, severity: Severity, message: str, subject: str, loc_key: tuple | None) -> None:
+    def add(self, code: str, message: str, subject: str, loc_key: tuple | None) -> None:
         location = self.doc.source_locations.get(loc_key)  # None for a None key
+        severity = getattr(RULES[code], self.mode.value)
         self.diagnostics.append(Diagnostic(code, severity, message, subject, location))
-
-    def error(self, code: str, message: str, subject: str, loc_key: tuple | None) -> None:
-        self.add(code, Severity.ERROR, message, subject, loc_key)
-
-    def warning(self, code: str, message: str, subject: str, loc_key: tuple | None) -> None:
-        self.add(code, Severity.WARNING, message, subject, loc_key)
 
 
 def _cycle_groups(edges: list[tuple[str, str]]) -> list[list[str]]:
@@ -109,7 +140,7 @@ def _cycle_groups(edges: list[tuple[str, str]]) -> list[list[str]]:
     return groups
 
 
-def _check_model(doc: Document, model: NfrsModelNode, mode: ValidationMode, sink: _Sink) -> None:
+def _check_model(doc: Document, model: NfrsModelNode, sink: _Sink) -> None:
     m = model.name
     kinds = {name: nfr.kind for name, nfr in model.nfrs.items()}
 
@@ -125,20 +156,20 @@ def _check_model(doc: Document, model: NfrsModelNode, mode: ValidationMode, sink
         subject = f"model:{m}/{kind.keyword}:{source}{separator}{target}"
         key = ("edge", m, kind.keyword, *kind.stored(source, target))
         if source_kind is None:
-            sink.error("R-REF", f"unknown NFR {source!r} in model {m!r}", subject, key)
+            sink.add("R-REF", f"unknown NFR {source!r} in model {m!r}", subject, key)
         elif source_kind not in kind.sources:
-            sink.error(kind.code, edge_message(kind.source_message, source, source_kind), subject, key)
+            sink.add(kind.code, edge_message(kind.source_message, source, source_kind), subject, key)
         if kind.collection is not None:
             if target not in getattr(doc, kind.collection):
-                sink.error(kind.code, edge_message(kind.target_message, target), subject, key)
+                sink.add(kind.code, edge_message(kind.target_message, target), subject, key)
         elif self_pair:
             # a self-pair of the symmetric relationship has a single endpoint
             if source_kind is not None:
-                sink.warning("R-011", f"NFR {source!r} relates with itself", subject, key)
+                sink.add("R-011", f"NFR {source!r} relates with itself", subject, key)
         elif target_kind is None:
-            sink.error("R-REF", f"unknown NFR {target!r} in model {m!r}", subject, key)
+            sink.add("R-REF", f"unknown NFR {target!r} in model {m!r}", subject, key)
         elif target_kind not in kind.targets:
-            sink.error(kind.code, edge_message(kind.target_message, target, target_kind), subject, key)
+            sink.add(kind.code, edge_message(kind.target_message, target, target_kind), subject, key)
 
     # sub-characteristic hierarchy over the edges whose endpoints are both characteristics
     characteristics = {n for n, nfr in model.nfrs.items() if nfr.kind is NfrKind.CHARACTERISTIC}
@@ -148,52 +179,30 @@ def _check_model(doc: Document, model: NfrsModelNode, mode: ValidationMode, sink
         parents.setdefault(child, []).append(parent)
     for child, parent_list in sorted(parents.items()):
         if len(set(parent_list)) > 1:
-            sink.error(
-                "R-013",
-                f"characteristic {child!r} has {len(set(parent_list))} parents; the hierarchy is a forest",
-                f"model:{m}/nfr:{child}",
-                ("nfr", m, child),
-            )
+            sink.add("R-013", f"characteristic {child!r} has {len(set(parent_list))} parents; the hierarchy is"
+                     " a forest", f"model:{m}/nfr:{child}", ("nfr", m, child))
     for group in _cycle_groups([(child, parent) for parent, child in valid_subchar]):
-        sink.error(
-            "R-013",
-            "sub-characteristic hierarchy contains a cycle: " + " -> ".join(group),
-            f"model:{m}/subcharacteristic-cycle:{' -> '.join(group)}",
-            None,
-        )
+        sink.add("R-013", "sub-characteristic hierarchy contains a cycle: " + " -> ".join(group),
+                 f"model:{m}/subcharacteristic-cycle:{' -> '.join(group)}", None)
 
     foci = sorted(n.name for n in model.nfrs.values() if n.is_focus)
     if len(foci) > 1:
-        sink.error(
-            "R-013",
-            f"model declares {len(foci)} evaluation foci ({', '.join(foci)}); at most one is allowed",
-            f"model:{m}",
-            ("model", m),
-        )
+        sink.add("R-013", f"model declares {len(foci)} evaluation foci ({', '.join(foci)}); at most one is allowed",
+                 f"model:{m}", ("model", m))
     for focus in foci:
         if focus in parents:
-            sink.error(
-                "R-013",
-                f"evaluation focus {focus!r} has a parent; the focus is the root of the model",
-                f"model:{m}/nfr:{focus}",
-                ("nfr", m, focus),
-            )
+            sink.add("R-013", f"evaluation focus {focus!r} has a parent; the focus is the root of the model",
+                     f"model:{m}/nfr:{focus}", ("nfr", m, focus))
 
     # every NFR names at least one concrete entity
     with_entity = {source for source, _ in model.refers_to_entity_edges}
-    severity = Severity.ERROR if mode is ValidationMode.INSTANCE else Severity.WARNING
     for name in sorted(model.nfrs):
         if name not in with_entity:
-            sink.add(
-                "R-009",
-                severity,
-                f"NFR {name!r} refers to no evaluable entity; at least one is required",
-                f"model:{m}/nfr:{name}",
-                ("nfr", m, name),
-            )
+            sink.add("R-009", f"NFR {name!r} refers to no evaluable entity; at least one is required",
+                     f"model:{m}/nfr:{name}", ("nfr", m, name))
 
 
-def _check_view_model(doc: Document, vm: NfrsViewModelNode, mode: ValidationMode, sink: _Sink) -> None:
+def _check_view_model(doc: Document, vm: NfrsViewModelNode, sink: _Sink) -> None:
     v = vm.name
 
     for name in sorted(vm.views):
@@ -202,43 +211,24 @@ def _check_view_model(doc: Document, vm: NfrsViewModelNode, mode: ValidationMode
         key = ("view", v, name)
         category = doc.categories.get(view.category)
         if category is None:
-            sink.error("R-004", f"view deals with unknown category {view.category!r}", subject, key)
+            sink.add("R-004", f"view deals with unknown category {view.category!r}", subject, key)
         elif category.parent is not None:
-            sink.warning(
-                "R-015",
-                f"view category {view.category!r} has parent {category.parent!r}; a view expects"
-                " the super-category at the highest abstraction level",
-                subject,
-                key,
-            )
+            sink.add("R-015", f"view category {view.category!r} has parent {category.parent!r}; a view expects"
+                     " the super-category at the highest abstraction level", subject, key)
 
         focus_model, focus_char = view.focus
         model = doc.models.get(focus_model)
         focus = None if model is None else model.nfrs.get(focus_char)
         if focus is None:
-            if mode is ValidationMode.INSTANCE:
-                sink.error(
-                    "R-007",
-                    f"view focus {focus_model!r} . {focus_char!r} is not represented by any model"
-                    " in this document",
-                    subject,
-                    key,
-                )
+            if sink.mode is ValidationMode.INSTANCE:
+                sink.add("R-007", f"view focus {focus_model!r} . {focus_char!r} is not represented by any model"
+                         " in this document", subject, key)
         elif not focus.is_focus:
-            sink.error(
-                "R-007",
-                f"view focus must target a focus-marked characteristic; {focus_char!r} in model"
-                f" {focus_model!r} is not marked as one",
-                subject,
-                key,
-            )
+            sink.add("R-007", f"view focus must target a focus-marked characteristic; {focus_char!r} in model"
+                     f" {focus_model!r} is not marked as one", subject, key)
         elif focus.focus_kind is not view.kind:
-            sink.error(
-                "R-014",
-                f"{view.kind.value} view targets a {focus.focus_kind.value} focus ({focus_char!r})",
-                subject,
-                key,
-            )
+            sink.add("R-014", f"{view.kind.value} view targets a {focus.focus_kind.value} focus ({focus_char!r})",
+                     subject, key)
 
     contradicting = {("depends_on", *edge) for edge in depends_contradictions(vm)}
     views = vm.views
@@ -251,32 +241,23 @@ def _check_view_model(doc: Document, vm: NfrsViewModelNode, mode: ValidationMode
         key = ("edge", v, kind.keyword, source, target)
         missing = [name for name in dict.fromkeys((source, target)) if name not in views]
         for name in missing:
-            sink.error("R-REF", f"unknown view {name!r} in view model {v!r}", subject, key)
+            sink.add("R-REF", f"unknown view {name!r} in view model {v!r}", subject, key)
         if missing:
             continue
         # one diagnostic names every endpoint of the wrong kind
         wrong = sorted({name for name, allowed in ((source, kind.sources), (target, kind.targets))
                         if views[name].kind not in allowed})
         if wrong:
-            sink.error(kind.code, edge_message(kind.target_message, ", ".join(wrong)), subject, key)
+            sink.add(kind.code, edge_message(kind.target_message, ", ".join(wrong)), subject, key)
         elif (kind.keyword, source, target) in contradicting:
-            sink.error(
-                "R-006b",
-                f"explicit depends_on contradicts influences: no influences {target!r} -> {source!r}"
-                " edge exists",
-                subject,
-                key,
-            )
+            sink.add("R-006b", f"explicit depends_on contradicts influences: no influences {target!r} ->"
+                     f" {source!r} edge exists", subject, key)
 
     quality = {name for name, view in vm.views.items() if view.kind is FocusKind.QUALITY}
     resolved_influences = [(s, t) for s, t in vm.influences_edges if s in quality and t in quality]
     for group in _cycle_groups(resolved_influences):
-        sink.warning(
-            "R-016",
-            "influence relationships form a cycle: " + " -> ".join(group),
-            f"view_model:{v}/influences-cycle:{' -> '.join(group)}",
-            None,
-        )
+        sink.add("R-016", "influence relationships form a cycle: " + " -> ".join(group),
+                 f"view_model:{v}/influences-cycle:{' -> '.join(group)}", None)
 
 
 def validate(doc: Document, mode: ValidationMode = ValidationMode.MODEL) -> list[Diagnostic]:
@@ -285,30 +266,25 @@ def validate(doc: Document, mode: ValidationMode = ValidationMode.MODEL) -> list
     Diagnostics come back sorted by (code, subject, message), so repeated
     runs render identically.
     """
-    sink = _Sink(doc)
+    sink = _Sink(doc, mode)
     categories = doc.categories
     for name in sorted(categories):
         parent = categories[name].parent
         if parent is not None and parent not in categories:
-            sink.error("R-018", f"category has unknown parent {parent!r}; a parent must be a category",
-                       f"category:{name}", ("category", name))
+            sink.add("R-018", f"category has unknown parent {parent!r}; a parent must be a category",
+                     f"category:{name}", ("category", name))
     for group in _cycle_groups([(name, c.parent) for name, c in categories.items() if c.parent in categories]):
-        sink.error("R-018", "category hierarchy contains a cycle: " + " -> ".join(group),
-                   f"category-cycle:{' -> '.join(group)}", None)
+        sink.add("R-018", "category hierarchy contains a cycle: " + " -> ".join(group),
+                 f"category-cycle:{' -> '.join(group)}", None)
     for name in sorted(doc.entities):
         entity = doc.entities[name]
         if entity.category not in doc.categories:
-            sink.error(
-                "R-001",
-                f"entity belongs to unknown category {entity.category!r}; every entity needs"
-                " exactly one resolvable category",
-                f"entity:{name}",
-                ("entity", name),
-            )
+            sink.add("R-001", f"entity belongs to unknown category {entity.category!r}; every entity needs"
+                     " exactly one resolvable category", f"entity:{name}", ("entity", name))
     for name in sorted(doc.models):
-        _check_model(doc, doc.models[name], mode, sink)
+        _check_model(doc, doc.models[name], sink)
     for name in sorted(doc.view_models):
-        _check_view_model(doc, doc.view_models[name], mode, sink)
+        _check_view_model(doc, doc.view_models[name], sink)
     return sort_diagnostics(sink.diagnostics)
 
 

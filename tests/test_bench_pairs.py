@@ -190,14 +190,18 @@ def test_sign_interval_takes_the_widest_k_that_keeps_the_coverage():
 
 
 def test_the_seed_places_the_revisions_in_neutral_trees():
-    layouts = [bench_pairs.layout(seed) for seed in range(1, 21)]
-    assert layouts == [bench_pairs.layout(seed) for seed in range(1, 21)]
-    assert all(sorted((lay["parent"], lay["change"])) == ["a", "b"] for lay in layouts)
-    assert {lay["parent"] for lay in layouts} == {"a", "b"}
-    assert {lay["first"] for lay in layouts} == {"parent", "change"}
+    workloads = ("small-docs", "nfr-catalog", "view-network")
+    for workload in workloads:
+        layouts = [bench_pairs.layout(seed, workload) for seed in range(1, 21)]
+        assert layouts == [bench_pairs.layout(seed, workload) for seed in range(1, 21)]
+        assert all(sorted((lay["parent"], lay["change"])) == ["a", "b"] for lay in layouts)
+        assert {lay["parent"] for lay in layouts} == {"a", "b"}
+        assert {lay["first"] for lay in layouts} == {"parent", "change"}
+    # the workload name takes part in the draw: one seed does not give every workload one arrangement
+    assert len({tuple(sorted(bench_pairs.layout(1, workload).items())) for workload in workloads}) > 1
     summary = bench_pairs.record([], METRICS, {"parent": "a1", "change": "b2"}, "small-docs", 5, 30, False,
-                                 bench_pairs.layout(5))
-    assert summary["slots"] == bench_pairs.layout(5)
+                                 bench_pairs.layout(5, "small-docs"))
+    assert summary["slots"] == bench_pairs.layout(5, "small-docs")
 
 
 PER_LAYER = [

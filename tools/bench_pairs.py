@@ -8,8 +8,10 @@ Each revision is unpacked with ``git archive`` into its own temporary
 directory, named ``a`` or ``b`` whichever it holds, and ``perfbench/run.py
 --trace 0`` runs there, as the command in ``BENCHMARK.json`` names it, for the
 ``run_seconds`` it sets. Pair ``i`` runs both sides on seed ``--seed + i``; the
-side that runs first alternates from pair to pair. ``--seed`` also decides
-which revision goes in tree ``a`` and which side runs first in the first pair.
+side that runs first alternates from pair to pair. ``--seed`` and the workload
+name together decide which revision goes in tree ``a`` and which side runs
+first in the first pair, so that one ``--seed`` gives the workloads different
+arrangements.
 Each run's result line is printed as it ends. The summary then gives, for each
 end-to-end metric of ``BENCHMARK.json``: the parent's median and quartiles, the
 change's median, the change in percent, the pairs the change won, and how many
@@ -199,10 +201,10 @@ def record(pairs: list[tuple[dict, dict]], metrics: list[dict], names: dict[str,
             "failed_ops": failures(pairs)}
 
 
-def layout(seed: int) -> dict:
+def layout(seed: int, workload: str) -> dict:
     """Which tree, ``a`` or ``b``, holds each revision, and which side runs first in the first pair, drawn from
-    ``seed``, so that neither revision always sits in one tree or runs first."""
-    draw = random.Random(seed)
+    ``seed`` and ``workload``, so that neither revision always sits in one tree or runs first, on any workload."""
+    draw = random.Random(f"{seed}:{workload}")
     trees = ("a", "b") if draw.random() < 0.5 else ("b", "a")
     return {"parent": trees[0], "change": trees[1], "first": draw.choice(("parent", "change"))}
 
@@ -261,7 +263,7 @@ def main() -> int:
     parser.add_argument("--record", metavar="FILE", help="also write the summary to FILE as JSON")
     args = parser.parse_args()
     signal.signal(signal.SIGTERM, stop)
-    pairs, slots = [], layout(args.seed)
+    pairs, slots = [], layout(args.seed, args.workload)
     first, second = slots["first"], "change" if slots["first"] == "parent" else "parent"
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         trees = {side: Path(tmp) / slots[side] for side in ("parent", "change")}
