@@ -180,7 +180,8 @@ def _check_model(doc: Document, model: NfrsModelNode, sink: _Sink) -> None:
     for child, parent_list in sorted(parents.items()):
         if len(set(parent_list)) > 1:
             sink.add("R-013", f"characteristic {child!r} has {len(set(parent_list))} parents; the hierarchy is"
-                     " a forest", f"model:{m}/nfr:{child}", ("nfr", m, child))
+                     " a forest",
+                     f"model:{m}/nfr:{child}", ("nfr", m, child))
     for group in _cycle_groups([(child, parent) for parent, child in valid_subchar]):
         sink.add("R-013", "sub-characteristic hierarchy contains a cycle: " + " -> ".join(group),
                  f"model:{m}/subcharacteristic-cycle:{' -> '.join(group)}", None)
@@ -214,7 +215,8 @@ def _check_view_model(doc: Document, vm: NfrsViewModelNode, sink: _Sink) -> None
             sink.add("R-004", f"view deals with unknown category {view.category!r}", subject, key)
         elif category.parent is not None:
             sink.add("R-015", f"view category {view.category!r} has parent {category.parent!r}; a view expects"
-                     " the super-category at the highest abstraction level", subject, key)
+                     " the super-category at the highest abstraction level",
+                     subject, key)
 
         focus_model, focus_char = view.focus
         model = doc.models.get(focus_model)
@@ -222,10 +224,12 @@ def _check_view_model(doc: Document, vm: NfrsViewModelNode, sink: _Sink) -> None
         if focus is None:
             if sink.mode is ValidationMode.INSTANCE:
                 sink.add("R-007", f"view focus {focus_model!r} . {focus_char!r} is not represented by any model"
-                         " in this document", subject, key)
+                         " in this document",
+                         subject, key)
         elif not focus.is_focus:
             sink.add("R-007", f"view focus must target a focus-marked characteristic; {focus_char!r} in model"
-                     f" {focus_model!r} is not marked as one", subject, key)
+                     f" {focus_model!r} is not marked as one",
+                     subject, key)
         elif focus.focus_kind is not view.kind:
             sink.add("R-014", f"{view.kind.value} view targets a {focus.focus_kind.value} focus ({focus_char!r})",
                      subject, key)
@@ -250,8 +254,9 @@ def _check_view_model(doc: Document, vm: NfrsViewModelNode, sink: _Sink) -> None
         if wrong:
             sink.add(kind.code, edge_message(kind.target_message, ", ".join(wrong)), subject, key)
         elif (kind.keyword, source, target) in contradicting:
-            sink.add("R-006b", f"explicit depends_on contradicts influences: no influences {target!r} ->"
-                     f" {source!r} edge exists", subject, key)
+            sink.add("R-006b", f"explicit depends_on contradicts influences: no influences {target!r} -> {source!r}"
+                     " edge exists",
+                     subject, key)
 
     quality = {name for name, view in vm.views.items() if view.kind is FocusKind.QUALITY}
     resolved_influences = [(s, t) for s, t in vm.influences_edges if s in quality and t in quality]
@@ -280,7 +285,8 @@ def validate(doc: Document, mode: ValidationMode = ValidationMode.MODEL) -> list
         entity = doc.entities[name]
         if entity.category not in doc.categories:
             sink.add("R-001", f"entity belongs to unknown category {entity.category!r}; every entity needs"
-                     " exactly one resolvable category", f"entity:{name}", ("entity", name))
+                     " exactly one resolvable category",
+                     f"entity:{name}", ("entity", name))
     for name in sorted(doc.models):
         _check_model(doc, doc.models[name], sink)
     for name in sorted(doc.view_models):

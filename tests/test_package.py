@@ -1,6 +1,6 @@
 """The package entry: lazy public names, the layers each ``nfrsctl`` subcommand loads, what the sources need
-to run (the standard library only, and Python 3.10), no unused import or private name in them, and a README
-synopsis that names every option."""
+to run (the standard library only, and Python 3.10), no unused import or private name in them, a README
+synopsis that names every option, and a README rule table that follows ``validator.RULES``."""
 
 from __future__ import annotations
 
@@ -168,3 +168,25 @@ def test_readme_cli_synopsis_lists_every_option():
                 continue
             for option in action.option_strings:
                 assert re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", lines[0]), (path, option)
+
+
+def test_readme_rule_table_follows_the_rules_and_the_kernel():
+    from nfrstdo.kernel import builtin_schema
+    from nfrstdo.validator import RULES
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Rule codes\n", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in section.splitlines()
+            if line.startswith("| R-")]
+    assert [row[0] for row in rows] == list(RULES)
+    for code, _, model, instance, _, export in rows:
+        rule = RULES[code]
+        assert (model, instance, export) == (rule.model.value, rule.instance.value, "yes" if rule.export else "no")
+    relationships = builtin_schema("1.2").relationships
+    named = {row[4] for row in rows} - {"—"}
+    assert named <= {r.name for r in relationships}
+    # the cardinality gate: a relationship that requires a target is enforced by an instance-mode error
+    enforced = {relationship for code, _, _, instance, relationship, _ in rows if instance == "error"}
+    required = {r.name for r in relationships if r.min_count >= 1}
+    assert required == {"belongs to", "deals with universals", "is represented by", "refers to particulars"}
+    assert required <= enforced

@@ -16,7 +16,9 @@ from nfrstdo.model import (
     MODEL_EDGE_KINDS, Document, FocusKind, NfrKind, NfrNode, NfrsModelNode, NfrsViewModelNode, NfrViewNode,
 )
 from nfrstdo.textformat import parse, serialize
-from nfrstdo.validator import ValidationMode, _cycle_groups, derive_depends_on, depends_contradictions, validate
+from nfrstdo.validator import (
+    RULES, Rule, ValidationMode, _cycle_groups, derive_depends_on, depends_contradictions, validate,
+)
 
 QUALITY_FOCUS_MODEL = 'model "M" { characteristic "F" { definition: "d" focus: quality } }\n'
 COST_FOCUS_MODEL = 'model "MC" { characteristic "FC" { definition: "d" focus: cost } }\n'
@@ -148,6 +150,21 @@ def test_rule_mutation_is_exclusive(code):
     produced = [d.code for d in diagnostics]
     assert code in produced
     assert error_codes(diagnostics) <= {code}
+
+
+def test_rule_table_has_one_row_per_mutation():
+    # RULE_MUTATIONS is written apart from the table, one mutation per code
+    assert set(RULE_MUTATIONS) == set(RULES)
+
+
+def test_rule_table_invariants():
+    # the sink reads a row's severity by the mode's value
+    assert Rule._fields[:2] == tuple(mode.value for mode in ValidationMode)
+    for code, rule in RULES.items():
+        # model-mode errors are a subset of instance-mode errors
+        assert rule.instance is Severity.ERROR or rule.model is Severity.WARNING, code
+        # export validates in model mode, and refuses only what is an error there
+        assert not rule.export or rule.model is Severity.ERROR, code
 
 
 def test_r018_reports_unknown_parents_and_each_category_cycle():
