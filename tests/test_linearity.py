@@ -49,10 +49,10 @@ def _graph_size(case) -> int:
 
 def _closures(case, doc):
     """Every closure query of the case, on a document parsed apart, so that its closure indexes are built here."""
-    for query in case.queries:
-        if query[0] in ("influence_closure", "depends_closure"):
-            run = influence_closure if query[0] == "influence_closure" else depends_closure
-            run(doc, *query[1:])
+    closures = {"influence_closure": influence_closure, "depends_closure": depends_closure}
+    for name, *args in case.queries:
+        if name in closures:
+            closures[name](doc, *args)
 
 
 LAYERS = {  # name: run(case, doc), with doc parsed from case.text before counting starts

@@ -186,7 +186,7 @@ def test_readme_rule_table_follows_the_rules_and_the_kernel():
     named = {row[4] for row in rows} - {"—"}
     assert named <= {r.name for r in relationships}
     # the cardinality gate: a relationship that requires a target is enforced by an instance-mode error
-    enforced = {relationship for code, _, _, instance, relationship, _ in rows if instance == "error"}
+    enforced = {relationship for _, _, _, instance, relationship, _ in rows if instance == "error"}
     required = {r.name for r in relationships if r.min_count >= 1}
     assert required == {"belongs to", "deals with universals", "is represented by", "refers to particulars"}
     assert required <= enforced
